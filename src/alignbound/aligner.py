@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 
-from .distance import edit_distance
+from .distance import MatchMasks, edit_distance
 from .errors import StateBoundError
 from .log import Trace, trace_sort_key
 from .model import ExplicitLanguageModel, PetriNetModel
@@ -107,10 +107,11 @@ def optimal_alignment(trace, model, heuristic: bool = False) -> AlignmentResult:
 def _align_explicit(trace, model):
     # model.traces is canonically sorted, so a strict-less scan picks the
     # canonical representative among the closest model traces
+    masks = MatchMasks(trace)
     best_d = None
     best_t = None
     for cand in model.traces:
-        d = edit_distance(trace, cand, cutoff=best_d)
+        d = edit_distance(masks, cand, cutoff=best_d)
         if best_d is None or d < best_d:
             best_d, best_t = d, cand
     moves = _edit_moves(trace, best_t)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .aligner import optimal_alignment
-from .distance import DistanceMatrix, edit_distance
+from .distance import DistanceMatrix, MatchMasks, edit_distance
 from .errors import BoundsError
 from .log import EventLog, Trace, format_trace
 from .proxy import ProxySet, StrategyParams, generate_proxy
@@ -74,9 +74,9 @@ def _ref_cost(proxy: ProxySet, member: Trace) -> int:
 
 def upper_bound(trace, proxy: ProxySet) -> int:
     """Cheapest detour through any member: refCost + distance."""
-    trace = tuple(trace)
+    masks = MatchMasks(trace)
     return min(
-        _ref_cost(proxy, member) + edit_distance(trace, member)
+        _ref_cost(proxy, member) + edit_distance(masks, member)
         for member in proxy.members
     )
 
@@ -96,12 +96,12 @@ def lower_bound(trace, proxy: ProxySet, info: ModelInfo) -> tuple[int, str]:
     Returns ``(value, source)`` with source one of ``structural``,
     ``proxy`` or ``both`` (both attain the same value).
     """
-    trace = tuple(trace)
-    structural = _structural_term(trace, info)
+    masks = MatchMasks(trace)
+    structural = _structural_term(masks.trace, info)
     proxy_term = max(
         0,
         max(
-            _ref_cost(proxy, member) - edit_distance(trace, member)
+            _ref_cost(proxy, member) - edit_distance(masks, member)
             for member in proxy.members
         ),
     )
@@ -138,7 +138,8 @@ def approximate_cost(
     if not 0 <= weight <= 1:
         raise BoundsError(f"upper weight must be within [0, 1], got {weight}")
 
-    dists = [(member, edit_distance(trace, member)) for member in proxy.members]
+    masks = MatchMasks(trace)
+    dists = [(member, edit_distance(masks, member)) for member in proxy.members]
     # members are canonically sorted, so the first minimum is the canonical
     # nearest member
     proxy_distance = min(d for _, d in dists)

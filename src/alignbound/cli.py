@@ -38,7 +38,7 @@ from .model import (
     serialize_explicit_language,
 )
 from .proxy import STRATEGIES, ProxySet, StrategyParams, epsilon_max_error, generate_proxy
-from .report import strip_timings, write_report
+from .report import join_trace, strip_timings, write_report
 
 SEED_ENV = "ALIGNBOUND_SEED"
 STATE_BOUND_ENV = "ALIGNBOUND_STATE_BOUND"
@@ -252,10 +252,6 @@ def _emit(payload: bytes, out: str | None) -> None:
         sys.stdout.write(payload.decode("utf-8"))
 
 
-def _trace_cell(trace) -> str:
-    return "|".join(trace) if trace else "-"
-
-
 def _cmd_exact(args) -> int:
     _echo_config(args)
     log = _load_log(args)
@@ -280,7 +276,7 @@ def _cmd_exact(args) -> int:
         header.append("moves")
     writer.writerow(header)
     for trace, result in zip(variants, results):
-        row = [_trace_cell(trace), log.variants[trace], result.cost]
+        row = [join_trace(trace), log.variants[trace], result.cost]
         if args.dump_moves:
             row.append(" ".join(m.token() for m in result.alignment.moves))
         writer.writerow(row)

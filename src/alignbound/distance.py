@@ -4,6 +4,24 @@ The distance between two traces is the minimal number of single-activity
 insertions plus deletions turning one into the other, which equals
 len(a) + len(b) - 2 * lcs(a, b).  It is a metric and its parity always
 matches len(a) + len(b).
+
+Every distance in the package comes from one bit-parallel LCS kernel
+(Allison & Dix, IPL 1986; Crochemore et al., IPL 2001; Hyyrö, "Bit-parallel
+LCS-length computation revisited", 2004).  :class:`MatchMasks` turns one
+trace ``a`` into a dict holding, per activity, the bitmask of the positions
+where it occurs.  Scanning the other trace with
+
+    u = v & mask[c];  v = ((v + u) | (v - u)) & full
+
+starting from ``v = full`` (one set bit per event of ``a``) leaves exactly
+lcs(a, b) zero bits in ``v``.  Python ints are unbounded, so traces of any
+length fit and no word size is involved.  A caller whose trace meets many
+others (a matrix row, the trace being aligned or bracketed) builds its
+masks once and passes them to :func:`edit_distance` in place of the trace.
+
+With ``cutoff`` set, :func:`edit_distance` returns ``min(distance,
+cutoff)``; it may skip the scan when the length difference alone reaches
+the cutoff.
 """
 
 from dataclasses import dataclass
@@ -13,42 +31,47 @@ import numpy as np
 from .log import Trace, trace_sort_key
 
 
+class MatchMasks:
+    """One trace prepared for many distance queries: activity -> bitmask of
+    its positions in the trace."""
+
+    __slots__ = ("trace", "full", "masks")
+
+    def __init__(self, trace):
+        self.trace = tuple(trace)
+        self.full = (1 << len(self.trace)) - 1
+        masks = {}
+        bit = 1
+        for activity in self.trace:
+            masks[activity] = masks.get(activity, 0) | bit
+            bit <<= 1
+        self.masks = masks
+
+    def lcs(self, other) -> int:
+        """Length of a longest common subsequence with ``other``."""
+        full = self.full
+        mask = self.masks.get
+        v = full
+        for activity in other:
+            m = mask(activity)
+            if m:
+                u = v & m
+                v = ((v + u) | (v - u)) & full
+        return len(self.trace) - v.bit_count()
+
+
 def edit_distance(a, b, cutoff: int | None = None) -> int:
     """Insertion/deletion distance between traces ``a`` and ``b``.
 
-    With ``cutoff`` set, the scan may stop as soon as the true distance is
-    provably >= cutoff and report ``cutoff`` instead; the default is the
-    exact distance.  After each DP row the best still reachable distance is
-    len(a) + len(b) - 2 * (lcs so far + rows remaining), which gives the
-    early exit.
+    ``a`` may be given as its :class:`MatchMasks` to reuse them across
+    calls.  With ``cutoff`` set the result is ``min(distance, cutoff)``.
     """
-    a = tuple(a)
-    b = tuple(b)
-    if a == b:
-        return 0
-    la, lb = len(a), len(b)
+    masks = a if isinstance(a, MatchMasks) else MatchMasks(a)
+    la, lb = len(masks.trace), len(b)
     if cutoff is not None and abs(la - lb) >= cutoff:
         return cutoff
-    if la == 0 or lb == 0:
-        return la + lb
-    if lb > la:
-        a, b = b, a
-        la, lb = lb, la
-    prev = [0] * (lb + 1)
-    cur = [0] * (lb + 1)
-    for i in range(la):
-        ai = a[i]
-        for j in range(1, lb + 1):
-            if ai == b[j - 1]:
-                cur[j] = prev[j - 1] + 1
-            else:
-                up = prev[j]
-                left = cur[j - 1]
-                cur[j] = up if up >= left else left
-        prev, cur = cur, prev
-        if cutoff is not None and la + lb - 2 * (prev[lb] + la - i - 1) >= cutoff:
-            return cutoff
-    return la + lb - 2 * prev[lb]
+    d = la + lb - 2 * masks.lcs(b)
+    return d if cutoff is None or d < cutoff else cutoff
 
 
 def distance_to_set(trace, traces) -> tuple[int, Trace]:
@@ -58,11 +81,12 @@ def distance_to_set(trace, traces) -> tuple[int, Trace]:
     the first trace in canonical order (length, then lexicographic), so the
     result does not depend on iteration order of ``traces``.
     """
+    masks = MatchMasks(trace)
     best_d = None
     best_t = None
     for cand in traces:
         cand = tuple(cand)
-        d = edit_distance(trace, cand)
+        d = edit_distance(masks, cand)
         if (
             best_d is None
             or d < best_d
@@ -81,9 +105,6 @@ class DistanceMatrix:
     labels: tuple[Trace, ...]
     cells: np.ndarray
 
-    def index(self, trace) -> int:
-        return self.labels.index(tuple(trace))
-
     def to_csv(self) -> str:
         """Debug dump: header row of traces, then one row per trace."""
         def fmt(t):
@@ -101,8 +122,8 @@ def distance_matrix(variants) -> DistanceMatrix:
     n = len(labels)
     cells = np.zeros((n, n), dtype=np.int64)
     for i in range(n):
-        for j in range(i + 1, n):
-            d = edit_distance(labels[i], labels[j])
-            cells[i, j] = d
-            cells[j, i] = d
+        masks = MatchMasks(labels[i])
+        row = [edit_distance(masks, labels[j]) for j in range(i + 1, n)]
+        cells[i, i + 1 :] = row
+        cells[i + 1 :, i] = row
     return DistanceMatrix(labels=labels, cells=cells)

@@ -15,7 +15,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .distance import DistanceMatrix, distance_matrix, distance_to_set, edit_distance
+from .distance import (
+    DistanceMatrix,
+    MatchMasks,
+    distance_matrix,
+    distance_to_set,
+    edit_distance,
+)
 from .errors import ProxyError
 from .log import EventLog, Trace, make_trace, trace_sort_key
 
@@ -43,7 +49,7 @@ class ProxySet:
         return len(self.members)
 
     def __contains__(self, trace) -> bool:
-        return tuple(trace) in set(self.members)
+        return tuple(trace) in self.members
 
 
 @dataclass(frozen=True)
@@ -140,41 +146,58 @@ def _pam_build(cells, weights, k):
 
 
 def _pam_swap(cells, weights, medoids):
-    # classic swap phase; nearest and second-nearest distances make one swap
-    # evaluation a vector operation instead of a full objective recompute
+    # Swap until no swap lowers the objective, taking each round the swap
+    # with the smallest (most negative) delta; ties go to the first medoid,
+    # then the first candidate, which is the first minimum of the
+    # medoid-major delta table below.
+    #
+    # FastPAM1 (Schubert & Rousseeuw, SISAP 2019) evaluates all k x (n-k)
+    # swaps at once.  With nearest(o), second(o) the two smallest distances
+    # from point o to the medoids and d_h(o) its distance to candidate h,
+    # swapping medoid m for h changes the cost of o by
+    #
+    #   min(d_h, second) - nearest   if o is assigned to m, else
+    #   min(d_h - nearest, 0).
+    #
+    # So delta(m, h) = shared(h) + correction(m, h), where shared(h) sums
+    # min(d_h - nearest, 0) * w over all points and correction(m, h) sums
+    # (min(d_h, second) - nearest) * w - min(d_h - nearest, 0) * w over the
+    # points assigned to m.  Which of two equally near medoids a point is
+    # assigned to does not matter: then second == nearest and both formulas
+    # agree.  All terms are int64, so the deltas are exact.
     n = len(weights)
     medoids = sorted(medoids)
-    rows = np.arange(n)
-    while True:
+    k = len(medoids)
+    while k < n:
         med = np.array(medoids)
         sub = cells[:, med]
-        if len(medoids) == 1:
-            nearest_d = sub[:, 0].copy()
-            nearest_label = np.full(n, medoids[0])
-            second_d = np.full(n, np.iinfo(np.int64).max // 4)
+        if k == 1:
+            nearest = sub[:, 0]
+            second = np.full(n, np.iinfo(np.int64).max // 4)
         else:
-            order = np.argpartition(sub, 1, axis=1)
-            nearest_d = sub[rows, order[:, 0]]
-            second_d = sub[rows, order[:, 1]]
-            nearest_label = med[order[:, 0]]
-        best_delta = 0
-        best_swap = None
+            two = np.partition(sub, 1, axis=1)
+            nearest, second = two[:, 0], two[:, 1]
+        assigned = np.argmin(sub, axis=1)
+        # a medoid sits at distance zero from itself, so every medoid gets
+        # at least its own point and no group below is empty
+        assigned[med] = np.arange(k)
         in_med = np.zeros(n, dtype=bool)
         in_med[med] = True
-        candidates = np.where(~in_med)[0]
-        for mi, m in enumerate(medoids):
-            affected = nearest_label == m
-            base = np.where(affected, second_d, nearest_d)
-            for hcol in candidates:
-                newd = np.minimum(base, cells[:, hcol])
-                delta = int(((newd - nearest_d) * weights).sum())
-                if delta < best_delta:
-                    best_delta = delta
-                    best_swap = (mi, int(hcol))
-        if best_swap is None:
+        candidates = np.flatnonzero(~in_med)
+        dh = cells[:, candidates]
+        w = weights[:, None]
+        gain = np.minimum(dh - nearest[:, None], 0) * w
+        correction = (np.minimum(dh, second[:, None]) - nearest[:, None]) * w - gain
+        order = np.argsort(assigned, kind="stable")
+        starts = np.searchsorted(assigned[order], np.arange(k))
+        delta = gain.sum(axis=0) + np.add.reduceat(correction[order], starts, axis=0)
+        best = int(np.argmin(delta))
+        if delta.flat[best] >= 0:
             return medoids
-        medoids[best_swap[0]] = best_swap[1]
+        mi, hi = divmod(best, len(candidates))
+        medoids[mi] = int(candidates[hi])
         medoids.sort()
+    return medoids
 
 
 def cluster_kmedoids(
@@ -224,14 +247,15 @@ def cluster_kcenter(
     if matrix is not None:
         matrix = _resolve_matrix(variants, matrix)
 
-    def dist(i, j):
+    def distances_to(j):
         if matrix is not None:
-            return int(matrix.cells[i, j])
-        return edit_distance(variants[i], variants[j])
+            return matrix.cells[:, j].tolist()
+        masks = MatchMasks(variants[j])
+        return [edit_distance(masks, t) for t in variants]
 
     first = min(range(n), key=lambda i: _frequency_key(log)(variants[i]))
     centers = [first]
-    min_dist = [dist(i, first) for i in range(n)]
+    min_dist = distances_to(first)
     while len(centers) < k:
         # variants are canonically sorted, so the first maximum is also the
         # canonical tie-break
@@ -240,8 +264,7 @@ def cluster_kcenter(
             if min_dist[i] > min_dist[far]:
                 far = i
         centers.append(far)
-        for i in range(n):
-            d = dist(i, far)
+        for i, d in enumerate(distances_to(far)):
             if d < min_dist[i]:
                 min_dist[i] = d
     members = tuple(variants[i] for i in centers)

@@ -147,7 +147,8 @@ def read_report_json(data) -> ApproxReport:
         raise ReportError(f"report JSON misses or mangles a field: {exc}") from None
 
 
-def _join_trace(trace) -> str:
+def join_trace(trace) -> str:
+    """CSV cell for a trace: activities joined by ``|``, ``-`` when empty."""
     return "|".join(trace) if trace else "-"
 
 
@@ -158,12 +159,12 @@ def _write_csv(report: ApproxReport) -> bytes:
     for result, mult in report.per_variant:
         writer.writerow(
             [
-                _join_trace(result.trace),
+                join_trace(result.trace),
                 mult,
                 result.lower,
                 result.upper,
                 str(result.estimate),
-                _join_trace(result.nearest_proxy),
+                join_trace(result.nearest_proxy),
                 result.proxy_distance,
                 result.lower_source,
             ]

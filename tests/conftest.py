@@ -2,15 +2,16 @@
 
 The oracles deliberately avoid the production code paths: distances come
 from a plain recursion on the definition (delete from either side), the
-alignment oracle enumerates every edit script, and the clustering optima
-come from exhaustive subset scans.  Tests compare the fast implementations
-against these.
+alignment oracle enumerates every edit script, the clustering optima
+come from exhaustive subset scans, and the PAM swap phase evaluates one
+swap at a time.  Tests compare the fast implementations against these.
 """
 
 import itertools
 import random
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from alignbound import fixtures
@@ -88,6 +89,45 @@ def kmedoids_optimal_objective(log: EventLog, k, dist) -> int:
         if best is None or obj < best:
             best = obj
     return best
+
+
+def pam_swap_loop(cells, weights, medoids):
+    """PAM swap phase evaluating each of the k x (n-k) swaps on its own:
+    take the most negative objective change, the first medoid and then
+    the first candidate on ties, until no swap improves."""
+    n = len(weights)
+    medoids = sorted(medoids)
+    rows = np.arange(n)
+    while True:
+        med = np.array(medoids)
+        sub = cells[:, med]
+        if len(medoids) == 1:
+            nearest_d = sub[:, 0].copy()
+            nearest_label = np.full(n, medoids[0])
+            second_d = np.full(n, np.iinfo(np.int64).max // 4)
+        else:
+            order = np.argpartition(sub, 1, axis=1)
+            nearest_d = sub[rows, order[:, 0]]
+            second_d = sub[rows, order[:, 1]]
+            nearest_label = med[order[:, 0]]
+        best_delta = 0
+        best_swap = None
+        in_med = np.zeros(n, dtype=bool)
+        in_med[med] = True
+        candidates = np.where(~in_med)[0]
+        for mi, m in enumerate(medoids):
+            affected = nearest_label == m
+            base = np.where(affected, second_d, nearest_d)
+            for hcol in candidates:
+                newd = np.minimum(base, cells[:, hcol])
+                delta = int(((newd - nearest_d) * weights).sum())
+                if delta < best_delta:
+                    best_delta = delta
+                    best_swap = (mi, int(hcol))
+        if best_swap is None:
+            return medoids
+        medoids[best_swap[0]] = best_swap[1]
+        medoids.sort()
 
 
 def random_trace(rng: random.Random, alphabet, lo, hi):

@@ -297,6 +297,18 @@ def test_criterion_7_bound_tracks_error_and_informed_beats_random():
         assert time.perf_counter() - started < 300.0
 
 
+# where exact alignment is expensive: 80 model traces, >= 500 variants
+CRITERION_8_SPEC = SyntheticSpec(
+    alphabet_size=12,
+    model_trace_count=80,
+    model_trace_length=(6, 10),
+    log_variant_count=850,
+    noise_ops=(0, 2),
+    multiplicity=(1, 3),
+    seed=42,
+)
+
+
 def test_criterion_8_invocation_count_and_speedup(monkeypatch):
     with criterion(8, "invocations == |proxy|; speedup > 1 in >= 9/10 runs"):
         import alignbound.bounds as bounds_module
@@ -321,16 +333,7 @@ def test_criterion_8_invocation_count_and_speedup(monkeypatch):
             assert report.aligner_invocations == len(report.proxy.members)
         monkeypatch.setattr(bounds_module, "optimal_alignment", real_align)
 
-        spec = SyntheticSpec(
-            alphabet_size=12,
-            model_trace_count=80,
-            model_trace_length=(6, 10),
-            log_variant_count=850,
-            noise_ops=(0, 2),
-            multiplicity=(1, 3),
-            seed=42,
-        )
-        model, log = generate_synthetic(spec)
+        model, log = generate_synthetic(CRITERION_8_SPEC)
         assert len(log.variants) >= 500
         _, t_exact = exact_costs(log, model)
         faster = 0
@@ -350,6 +353,37 @@ def test_criterion_8_invocation_count_and_speedup(monkeypatch):
             if pi_without > 1:
                 faster += 1
         assert faster >= 9
+
+
+def test_criterion_8_distance_work_count(monkeypatch):
+    # the work-count twin of the wall-clock speedup above: the distances
+    # evaluated by reference alignment plus bracketing (what pi_without
+    # times) against those of exact alignment, which repeat exactly
+    with criterion(8, "approximate evaluates fewer distances than exact"):
+        import alignbound.aligner as aligner_module
+        import alignbound.bounds as bounds_module
+        from alignbound.distance import edit_distance
+
+        calls = {"n": 0}
+
+        def counting_distance(*args, **kwargs):
+            calls["n"] += 1
+            return edit_distance(*args, **kwargs)
+
+        for module in (aligner_module, bounds_module):
+            monkeypatch.setattr(module, "edit_distance", counting_distance)
+        model, log = generate_synthetic(CRITERION_8_SPEC)
+        exact_costs(log, model)
+        exact_calls = calls["n"]
+        assert exact_calls > 0
+        for seed in range(10):
+            calls["n"] = 0
+            approximate_log(
+                log,
+                model,
+                params=StrategyParams(strategy="random", size_percent=5, seed=seed),
+            )
+            assert 0 < calls["n"] < exact_calls
 
 
 def test_criterion_9_lower_bound_source_statistics(tmp_path, capsys):

@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alignbound.distance import (
+    MatchMasks,
     distance_matrix,
     distance_to_set,
     edit_distance,
@@ -113,3 +116,43 @@ def test_distance_matrix_csv_dump():
     assert lines[0] == "trace,a,a b"
     assert lines[1] == "a,0,1"
     assert lines[2] == "a b,1,0"
+
+
+# small alphabet for heavy repeats, multi-character names, and traces long
+# enough to span several machine words in the bit-parallel kernel
+activities = st.sampled_from(["a", "b", "c", "Register request", "check ticket"])
+traces = st.lists(activities, max_size=130).map(tuple)
+long_traces = st.lists(activities, min_size=65, max_size=130).map(tuple)
+
+
+@settings(max_examples=150, deadline=None)
+@given(traces, traces)
+def test_kernel_matches_naive_oracle(a, b):
+    d = naive_edit_distance(a, b)
+    assert edit_distance(a, b) == d
+    assert edit_distance(MatchMasks(a), b) == d
+    assert edit_distance(MatchMasks(b), a) == d
+
+
+@settings(max_examples=40, deadline=None)
+@given(long_traces, traces)
+def test_kernel_on_traces_longer_than_a_word(a, b):
+    assert edit_distance(a, b) == naive_edit_distance(a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(traces, traces, st.integers(min_value=0, max_value=270))
+def test_cutoff_returns_min_of_distance_and_cutoff(a, b, cutoff):
+    d = naive_edit_distance(a, b)
+    assert edit_distance(a, b, cutoff=cutoff) == min(d, cutoff)
+    assert edit_distance(MatchMasks(a), b, cutoff=cutoff) == min(d, cutoff)
+
+
+def test_distance_matrix_matches_pairwise_distances():
+    rng = random.Random(19)
+    alphabet = ["a", "b", "c", "d"]
+    variants = list({random_trace(rng, alphabet, 0, 70) for _ in range(25)})
+    cells = distance_matrix(variants).cells
+    for i, a in enumerate(variants):
+        for j, b in enumerate(variants):
+            assert cells[i, j] == naive_edit_distance(a, b)

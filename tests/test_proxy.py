@@ -3,6 +3,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from alignbound.distance import distance_matrix, edit_distance
@@ -11,6 +12,8 @@ from alignbound.log import EventLog
 from alignbound.proxy import (
     ProxySet,
     StrategyParams,
+    _pam_build,
+    _pam_swap,
     brute_force_k_primal,
     cluster_kcenter,
     cluster_kmedoids,
@@ -25,6 +28,7 @@ from conftest import (
     brute_force_epsilon,
     kcenter_optimal_radius,
     kmedoids_optimal_objective,
+    pam_swap_loop,
     random_trace,
 )
 
@@ -155,6 +159,56 @@ def test_kmedoids_matches_exhaustive_on_small_instances():
                 assert got >= optimum
                 hits += got == optimum
     assert hits / runs >= 0.95
+
+
+def test_pam_swap_matches_one_swap_at_a_time_loop():
+    rng = random.Random(109)
+    checked = set()
+    for trial in range(40):
+        log = _random_log(rng, rng.randint(2, 24), hi=8, max_mult=rng.choice((1, 1, 4)))
+        variants = log.variant_traces
+        n = len(variants)
+        cells = distance_matrix(variants).cells
+        weights = np.array([log.variants[t] for t in variants], dtype=np.int64)
+        for k in {1, n - 1, rng.randint(1, n)} - {0}:
+            starts = [_pam_build(cells, weights, k), sorted(rng.sample(range(n), k))]
+            for start in starts:
+                expected = pam_swap_loop(cells, weights, list(start))
+                assert _pam_swap(cells, weights, list(start)) == expected
+            checked.add((k == 1, k == n - 1, bool((weights == 1).all())))
+    # k = 1, k = n - 1 and all-equal weights (every swap delta tied) all ran
+    assert {c[0] for c in checked} == {True, False}
+    assert {c[1] for c in checked} == {True, False}
+    assert {c[2] for c in checked} == {True, False}
+
+
+def test_pam_swap_tie_break_matches_loop():
+    # swapping medoid 0 for 4 and medoid 1 for 2 tie as the best first swap;
+    # the first medoid wins and leads to another local optimum than the
+    # first candidate would
+    cells = np.array(
+        [
+            [0, 1, 2, 1, 1],
+            [1, 0, 3, 2, 1],
+            [2, 3, 0, 2, 1],
+            [1, 2, 2, 0, 1],
+            [1, 1, 1, 1, 0],
+        ]
+    )
+    weights = np.ones(5, dtype=np.int64)
+    assert _pam_swap(cells, weights, [0, 1]) == pam_swap_loop(cells, weights, [0, 1])
+    # small symmetric matrices with entries 0..3 tie many deltas, and their
+    # zeros put two points at distance zero from one medoid
+    rng = np.random.default_rng(113)
+    for trial in range(200):
+        n = int(rng.integers(3, 12))
+        upper = np.triu(rng.integers(0, 4, size=(n, n)), 1)
+        cells = upper + upper.T
+        weights = np.ones(n, dtype=np.int64) if trial % 2 else rng.integers(1, 3, size=n)
+        for k in (1, n - 1, int(rng.integers(1, n))):
+            start = sorted(rng.choice(n, k, replace=False).tolist())
+            expected = pam_swap_loop(cells, weights, list(start))
+            assert _pam_swap(cells, weights, list(start)) == expected
 
 
 def test_kmedoids_weights_matter():
