@@ -13,17 +13,13 @@ from .aligner import (
     Move,
     MoveKind,
     alignment_cost,
-    model_projection,
     optimal_alignment,
 )
 from .bounds import (
     ApproxReport,
     BoundsResult,
-    ModelInfo,
     approximate_cost,
     approximate_log,
-    lower_bound,
-    upper_bound,
 )
 from .distance import DistanceMatrix, distance_matrix, distance_to_set, edit_distance
 from .errors import (
@@ -82,7 +78,6 @@ __all__ = [
     "ExplicitLanguageModel",
     "LogParseError",
     "ModelError",
-    "ModelInfo",
     "Move",
     "MoveKind",
     "PetriNetModel",
@@ -106,9 +101,7 @@ __all__ = [
     "epsilon_max_error",
     "generate_proxy",
     "generate_synthetic",
-    "lower_bound",
     "min_visible_length",
-    "model_projection",
     "optimal_alignment",
     "parse_csv",
     "parse_explicit_language",
@@ -120,6 +113,5 @@ __all__ = [
     "run_experiment",
     "sample_frequency",
     "sample_random",
-    "upper_bound",
     "write_report",
 ]

@@ -16,7 +16,7 @@ from enum import Enum
 
 from .distance import MatchMasks, edit_distance
 from .errors import StateBoundError
-from .log import Trace, trace_sort_key
+from .log import Trace, format_trace
 from .model import ExplicitLanguageModel, PetriNetModel
 
 
@@ -63,10 +63,6 @@ class Alignment:
 
 def alignment_cost(alignment: Alignment) -> int:
     return sum(m.cost for m in alignment.moves)
-
-
-def model_projection(alignment: Alignment) -> Trace:
-    return alignment.model_projection
 
 
 @dataclass
@@ -194,7 +190,8 @@ def _align_petri(trace, model, heuristic):
         expanded += 1
         if expanded > model.state_bound:
             raise StateBoundError(
-                f"state bound {model.state_bound} exceeded while aligning"
+                f"state bound {model.state_bound} exceeded after expanding "
+                f"{expanded} states while aligning {format_trace(trace)}"
             )
         # push order encodes the preference among equally cheap moves:
         # sync, then silent, then visible model moves, then the log move
@@ -214,7 +211,8 @@ def _align_petri(trace, model, heuristic):
         if pos < n:
             push((pos + 1, marking), g + 1, state, Move(MoveKind.LOG, trace[pos]))
     raise StateBoundError(
-        "alignment search exhausted without reaching the final marking"
+        f"alignment search for {format_trace(trace)} exhausted without "
+        "reaching the final marking"
     )
 
 

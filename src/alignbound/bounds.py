@@ -34,25 +34,6 @@ ESTIMATORS = (ESTIMATOR_MIDPOINT, ESTIMATOR_HALF_DISTANCE)
 
 
 @dataclass(frozen=True)
-class ModelInfo:
-    """The two model facts the bounds need.
-
-    ``alphabet`` may be None to drop the out-of-alphabet term, for models
-    whose visible alphabet could not be verified live.
-    """
-
-    alphabet: frozenset | None
-    min_visible_length: int
-
-    @classmethod
-    def from_model(cls, model, trust_alphabet: bool = True) -> "ModelInfo":
-        return cls(
-            alphabet=frozenset(model.alphabet) if trust_alphabet else None,
-            min_visible_length=model.min_visible_length,
-        )
-
-
-@dataclass(frozen=True)
 class BoundsResult:
     trace: Trace
     lower: int
@@ -72,57 +53,20 @@ def _ref_cost(proxy: ProxySet, member: Trace) -> int:
         ) from None
 
 
-def upper_bound(trace, proxy: ProxySet) -> int:
-    """Cheapest detour through any member: refCost + distance."""
-    masks = MatchMasks(trace)
-    return min(
-        _ref_cost(proxy, member) + edit_distance(masks, member)
-        for member in proxy.members
-    )
-
-
-def _structural_term(trace, info: ModelInfo) -> int:
-    missing = max(0, info.min_visible_length - len(trace))
-    if info.alphabet is None:
-        outside = 0
-    else:
-        outside = sum(1 for a in trace if a not in info.alphabet)
-    return missing + outside
-
-
-def lower_bound(trace, proxy: ProxySet, info: ModelInfo) -> tuple[int, str]:
-    """Best of the structural floor and the proxy-driven floor.
-
-    Returns ``(value, source)`` with source one of ``structural``,
-    ``proxy`` or ``both`` (both attain the same value).
-    """
-    masks = MatchMasks(trace)
-    structural = _structural_term(masks.trace, info)
-    proxy_term = max(
-        0,
-        max(
-            _ref_cost(proxy, member) - edit_distance(masks, member)
-            for member in proxy.members
-        ),
-    )
-    value = max(structural, proxy_term)
-    if structural == proxy_term:
-        source = LOWER_BOTH
-    elif structural == value:
-        source = LOWER_STRUCTURAL
-    else:
-        source = LOWER_PROXY
-    return value, source
-
-
 def approximate_cost(
     trace,
     proxy: ProxySet,
-    info: ModelInfo,
+    model,
     estimator: str = ESTIMATOR_MIDPOINT,
     upper_weight: Fraction = Fraction(1, 2),
 ) -> BoundsResult:
-    """Bounds plus a point estimate for one trace.
+    """Certified bracket plus a point estimate for one trace.
+
+    This is the one routine that brackets a trace.  ``model`` supplies the
+    two facts of the structural floor, ``alphabet`` and
+    ``min_visible_length``, which both backends expose.  The alphabet holds
+    every visible label, dead transitions included, so an activity outside
+    it can never be a synchronous move and always costs one log move.
 
     The default estimator interpolates between the bounds with
     ``upper_weight`` (0.5 is the midpoint, which halves the worst-case
@@ -139,15 +83,19 @@ def approximate_cost(
         raise BoundsError(f"upper weight must be within [0, 1], got {weight}")
 
     masks = MatchMasks(trace)
-    dists = [(member, edit_distance(masks, member)) for member in proxy.members]
-    # members are canonically sorted, so the first minimum is the canonical
-    # nearest member
-    proxy_distance = min(d for _, d in dists)
-    nearest = next(m for m, d in dists if d == proxy_distance)
+    # (member, distance, reference cost) in canonical member order, so the
+    # first minimum is the canonical nearest member
+    table = [
+        (member, edit_distance(masks, member), _ref_cost(proxy, member))
+        for member in proxy.members
+    ]
+    proxy_distance = min(d for _, d, _ in table)
+    nearest = next(m for m, d, _ in table if d == proxy_distance)
 
-    upper = min(_ref_cost(proxy, member) + d for member, d in dists)
-    structural = _structural_term(trace, info)
-    proxy_term = max(0, max(_ref_cost(proxy, member) - d for member, d in dists))
+    upper = min(cost + d for _, d, cost in table)
+    outside = sum(1 for a in trace if a not in model.alphabet)
+    structural = max(0, model.min_visible_length - len(trace)) + outside
+    proxy_term = max(0, max(cost - d for _, d, cost in table))
     lower = max(structural, proxy_term)
     if structural == proxy_term:
         source = LOWER_BOTH
@@ -159,12 +107,12 @@ def approximate_cost(
     if estimator == ESTIMATOR_MIDPOINT:
         estimate = (1 - weight) * lower + weight * upper
     else:
-        nonzero = [m for m, _ in dists if _ref_cost(proxy, m) != 0]
-        if nonzero:
-            raise BoundsError(
-                "half-distance estimator needs all reference costs to be zero; "
-                f"{format_trace(nonzero[0])} has cost {proxy.ref_costs[nonzero[0]]}"
-            )
+        for member, _, cost in table:
+            if cost != 0:
+                raise BoundsError(
+                    "half-distance estimator needs all reference costs to be zero; "
+                    f"{format_trace(member)} has cost {cost}"
+                )
         estimate = Fraction(proxy_distance, 2)
         estimate = min(max(estimate, Fraction(lower)), Fraction(upper))
 
@@ -229,7 +177,6 @@ def approximate_log(
     proxy: ProxySet | None = None,
     estimator: str = ESTIMATOR_MIDPOINT,
     upper_weight: Fraction = Fraction(1, 2),
-    trust_alphabet: bool = True,
     heuristic: bool = False,
     matrix: DistanceMatrix | None = None,
 ) -> ApproxReport:
@@ -251,13 +198,12 @@ def approximate_log(
     invocations = compute_ref_costs(proxy, model, heuristic=heuristic)
     t_aligned = _now_us()
 
-    info = ModelInfo.from_model(model, trust_alphabet=trust_alphabet)
     rows = []
     epsilon = 0
     total_estimate = Fraction(0)
     for trace in log.variant_traces:
         result = approximate_cost(
-            trace, proxy, info, estimator=estimator, upper_weight=upper_weight
+            trace, proxy, model, estimator=estimator, upper_weight=upper_weight
         )
         mult = log.variants[trace]
         rows.append((result, mult))

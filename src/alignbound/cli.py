@@ -13,7 +13,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -110,7 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_exact.add_argument(
         "--dump-moves", action="store_true", help="add a move-sequence column"
     )
-    p_exact.add_argument("--jobs", type=int, default=None, help="parallelism cap")
     p_exact.add_argument("--out", help="write the CSV here instead of stdout")
 
     p_approx = sub.add_parser(
@@ -137,13 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="zero the timing fields for byte-identical reports",
     )
-    p_approx.add_argument(
-        "--strict-structural",
-        action="store_true",
-        help="drop the out-of-alphabet term for models without verified "
-        "transition liveness",
-    )
-    p_approx.add_argument("--jobs", type=int, default=None, help="parallelism cap")
     p_approx.add_argument("--out", help="write the report here instead of stdout")
 
     p_gen = sub.add_parser("proxy-gen", help="generate and persist a proxy set")
@@ -258,16 +249,7 @@ def _cmd_exact(args) -> int:
     model = _load_model(args)
     _warn_dead_transitions(model)
     variants = log.variant_traces
-    jobs = args.jobs if args.jobs and args.jobs > 0 else (os.cpu_count() or 1)
-
-    def align(trace):
-        return optimal_alignment(trace, model, heuristic=args.heuristic)
-
-    if jobs > 1 and len(variants) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(align, variants))
-    else:
-        results = [align(t) for t in variants]
+    results = [optimal_alignment(t, model, heuristic=args.heuristic) for t in variants]
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -318,7 +300,6 @@ def _cmd_approximate(args) -> int:
         proxy=proxy,
         estimator=args.estimator,
         upper_weight=Fraction(args.upper_weight),
-        trust_alphabet=not args.strict_structural,
         heuristic=args.heuristic,
     )
     if args.proxy_out:

@@ -269,7 +269,7 @@ def run_experiment(
                 rows.append(
                     ExperimentRow(
                         strategy=strategy,
-                        size_percent=_as_percent(size),
+                        size_percent=params.size_percent,
                         seed=cell_seed,
                         epsilon_max=report.epsilon_max,
                         realized_error=realized_error(report, costs),
@@ -281,12 +281,6 @@ def run_experiment(
                     )
                 )
     return rows
-
-
-def _as_percent(value) -> Fraction:
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    return Fraction(str(value))
 
 
 def pearson_by_strategy(rows):

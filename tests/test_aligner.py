@@ -7,7 +7,6 @@ from alignbound.aligner import (
     Move,
     MoveKind,
     alignment_cost,
-    model_projection,
     optimal_alignment,
 )
 from alignbound.distance import distance_to_set, edit_distance
@@ -55,7 +54,7 @@ def test_cost_equals_projection_distance(loop_language, loop_net):
         for _ in range(40):
             trace = random_trace(rng, alphabet, 0, 7)
             result = optimal_alignment(trace, model)
-            projection = model_projection(result.alignment)
+            projection = result.alignment.model_projection
             assert result.cost == alignment_cost(result.alignment)
             assert result.cost == edit_distance(trace, projection)
 
@@ -70,7 +69,7 @@ def test_explicit_backend_is_minimum_over_language():
         result = optimal_alignment(trace, model)
         expected, _ = distance_to_set(trace, model.traces)
         assert result.cost == expected
-        assert tuple(model_projection(result.alignment)) in model
+        assert result.alignment.model_projection in model
 
 
 def test_matches_exhaustive_edit_script_enumeration():
@@ -161,7 +160,12 @@ def test_state_bound_aborts_alignment():
 
     net = fixtures.parallel_loop_petri(state_bound=20)
     trace = tuple(f"z{i}" for i in range(8))
-    with pytest.raises(StateBoundError):
+    # the message names the bound, the states expanded and the trace
+    with pytest.raises(
+        StateBoundError,
+        match=r"state bound 20 exceeded after expanding 21 states while "
+        r"aligning <z0,z1,z2,z3,z4,z5,z6,z7>",
+    ):
         optimal_alignment(trace, net)
 
 

@@ -9,16 +9,13 @@ from alignbound.bounds import (
     LOWER_BOTH,
     LOWER_PROXY,
     LOWER_STRUCTURAL,
-    ModelInfo,
     approximate_cost,
     approximate_log,
     compute_ref_costs,
-    lower_bound,
-    upper_bound,
 )
 from alignbound.errors import BoundsError
 from alignbound.log import EventLog
-from alignbound.model import ExplicitLanguageModel
+from alignbound.model import ExplicitLanguageModel, PetriNetModel, Transition
 from alignbound.proxy import ProxySet, StrategyParams
 
 from conftest import random_trace
@@ -33,8 +30,7 @@ def _ref(members, costs):
 
 def test_bracket_example(loop_language):
     proxy = _ref([("a", "c", "c", "b", "d", "e")], {("a", "c", "c", "b", "d", "e"): 2})
-    info = ModelInfo.from_model(loop_language)
-    result = approximate_cost(("a", "c", "b", "d", "e"), proxy, info)
+    result = approximate_cost(("a", "c", "b", "d", "e"), proxy, loop_language)
     assert result.lower == 1
     assert result.upper == 3
     assert result.estimate == Fraction(2)
@@ -58,8 +54,9 @@ def test_two_references_pin_the_value():
     proxy = ProxySet(members=(near, far))
     proxy.ref_costs[near] = 7
     proxy.ref_costs[far] = 2
-    info = ModelInfo(alphabet=None, min_visible_length=0)
-    result = approximate_cost(trace, proxy, info)
+    # the empty run and a full-alphabet run keep the structural floor at 0
+    model = ExplicitLanguageModel([(), trace])
+    result = approximate_cost(trace, proxy, model)
     assert result.proxy_distance == 2
     assert result.upper == 5
     assert result.lower == 5
@@ -70,13 +67,9 @@ def test_two_references_pin_the_value():
 def test_missing_reference_cost_errors():
     proxy = ProxySet(members=(("u", "1"), ("u", "2", "3")))
     proxy.ref_costs[("u", "1")] = 0
-    info = ModelInfo(alphabet=None, min_visible_length=0)
+    model = ExplicitLanguageModel([("t",)])
     with pytest.raises(BoundsError, match="missing reference cost"):
-        approximate_cost(("t",), proxy, info)
-    with pytest.raises(BoundsError):
-        upper_bound(("t",), proxy)
-    with pytest.raises(BoundsError):
-        lower_bound(("t",), proxy, info)
+        approximate_cost(("t",), proxy, model)
 
 
 def test_upper_lower_bracket_random_instances():
@@ -91,15 +84,10 @@ def test_upper_lower_bracket_random_instances():
         }
         proxy = ProxySet(members=tuple(members))
         compute_ref_costs(proxy, model)
-        info = ModelInfo.from_model(model)
         trace = random_trace(rng, alphabet + ["z"], 0, 7)
         exact = optimal_alignment(trace, model).cost
-        up = upper_bound(trace, proxy)
-        low, _ = lower_bound(trace, proxy, info)
-        assert low <= exact <= up
-        result = approximate_cost(trace, proxy, info)
-        assert result.lower == low
-        assert result.upper == up
+        result = approximate_cost(trace, proxy, model)
+        assert result.lower <= exact <= result.upper
         assert result.lower <= result.estimate <= result.upper
         # the bracket width never exceeds twice the nearest-member distance
         assert result.upper - result.lower <= 2 * result.proxy_distance
@@ -110,9 +98,8 @@ def test_member_costs_are_exact():
     model = ExplicitLanguageModel([("a", "b"), ("c",)])
     proxy = ProxySet(members=(("a", "b"), ("c", "c")))
     compute_ref_costs(proxy, model)
-    info = ModelInfo.from_model(model)
     for member in proxy.members:
-        result = approximate_cost(member, proxy, info)
+        result = approximate_cost(member, proxy, model)
         assert result.lower == result.upper == result.estimate
         assert result.estimate == proxy.ref_costs[member]
 
@@ -122,22 +109,60 @@ def test_structural_lower_bound_off_alphabet():
     model = ExplicitLanguageModel([("a", "b", "c")])
     proxy = ProxySet(members=(("a", "b", "c"),))
     compute_ref_costs(proxy, model)
-    info = ModelInfo.from_model(model)
-    result = approximate_cost(("a", "x", "y"), proxy, info)
+    result = approximate_cost(("a", "x", "y"), proxy, model)
     assert result.lower == 2
     assert result.lower_source == LOWER_STRUCTURAL
-    # dropping the alphabet term (unverified liveness) weakens the floor
-    blind = ModelInfo(alphabet=None, min_visible_length=3)
-    weaker = approximate_cost(("a", "x", "y"), proxy, blind)
-    assert weaker.lower <= result.lower
+
+
+def _dead_transition_net():
+    """``a``, then ``b`` or a silent skip.  A visible ``d`` waits on a place
+    that never holds a token, so ``d`` is in the alphabet but never fires."""
+    return PetriNetModel(
+        places=("p_start", "p_mid", "p_end", "p_orphan"),
+        transitions=(
+            Transition("t_a", "a"),
+            Transition("t_b", "b"),
+            Transition("t_skip", None),
+            Transition("t_dead", "d"),
+        ),
+        inputs=((0,), (1,), (1,), (3,)),
+        outputs=((1,), (2,), (2,), (2,)),
+        initial_marking=(1, 0, 0, 0),
+        final_marking=(0, 0, 1, 0),
+    )
+
+
+def test_off_alphabet_floor_is_sound_on_nets(loop_net):
+    # the out-of-alphabet term needs no liveness check: a dead transition
+    # still puts its label in the alphabet, and an activity outside the
+    # alphabet can never be a synchronous move
+    dead = _dead_transition_net()
+    fired, complete = dead.probe_fired()
+    assert complete and "t_dead" not in fired
+    assert dead.alphabet == {"a", "b", "d"}
+    rng = random.Random(227)
+    for model in (dead, loop_net):
+        alphabet = sorted(model.alphabet)
+        structural = 0
+        for _ in range(40):
+            members = {random_trace(rng, alphabet, 0, 5) for _ in range(3)}
+            proxy = ProxySet(members=tuple(members))
+            compute_ref_costs(proxy, model)
+            trace = random_trace(rng, alphabet + ["x", "y"], 0, 5)
+            cut = rng.randint(0, len(trace))
+            trace = trace[:cut] + (rng.choice("xy"),) + trace[cut:]
+            result = approximate_cost(trace, proxy, model)
+            assert result.lower <= optimal_alignment(trace, model).cost <= result.upper
+            structural += result.lower_source == LOWER_STRUCTURAL
+        # the term is live: it alone sets the floor for some traces
+        assert structural > 0
 
 
 def test_structural_lower_bound_short_trace():
     model = ExplicitLanguageModel([("a", "b", "c")])
     proxy = ProxySet(members=(("a", "b", "c"),))
     compute_ref_costs(proxy, model)
-    info = ModelInfo.from_model(model)
-    result = approximate_cost((), proxy, info)
+    result = approximate_cost((), proxy, model)
     # three visible activities are unavoidable; the proxy floor clamps at 0
     assert result.lower == 3
     assert result.upper == 3
@@ -151,8 +176,7 @@ def test_lower_source_both_on_perfect_members():
     proxy = ProxySet(members=(("a", "b"),))
     compute_ref_costs(proxy, model)
     assert proxy.ref_costs[("a", "b")] == 0
-    info = ModelInfo.from_model(model)
-    result = approximate_cost(("a", "c", "b"), proxy, info)
+    result = approximate_cost(("a", "c", "b"), proxy, model)
     assert result.lower == 0
     assert result.lower_source == LOWER_BOTH
 
@@ -161,16 +185,15 @@ def test_half_distance_estimator():
     model = ExplicitLanguageModel([("a", "b", "c", "d"), ("x", "y")])
     proxy = ProxySet(members=(("a", "b", "c", "d"),))
     compute_ref_costs(proxy, model)
-    info = ModelInfo.from_model(model)
     # in-alphabet deviations: bracket [0, 2], estimate half the distance
     trace = ("a", "b", "x", "y", "c", "d")
-    result = approximate_cost(trace, proxy, info, estimator=ESTIMATOR_HALF_DISTANCE)
+    result = approximate_cost(trace, proxy, model, estimator=ESTIMATOR_HALF_DISTANCE)
     assert result.proxy_distance == 2
     assert result.estimate == Fraction(1)
     assert result.lower <= result.estimate <= result.upper
     # off-alphabet deviations raise the floor; the estimate clamps into it
     clamped = approximate_cost(
-        ("a", "b", "q", "r", "c", "d"), proxy, info, estimator=ESTIMATOR_HALF_DISTANCE
+        ("a", "b", "q", "r", "c", "d"), proxy, model, estimator=ESTIMATOR_HALF_DISTANCE
     )
     assert clamped.lower == clamped.upper == 2
     assert clamped.estimate == Fraction(2)
@@ -181,25 +204,23 @@ def test_half_distance_requires_zero_costs():
     proxy = ProxySet(members=(("a", "b", "c"),))
     compute_ref_costs(proxy, model)
     assert proxy.ref_costs[("a", "b", "c")] == 1
-    info = ModelInfo.from_model(model)
     with pytest.raises(BoundsError, match="zero"):
-        approximate_cost(("a",), proxy, info, estimator=ESTIMATOR_HALF_DISTANCE)
+        approximate_cost(("a",), proxy, model, estimator=ESTIMATOR_HALF_DISTANCE)
 
 
 def test_weighted_estimator_moves_inside_bracket():
     model = ExplicitLanguageModel([("a", "b", "c")])
     proxy = ProxySet(members=(("a", "b", "c", "d", "e"),))
     compute_ref_costs(proxy, model)
-    info = ModelInfo.from_model(model)
     trace = ("a", "q", "c")
-    low = approximate_cost(trace, proxy, info, upper_weight=Fraction(0))
-    mid = approximate_cost(trace, proxy, info)
-    high = approximate_cost(trace, proxy, info, upper_weight=Fraction(1))
+    low = approximate_cost(trace, proxy, model, upper_weight=Fraction(0))
+    mid = approximate_cost(trace, proxy, model)
+    high = approximate_cost(trace, proxy, model, upper_weight=Fraction(1))
     assert low.estimate == low.lower
     assert high.estimate == high.upper
     assert mid.estimate == Fraction(low.lower + high.upper, 2)
     with pytest.raises(BoundsError):
-        approximate_cost(trace, proxy, info, upper_weight=Fraction(3, 2))
+        approximate_cost(trace, proxy, model, upper_weight=Fraction(3, 2))
 
 
 def test_bigger_proxy_never_loosens_the_bracket():
@@ -215,10 +236,11 @@ def test_bigger_proxy_never_loosens_the_bracket():
         big = ProxySet(members=tuple(extra))
         compute_ref_costs(small, model)
         compute_ref_costs(big, model)
-        info = ModelInfo.from_model(model)
         trace = random_trace(rng, alphabet, 0, 6)
-        assert upper_bound(trace, big) <= upper_bound(trace, small)
-        assert lower_bound(trace, big, info)[0] >= lower_bound(trace, small, info)[0]
+        wide = approximate_cost(trace, small, model)
+        narrow = approximate_cost(trace, big, model)
+        assert narrow.upper <= wide.upper
+        assert narrow.lower >= wide.lower
 
 
 def test_approximate_log_whole_log(loop_language):

@@ -122,14 +122,6 @@ def test_exact_dump_moves_to_file(workspace, capsys):
     assert "sync:" in text
 
 
-def test_exact_parallel_jobs_match_serial(workspace, capsys):
-    base = ["exact", "--log", workspace["log"], "--model", workspace["lang"]]
-    rc1, out1, _ = run(base + ["--jobs", "1"], capsys)
-    rc4, out4, _ = run(base + ["--jobs", "4"], capsys)
-    assert rc1 == rc4 == 0
-    assert out1 == out4
-
-
 def test_approximate_json_report(workspace, capsys):
     rc, out, err = run(
         [
@@ -260,6 +252,22 @@ def test_unknown_flag_is_a_usage_error(workspace, capsys):
     )
     assert rc == 2
     assert "usage:" in err
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("exact", ["--jobs", "2"]),
+        ("approximate", ["--jobs", "2"]),
+        ("approximate", ["--strict-structural"]),
+    ],
+)
+def test_removed_options_are_usage_errors(workspace, capsys, command, extra):
+    argv = [command, "--log", workspace["log"], "--model", workspace["lang"]]
+    rc, out, err = run(argv + extra, capsys)
+    assert rc == 2
+    assert out == ""
+    assert "unrecognized arguments" in err
 
 
 def test_missing_subcommand_is_a_usage_error(capsys):
