@@ -158,58 +158,65 @@ def _align_petri(trace, model, heuristic):
         remaining_outside[i] = remaining_outside[i + 1] + (
             0 if trace[i] in model.alphabet else 1
         )
-
-    def h(pos):
-        return remaining_outside[pos] if heuristic else 0
+    h = remaining_outside if heuristic else [0] * (n + 1)
+    sync_moves = [Move(MoveKind.SYNC, t.label, t.tid) for t in model.transitions]
+    silent_moves = [Move(MoveKind.SILENT, None, t.tid) for t in model.transitions]
+    model_moves = [Move(MoveKind.MODEL, t.label, t.tid) for t in model.transitions]
+    log_moves = [Move(MoveKind.LOG, a) for a in trace]
 
     start = (0, model.initial_marking)
-    goal_marking = model.final_marking
+    goal = (n, model.final_marking)
     best = {start: 0}
     came_from = {}
-    heap = [(h(0), 0, 0, start)]
+    heap = [(h[0], 0, 0, start)]
     seq = 0
-    settled = set()
     expanded = 0
+    successors = model.successors
+    heappush = heapq.heappush
+    heappop = heapq.heappop
 
-    def push(state, g, parent, move):
-        nonlocal seq
-        if state not in best or g < best[state]:
-            best[state] = g
-            came_from[state] = (parent, move)
-            seq += 1
-            heapq.heappush(heap, (g + h(state[0]), seq, g, state))
-
+    # h is consistent, so a popped state's g is optimal and a state is only
+    # ever pushed again with a smaller g: an entry dearer than best is stale
     while heap:
-        _, _, g, state = heapq.heappop(heap)
-        if state in settled or g > best[state]:
+        _, _, g, state = heappop(heap)
+        if g > best[state]:
             continue
-        pos, marking = state
-        if pos == n and marking == goal_marking:
+        if state == goal:
             return _rebuild(came_from, start, state), g, expanded
-        settled.add(state)
         expanded += 1
         if expanded > model.state_bound:
             raise StateBoundError(
                 f"state bound {model.state_bound} exceeded after expanding "
                 f"{expanded} states while aligning {format_trace(trace)}"
             )
+        pos, marking = state
+        succ = successors(marking)
         # push order encodes the preference among equally cheap moves:
-        # sync, then silent, then visible model moves, then the log move
+        # sync, then silent, then visible model moves, then the log move.
+        # Each group pairs (index into its moves, marking) for a position;
+        # a log move's index is the trace position it consumes.
         if pos < n:
-            for ti, trans in enumerate(model.transitions):
-                if trans.label == trace[pos] and model.enabled(marking, ti):
-                    after = (pos + 1, model.fire(marking, ti))
-                    push(after, g, state, Move(MoveKind.SYNC, trans.label, trans.tid))
-        for ti, trans in enumerate(model.transitions):
-            if trans.silent and model.enabled(marking, ti):
-                after = (pos, model.fire(marking, ti))
-                push(after, g, state, Move(MoveKind.SILENT, None, trans.tid))
-        for ti, trans in enumerate(model.transitions):
-            if not trans.silent and model.enabled(marking, ti):
-                after = (pos, model.fire(marking, ti))
-                push(after, g + 1, state, Move(MoveKind.MODEL, trans.label, trans.tid))
-        if pos < n:
-            push((pos + 1, marking), g + 1, state, Move(MoveKind.LOG, trace[pos]))
+            groups = (
+                (pos + 1, g, succ.by_label.get(trace[pos], ()), sync_moves),
+                (pos, g, succ.silent, silent_moves),
+                (pos, g + 1, succ.visible, model_moves),
+                (pos + 1, g + 1, ((pos, marking),), log_moves),
+            )
+        else:
+            groups = (
+                (pos, g, succ.silent, silent_moves),
+                (pos, g + 1, succ.visible, model_moves),
+            )
+        for at, cost, steps, moves in groups:
+            f = cost + h[at]
+            for i, reached in steps:
+                after = (at, reached)
+                known = best.get(after)
+                if known is None or cost < known:
+                    best[after] = cost
+                    came_from[after] = (state, moves[i])
+                    seq += 1
+                    heappush(heap, (f, seq, cost, after))
     raise StateBoundError(
         f"alignment search for {format_trace(trace)} exhausted without "
         "reaching the final marking"

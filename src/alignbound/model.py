@@ -13,6 +13,7 @@ import heapq
 import json
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ModelError, StateBoundError
 from .log import Trace, make_trace, trace_sort_key
@@ -91,12 +92,28 @@ class Transition:
         return self.label is None
 
 
+class Successors(NamedTuple):
+    """The enabled transitions of one marking, as ``(transition index,
+    successor marking)`` pairs, each group in ascending transition index.
+    The memo hands the same instance to every caller, who must not modify
+    ``by_label``."""
+
+    silent: tuple
+    visible: tuple
+    by_label: dict  # visible label -> the pairs of ``visible`` with that label
+
+
 class PetriNetModel:
     """Bounded labeled Petri net with one initial and one final marking.
 
     Markings are tuples of token counts indexed like ``places``.  All arcs
     have multiplicity one.  ``min_visible_length`` is computed eagerly so an
     unreachable final marking fails at construction time.
+
+    ``successors`` memoises its answer per marking on the model, so the
+    memo holds the part of the reachability graph that searches on this
+    model have expanded.  On a bounded net it is finite; each search adds
+    at most ``state_bound`` markings to it.
     """
 
     def __init__(
@@ -126,6 +143,7 @@ class PetriNetModel:
         self.alphabet = frozenset(
             t.label for t in self.transitions if t.label is not None
         )
+        self._successors: dict[tuple, Successors] = {}
         self.min_visible_length = self._min_visible_length()
 
     def __repr__(self):
@@ -145,34 +163,59 @@ class PetriNetModel:
             after[p] += 1
         return tuple(after)
 
+    def successors(self, marking) -> Successors:
+        """The transitions enabled in ``marking`` with their successor
+        markings, memoised per model (see the class docstring)."""
+        succ = self._successors.get(marking)
+        if succ is None:
+            silent = []
+            visible = []
+            by_label: dict[str, list] = {}
+            for ti, trans in enumerate(self.transitions):
+                if not self.enabled(marking, ti):
+                    continue
+                step = (ti, self.fire(marking, ti))
+                if trans.silent:
+                    silent.append(step)
+                else:
+                    visible.append(step)
+                    by_label.setdefault(trans.label, []).append(step)
+            succ = Successors(
+                tuple(silent),
+                tuple(visible),
+                {label: tuple(steps) for label, steps in by_label.items()},
+            )
+            self._successors[marking] = succ
+        return succ
+
     def _min_visible_length(self) -> int:
-        # least-cost search; silent transitions are free
+        # least-cost search; silent transitions are free.  Every push lowers
+        # a marking's cost, so an entry dearer than the best known is stale.
         start = self.initial_marking
         target = self.final_marking
         best = {start: 0}
         heap = [(0, 0, start)]
         seq = 0
-        settled = set()
+        explored = 0
         while heap:
             cost, _, marking = heapq.heappop(heap)
-            if marking in settled:
+            if cost > best[marking]:
                 continue
             if marking == target:
                 return cost
-            settled.add(marking)
-            if len(settled) > self.state_bound:
+            explored += 1
+            if explored > self.state_bound:
                 raise StateBoundError(
-                    f"state bound {self.state_bound} exceeded while exploring the net"
+                    f"state bound {self.state_bound} exceeded after exploring "
+                    f"{explored} markings while searching for the final marking"
                 )
-            for ti, trans in enumerate(self.transitions):
-                if not self.enabled(marking, ti):
-                    continue
-                after = self.fire(marking, ti)
-                step = 0 if trans.silent else 1
-                if after not in best or cost + step < best[after]:
-                    best[after] = cost + step
-                    seq += 1
-                    heapq.heappush(heap, (cost + step, seq, after))
+            succ = self.successors(marking)
+            for steps, step_cost in ((succ.silent, 0), (succ.visible, 1)):
+                for _, after in steps:
+                    if after not in best or cost + step_cost < best[after]:
+                        best[after] = cost + step_cost
+                        seq += 1
+                        heapq.heappush(heap, (cost + step_cost, seq, after))
         raise ModelError("final marking is unreachable from the initial marking")
 
     def probe_fired(self, max_states: int = 10_000):
@@ -188,12 +231,9 @@ class PetriNetModel:
         queue = deque([self.initial_marking])
         complete = True
         while queue:
-            marking = queue.popleft()
-            for ti, trans in enumerate(self.transitions):
-                if not self.enabled(marking, ti):
-                    continue
-                fired.add(trans.tid)
-                after = self.fire(marking, ti)
+            succ = self.successors(queue.popleft())
+            for ti, after in sorted(succ.silent + succ.visible):
+                fired.add(self.transitions[ti].tid)
                 if after not in seen:
                     if len(seen) >= max_states:
                         complete = False

@@ -3,10 +3,13 @@
 The oracles deliberately avoid the production code paths: distances come
 from a plain recursion on the definition (delete from either side), the
 alignment oracle enumerates every edit script, the clustering optima
-come from exhaustive subset scans, and the PAM swap phase evaluates one
-swap at a time.  Tests compare the fast implementations against these.
+come from exhaustive subset scans, the PAM swap phase evaluates one
+swap at a time, and the net alignment search scans every transition with
+``enabled``/``fire`` for each expanded state.  Tests compare the fast
+implementations against these.
 """
 
+import heapq
 import itertools
 import random
 from functools import lru_cache
@@ -15,6 +18,8 @@ import numpy as np
 import pytest
 
 from alignbound import fixtures
+from alignbound.aligner import Alignment, Move, MoveKind
+from alignbound.errors import StateBoundError
 from alignbound.log import EventLog
 
 
@@ -128,6 +133,72 @@ def pam_swap_loop(cells, weights, medoids):
             return medoids
         medoids[best_swap[0]] = best_swap[1]
         medoids.sort()
+
+
+def align_petri_reference(trace, model, heuristic=False):
+    """A* over (trace position, marking) that finds the enabled transitions
+    of each expanded state by scanning the net three times, and keeps a
+    settled set beside the cost map.  Returns ``(alignment, cost,
+    states_expanded)`` with the tie-breaking ``optimal_alignment`` promises:
+    sync, silent, visible model, log, each in transition order."""
+    trace = tuple(trace)
+    n = len(trace)
+    remaining_outside = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        remaining_outside[i] = remaining_outside[i + 1] + (
+            0 if trace[i] in model.alphabet else 1
+        )
+
+    def h(pos):
+        return remaining_outside[pos] if heuristic else 0
+
+    start = (0, model.initial_marking)
+    best = {start: 0}
+    came_from = {}
+    heap = [(h(0), 0, 0, start)]
+    seq = 0
+    settled = set()
+    expanded = 0
+
+    def push(state, g, parent, move):
+        nonlocal seq
+        if state not in best or g < best[state]:
+            best[state] = g
+            came_from[state] = (parent, move)
+            seq += 1
+            heapq.heappush(heap, (g + h(state[0]), seq, g, state))
+
+    while heap:
+        _, _, g, state = heapq.heappop(heap)
+        if state in settled or g > best[state]:
+            continue
+        pos, marking = state
+        if pos == n and marking == model.final_marking:
+            moves = []
+            while state != start:
+                state, move = came_from[state]
+                moves.append(move)
+            return Alignment(moves=tuple(reversed(moves))), g, expanded
+        settled.add(state)
+        expanded += 1
+        if expanded > model.state_bound:
+            raise StateBoundError(f"state bound {model.state_bound} exceeded")
+        if pos < n:
+            for ti, trans in enumerate(model.transitions):
+                if trans.label == trace[pos] and model.enabled(marking, ti):
+                    after = (pos + 1, model.fire(marking, ti))
+                    push(after, g, state, Move(MoveKind.SYNC, trans.label, trans.tid))
+        for ti, trans in enumerate(model.transitions):
+            if trans.silent and model.enabled(marking, ti):
+                after = (pos, model.fire(marking, ti))
+                push(after, g, state, Move(MoveKind.SILENT, None, trans.tid))
+        for ti, trans in enumerate(model.transitions):
+            if not trans.silent and model.enabled(marking, ti):
+                after = (pos, model.fire(marking, ti))
+                push(after, g + 1, state, Move(MoveKind.MODEL, trans.label, trans.tid))
+        if pos < n:
+            push((pos + 1, marking), g + 1, state, Move(MoveKind.LOG, trace[pos]))
+    raise StateBoundError("search exhausted without reaching the final marking")
 
 
 def random_trace(rng: random.Random, alphabet, lo, hi):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from alignbound import fixtures
 from alignbound.aligner import (
     Alignment,
     Move,
@@ -11,9 +12,19 @@ from alignbound.aligner import (
 )
 from alignbound.distance import distance_to_set, edit_distance
 from alignbound.errors import StateBoundError
-from alignbound.model import ExplicitLanguageModel, parse_pnml
+from alignbound.model import (
+    ExplicitLanguageModel,
+    PetriNetModel,
+    Transition,
+    parse_pnml,
+)
 
-from conftest import enumerate_alignment_cost, naive_edit_distance, random_trace
+from conftest import (
+    align_petri_reference,
+    enumerate_alignment_cost,
+    naive_edit_distance,
+    random_trace,
+)
 
 
 def test_perfect_fit_costs_nothing(loop_language):
@@ -156,17 +167,109 @@ def test_heuristic_never_changes_cost(loop_net):
 def test_state_bound_aborts_alignment():
     # the same net with a tiny bound must refuse instead of degrading; the
     # off-alphabet trace forces the search through many costly layers
-    from alignbound import fixtures
-
-    net = fixtures.parallel_loop_petri(state_bound=20)
     trace = tuple(f"z{i}" for i in range(8))
-    # the message names the bound, the states expanded and the trace
-    with pytest.raises(
-        StateBoundError,
-        match=r"state bound 20 exceeded after expanding 21 states while "
-        r"aligning <z0,z1,z2,z3,z4,z5,z6,z7>",
-    ):
-        optimal_alignment(trace, net)
+    # the bound counts expanded states, not successor-memo misses: a net
+    # whose memo already holds every reachable marking stops at the same point
+    warmed = fixtures.parallel_loop_petri(state_bound=20)
+    assert warmed.probe_fired(1000)[1]
+    for net in (fixtures.parallel_loop_petri(state_bound=20), warmed):
+        # the message names the bound, the states expanded and the trace
+        with pytest.raises(
+            StateBoundError,
+            match=r"state bound 20 exceeded after expanding 21 states while "
+            r"aligning <z0,z1,z2,z3,z4,z5,z6,z7>",
+        ):
+            optimal_alignment(trace, net)
+
+
+def three_branch_net():
+    """a, then an AND-split into three branches, then z.  Branch i runs
+    three activities, the middle one skippable by a silent transition, and
+    a silent redo returns it to its start.  Labels c and b occur in two
+    branches each, so one label can enable several transitions at once."""
+    branches = (("b", "c", "d"), ("e", "c", "g"), ("h", "i", "b"))
+    places = ["start", "end"]
+    transitions = [Transition("t_a", "a"), Transition("t_z", "z")]
+    inputs = [[0], []]
+    outputs = [[], [1]]
+    for i, (first, middle, last) in enumerate(branches, start=1):
+        q = list(range(len(places), len(places) + 4))
+        places.extend(f"q{i}_{s}" for s in range(4))
+        outputs[0].append(q[0])
+        inputs[1].append(q[3])
+        for tid, label, src, dst in (
+            (f"t{i}_{first}", first, q[0], q[1]),
+            (f"t{i}_{middle}", middle, q[1], q[2]),
+            (f"t{i}_skip", None, q[1], q[2]),
+            (f"t{i}_{last}", last, q[2], q[3]),
+            (f"t{i}_redo", None, q[3], q[0]),
+        ):
+            transitions.append(Transition(tid, label))
+            inputs.append([src])
+            outputs.append([dst])
+    initial = [1] + [0] * (len(places) - 1)
+    final = [0, 1] + [0] * (len(places) - 2)
+    return PetriNetModel(places, transitions, inputs, outputs, initial, final)
+
+
+def _search_outcome(alignment, cost, states):
+    return (
+        cost,
+        tuple(m.token() for m in alignment.moves),
+        tuple(m.transition for m in alignment.moves),
+        states,
+    )
+
+
+def noisy_walk(rng, net, alphabet, max_ops):
+    """The visible labels of a random firing sequence from the initial to
+    the final marking, then up to ``max_ops`` random deletions and
+    insertions drawn from ``alphabet``."""
+    while True:
+        marking, trace = net.initial_marking, []
+        while marking != net.final_marking and len(trace) < 12:
+            ti = rng.choice(
+                [i for i in range(len(net.transitions)) if net.enabled(marking, i)]
+            )
+            marking = net.fire(marking, ti)
+            if not net.transitions[ti].silent:
+                trace.append(net.transitions[ti].label)
+        if marking == net.final_marking:
+            break
+    for _ in range(rng.randint(0, max_ops)):
+        if trace and rng.random() < 0.5:
+            del trace[rng.randrange(len(trace))]
+        else:
+            trace.insert(rng.randint(0, len(trace)), rng.choice(alphabet))
+    return tuple(trace)
+
+
+@pytest.mark.parametrize("heuristic", [False, True])
+@pytest.mark.parametrize(
+    "make_net, alphabet",
+    [(fixtures.parallel_loop_petri, "abcdex"), (three_branch_net, "abcdeghizx")],
+    ids=["loop_net", "three_branch_net"],
+)
+def test_net_search_matches_reference(make_net, alphabet, heuristic):
+    # equal cost, moves, transitions and work as the three-scan search;
+    # the successor memo must not change any of them, so every trace is
+    # also aligned on a net whose memo every other trace has filled
+    rng = random.Random(53)
+    traces = [(), ("x",)]
+    traces += [random_trace(rng, alphabet, 0, 8) for _ in range(20)]
+    traces += [noisy_walk(rng, make_net(), alphabet, 3) for _ in range(30)]
+    assert any("x" in t and len(t) > 1 for t in traces)
+    warmed = make_net()
+    for trace in traces:
+        optimal_alignment(trace, warmed, heuristic=heuristic)
+    for trace in traces:
+        expected = _search_outcome(*align_petri_reference(trace, make_net(), heuristic))
+        for net in (make_net(), warmed):
+            result = optimal_alignment(trace, net, heuristic=heuristic)
+            outcome = _search_outcome(
+                result.alignment, result.cost, result.states_expanded
+            )
+            assert outcome == expected, trace
 
 
 def test_alignment_cost_counts_visible_moves_only():

@@ -120,7 +120,11 @@ UNBOUNDED_PNML = """<?xml version="1.0"?>
 
 
 def test_state_bound_is_a_hard_error():
-    with pytest.raises(StateBoundError):
+    with pytest.raises(
+        StateBoundError,
+        match=r"state bound 50 exceeded after exploring 51 markings while "
+        r"searching for the final marking",
+    ):
         parse_pnml(UNBOUNDED_PNML, final_marking={"p1": 0}, state_bound=50)
 
 
