@@ -86,6 +86,15 @@ def test_parse_csv_numeric_vs_lexicographic_order():
     assert parse_csv(lexi).variants == {("y", "x"): 1}
 
 
+def test_parse_csv_numeric_flag_is_decided_for_the_whole_file():
+    # case a alone is all-integer, but case b's "x" makes every case sort
+    # lexicographically, so "10" comes before "9"
+    data = b"case,activity,order\na,p,10\nb,r,x\na,q,9\n"
+    assert parse_csv(data).variants == {("p", "q"): 1, ("r",): 1}
+    data = b"case,activity,order\na,p,9\nb,r,x\na,q,10\n"
+    assert parse_csv(data).variants == {("q", "p"): 1, ("r",): 1}
+
+
 def test_parse_csv_stable_on_order_ties():
     data = b"case,activity,order\nc,a,1\nc,b,1\nc,c,1\n"
     assert parse_csv(data).variants == {("a", "b", "c"): 1}
