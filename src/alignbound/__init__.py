@@ -44,7 +44,6 @@ from .log import EventLog, Trace, parse_csv, parse_xes
 from .model import (
     ExplicitLanguageModel,
     PetriNetModel,
-    min_visible_length,
     parse_explicit_language,
     parse_pnml,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "epsilon_max_error",
     "generate_proxy",
     "generate_synthetic",
-    "min_visible_length",
     "optimal_alignment",
     "parse_csv",
     "parse_explicit_language",

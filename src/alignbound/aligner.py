@@ -10,7 +10,6 @@ least-cost search over the synchronous product.
 """
 
 import heapq
-import time
 from dataclasses import dataclass
 from enum import Enum
 
@@ -70,7 +69,6 @@ class AlignmentResult:
     alignment: Alignment
     cost: int
     states_expanded: int
-    wall_time_us: int
 
 
 def optimal_alignment(trace, model, heuristic: bool = False) -> AlignmentResult:
@@ -84,20 +82,13 @@ def optimal_alignment(trace, model, heuristic: bool = False) -> AlignmentResult:
     backend; it never changes the returned cost.
     """
     trace = tuple(trace)
-    started = time.perf_counter_ns()
     if isinstance(model, ExplicitLanguageModel):
         alignment, cost, states = _align_explicit(trace, model)
     elif isinstance(model, PetriNetModel):
         alignment, cost, states = _align_petri(trace, model, heuristic)
     else:
         raise TypeError(f"unsupported model type {type(model).__name__}")
-    elapsed = (time.perf_counter_ns() - started) // 1000
-    return AlignmentResult(
-        alignment=alignment,
-        cost=cost,
-        states_expanded=states,
-        wall_time_us=int(elapsed),
-    )
+    return AlignmentResult(alignment=alignment, cost=cost, states_expanded=states)
 
 
 def _align_explicit(trace, model):

@@ -370,7 +370,3 @@ def parse_final_marking_json(data) -> dict:
         marking[str(key)] = value
     return marking
 
-
-def min_visible_length(model) -> int:
-    """Smallest number of visible activities on any complete run of the model."""
-    return model.min_visible_length

@@ -5,13 +5,17 @@ from a plain recursion on the definition (delete from either side), the
 alignment oracle enumerates every edit script, the clustering optima
 come from exhaustive subset scans, the PAM swap phase evaluates one
 swap at a time, and the net alignment search scans every transition with
-``enabled``/``fire`` for each expanded state.  Tests compare the fast
+``enabled``/``fire`` for each expanded state, and the log parsers build
+a whole ElementTree or a ``DictReader`` row list.  Tests compare the fast
 implementations against these.
 """
 
+import csv
 import heapq
+import io
 import itertools
 import random
+import xml.etree.ElementTree as ET
 from functools import lru_cache
 
 import numpy as np
@@ -19,8 +23,8 @@ import pytest
 
 from alignbound import fixtures
 from alignbound.aligner import Alignment, Move, MoveKind
-from alignbound.errors import StateBoundError
-from alignbound.log import EventLog
+from alignbound.errors import LogParseError, StateBoundError
+from alignbound.log import CONCEPT_NAME, EventLog
 
 
 def naive_edit_distance(a, b) -> int:
@@ -199,6 +203,85 @@ def align_petri_reference(trace, model, heuristic=False):
         if pos < n:
             push((pos + 1, marking), g + 1, state, Move(MoveKind.LOG, trace[pos]))
     raise StateBoundError("search exhausted without reaching the final marking")
+
+
+def parse_xes_reference(data: bytes) -> EventLog:
+    """XES parsing over a whole ElementTree: every trace element at any
+    depth, in pre-order; each direct event child named by its last direct
+    string child keyed concept:name."""
+
+    def local(tag):
+        return tag.rsplit("}", 1)[-1]
+
+    try:
+        root = ET.fromstring(data)
+    except ET.ParseError as exc:
+        raise LogParseError(f"malformed XES: {exc}") from None
+    traces = []
+    for elem in root.iter():
+        if local(elem.tag) != "trace":
+            continue
+        activities = []
+        for child in elem:
+            if local(child.tag) != "event":
+                continue
+            name = None
+            for attr in child:
+                if local(attr.tag) == "string" and attr.get("key") == CONCEPT_NAME:
+                    name = attr.get("value")
+            if not name:
+                raise LogParseError(
+                    f"event without a non-empty {CONCEPT_NAME} in trace {len(traces)}"
+                )
+            activities.append(name)
+        traces.append(activities)
+    return EventLog.from_traces(traces)
+
+
+def parse_csv_reference(
+    data: bytes,
+    case_column: str = "case",
+    activity_column: str = "activity",
+    order_column: str = "order",
+) -> EventLog:
+    """CSV parsing through a DictReader into a list of every row, then a
+    second pass that decides the numeric order flag for the whole file and
+    groups the rows by case."""
+    reader = csv.DictReader(io.StringIO(data.decode("utf-8")))
+    if not reader.fieldnames:
+        raise LogParseError("CSV input has no header row")
+    for col in (case_column, activity_column, order_column):
+        if col not in reader.fieldnames:
+            raise LogParseError(
+                f"missing column {col!r}; header has {reader.fieldnames}"
+            )
+    rows = []
+    for line_no, row in enumerate(reader, start=2):
+        case = row.get(case_column)
+        activity = row.get(activity_column)
+        order = row.get(order_column)
+        if case is None or order is None or not activity:
+            raise LogParseError(f"unparseable row at line {line_no}")
+        rows.append((case, order, activity))
+
+    numeric = True
+    for _, order, _ in rows:
+        try:
+            int(order)
+        except ValueError:
+            numeric = False
+            break
+
+    cases: dict[str, list] = {}
+    for idx, (case, order, activity) in enumerate(rows):
+        key = int(order) if numeric else order
+        cases.setdefault(case, []).append((key, idx, activity))
+
+    traces = []
+    for case in cases:
+        events = sorted(cases[case], key=lambda e: e[0])
+        traces.append([a for _, _, a in events])
+    return EventLog.from_traces(traces)
 
 
 def random_trace(rng: random.Random, alphabet, lo, hi):

@@ -6,7 +6,6 @@ from alignbound.model import (
     parse_explicit_language,
     parse_final_marking_json,
     parse_pnml,
-    min_visible_length,
     serialize_explicit_language,
 )
 
@@ -38,7 +37,7 @@ def test_serialize_round_trip():
 
 
 def test_min_visible_length_explicit():
-    assert min_visible_length(ExplicitLanguageModel([("a", "b"), ("c",)])) == 1
+    assert ExplicitLanguageModel([("a", "b"), ("c",)]).min_visible_length == 1
 
 
 PNML_SEQUENCE = """<?xml version="1.0"?>
