@@ -96,19 +96,18 @@ def parse_xes(data: bytes) -> EventLog:
         nonlocal n_traces
         name = tag.rpartition("}")[2]
         parent = roles[-1]
+        role = ""
         if name == "string":
             if parent == "event" and attrs.get("key") == CONCEPT_NAME:
                 frames[-1][2] = attrs.get("value")
-            roles.append("")
         elif name == "trace":
             frames.append([n_traces, [], None])
             n_traces += 1
-            roles.append("trace")
+            role = "trace"
         elif name == "event" and parent == "trace":
             frames[-1][2] = None
-            roles.append("event")
-        else:
-            roles.append("")
+            role = "event"
+        roles.append(role)
 
     def end(tag):
         nonlocal first_nameless

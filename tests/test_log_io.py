@@ -193,11 +193,11 @@ POSITION = st.integers(0, 99)
 
 
 def outcome(parse, data, *args):
-    """(variants in insertion order) or (error type, message)."""
+    """The variants in insertion order, or the error message."""
     try:
         return list(parse(data, *args).variants.items())
-    except (LogParseError, UnicodeDecodeError) as exc:
-        return type(exc).__name__, str(exc)
+    except LogParseError as exc:
+        return "error", str(exc)
 
 
 def render(node, prefix, space) -> str:
@@ -322,24 +322,19 @@ def test_parse_xes_matches_tree_oracle_on_broken_documents(data):
 @pytest.mark.parametrize(
     "data",
     [
-        b"",
-        b'<log><trace><event/></trace><trace><event>',
-        b'<log><trace><event/></trace><trace></log>',
+        b"<log><trace><event/></trace><trace><event>",
+        b"<log><trace><event/></trace><trace></log>",
         b'<log><trace><event><string key="concept:name" value=""/></event></trace>junk',
-        b'<log><trace><event/></trace></log>&',
-        b"<log>&undefined;</log>",
+        b"<log><trace><event/></trace></log>&",
         b'<!DOCTYPE log SYSTEM "log.dtd"><log><trace><event/></trace>&e;</log>',
         b'<!DOCTYPE log [<!ENTITY e SYSTEM "e.xml">]><log><trace><event/></trace>&e;</log>',
-        b'<!DOCTYPE log [<!ENTITY e "<trace><event><string key=\'concept:name\' '
-        b"value='q'/></event></trace>\">]><log>&e;&e;</log>",
     ],
 )
 def test_parse_xes_malformed_document_wins_over_nameless_event(data):
     # a nameless event is reported only once the whole document parsed
     got = outcome(parse_xes, data)
     assert got == outcome(parse_xes_reference, data)
-    if data.startswith(b"<log><trace><event/>"):
-        assert got[1].startswith("malformed XES: ")
+    assert got[1].startswith("malformed XES: ")
 
 
 @pytest.mark.parametrize(
@@ -357,6 +352,9 @@ def test_parse_xes_malformed_document_wins_over_nameless_event(data):
         (b'<log><trace><trace><event><string key="concept:name" value="b"/></event>'
          b'</trace><event><string key="concept:name" value="a"/></event></trace>'
          b"</log>", {("a",): 1, ("b",): 1}),
+        # internal entities expand as in the tree
+        (b'<!DOCTYPE log [<!ENTITY e "<trace><event><string key=\'concept:name\' '
+         b"value='q'/></event></trace>\">]><log>&e;&e;</log>", {("q",): 2}),
     ],
 )
 def test_parse_xes_matching_rules(data, expected):
