@@ -6,10 +6,13 @@ are never produced.  Under that cost function the optimal alignment cost
 equals the insertion/deletion distance between the trace and the visible
 model projection of the alignment, so for an explicit language the search
 reduces to a minimum over the model traces while a Petri net needs a
-least-cost search over the synchronous product.
+least-cost search over the synchronous product.  That search carries each
+state as one int built from the marking's id (see ``PetriNetModel``) and the
+trace position, and since every move costs 0 or 1 it keeps its frontier in
+two FIFO buckets, for the current f and for f + 1 (Dial, CACM 1969), in
+place of a heap.
 """
 
-import heapq
 from dataclasses import dataclass
 from enum import Enum
 
@@ -155,59 +158,70 @@ def _align_petri(trace, model, heuristic):
     model_moves = [Move(MoveKind.MODEL, t.label, t.tid) for t in model.transitions]
     log_moves = [Move(MoveKind.LOG, a) for a in trace]
 
-    start = (0, model.initial_marking)
-    goal = (n, model.final_marking)
+    # a search state is the int mid * (n + 1) + pos for marking id mid
+    stride = n + 1
+    start = model.initial_id * stride
+    goal = model.final_id * stride + n
     best = {start: 0}
     came_from = {}
-    heap = [(h[0], 0, 0, start)]
-    seq = 0
     expanded = 0
     successors = model.successors
-    heappush = heapq.heappush
-    heappop = heapq.heappop
 
-    # h is consistent, so a popped state's g is optimal and a state is only
-    # ever pushed again with a smaller g: an entry dearer than best is stale
-    while heap:
-        _, _, g, state = heappop(heap)
-        if g > best[state]:
-            continue
-        if state == goal:
-            return _rebuild(came_from, start, state), g, expanded
-        expanded += 1
-        if expanded > model.state_bound:
-            raise StateBoundError(
-                f"state bound {model.state_bound} exceeded after expanding "
-                f"{expanded} states while aligning {format_trace(trace)}"
-            )
-        pos, marking = state
-        succ = successors(marking)
-        # push order encodes the preference among equally cheap moves:
-        # sync, then silent, then visible model moves, then the log move.
-        # Each group pairs (index into its moves, marking) for a position;
-        # a log move's index is the trace position it consumes.
-        if pos < n:
-            groups = (
-                (pos + 1, g, succ.by_label.get(trace[pos], ()), sync_moves),
-                (pos, g, succ.silent, silent_moves),
-                (pos, g + 1, succ.visible, model_moves),
-                (pos + 1, g + 1, ((pos, marking),), log_moves),
-            )
-        else:
-            groups = (
-                (pos, g, succ.silent, silent_moves),
-                (pos, g + 1, succ.visible, model_moves),
-            )
-        for at, cost, steps, moves in groups:
-            f = cost + h[at]
-            for i, reached in steps:
-                after = (at, reached)
-                known = best.get(after)
-                if known is None or cost < known:
-                    best[after] = cost
-                    came_from[after] = (state, moves[i])
-                    seq += 1
-                    heappush(heap, (f, seq, cost, after))
+    # Every move costs 0 or 1, and f = g + h grows by exactly 0 or 1 per
+    # push: sync and silent moves add 0, visible model moves add 1, and a
+    # log move adds 0 on an activity outside the alphabet (h drops by one
+    # as g rises by one) and 1 on one inside it (h = 0 throughout when the
+    # heuristic is off).  So two FIFO buckets, ``bucket`` for the current f
+    # (scanned while it grows) and ``later`` for f + 1, pop states in
+    # exactly the order of a heap keyed by (f, push order).  An entry's g
+    # is f - h[pos].  h is consistent, so a popped state's g is optimal and
+    # a state is only ever pushed again with a smaller g: an entry dearer
+    # than best is stale.
+    f = h[0]
+    bucket = [start]
+    later: list[int] = []
+    while bucket:
+        for state in bucket:
+            mid, pos = divmod(state, stride)
+            g = f - h[pos]
+            if g > best[state]:
+                continue
+            if state == goal:
+                return _rebuild(came_from, start, state), g, expanded
+            expanded += 1
+            if expanded > model.state_bound:
+                raise StateBoundError(
+                    f"state bound {model.state_bound} exceeded after expanding "
+                    f"{expanded} states while aligning {format_trace(trace)}"
+                )
+            succ = successors(mid)
+            # push order encodes the preference among equally cheap moves:
+            # sync, then silent, then visible model moves, then the log move.
+            # Each group pairs (index into its moves, marking id) for a position;
+            # a log move's index is the trace position it consumes.
+            if pos < n:
+                groups = (
+                    (pos + 1, g, succ.by_label.get(trace[pos], ()), sync_moves),
+                    (pos, g, succ.silent, silent_moves),
+                    (pos, g + 1, succ.visible, model_moves),
+                    (pos + 1, g + 1, ((pos, mid),), log_moves),
+                )
+            else:
+                groups = (
+                    (pos, g, succ.silent, silent_moves),
+                    (pos, g + 1, succ.visible, model_moves),
+                )
+            for at, cost, steps, moves in groups:
+                queue = bucket if cost + h[at] == f else later
+                for i, reached in steps:
+                    after = reached * stride + at
+                    known = best.get(after)
+                    if known is None or cost < known:
+                        best[after] = cost
+                        came_from[after] = (state, moves[i])
+                        queue.append(after)
+        bucket, later = later, []
+        f += 1
     raise StateBoundError(
         f"alignment search for {format_trace(trace)} exhausted without "
         "reaching the final marking"

@@ -77,8 +77,9 @@ def parse_xes(data: bytes) -> EventLog:
     direct child, named by its last direct ``<string key="concept:name">``
     child.  Traces are counted as they close, so no element tree is built.
 
-    :raises LogParseError: on malformed XML (message includes the position)
-        or an event without a usable concept:name.
+    :raises LogParseError: on malformed XML (message includes the position),
+        an XML declaration naming an encoding expat cannot read, or an event
+        without a usable concept:name.
     """
     counts: Counter = Counter()
     # role of each open element: "trace", "event" for an event that is a
@@ -157,6 +158,10 @@ def parse_xes(data: bytes) -> EventLog:
     try:
         parser.Parse(data, True)
     except expat.ExpatError as exc:
+        raise LogParseError(f"malformed XES: {exc}") from None
+    except (LookupError, ValueError) as exc:
+        # the XML declaration names an encoding expat cannot read: one
+        # Python has no codec for, or a multi-byte one
         raise LogParseError(f"malformed XES: {exc}") from None
     if first_nameless is not None:
         raise LogParseError(

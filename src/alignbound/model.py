@@ -9,7 +9,6 @@ charges 1 per visible transition and 0 per silent one, which is exactly the
 optimal alignment cost of the empty trace.
 """
 
-import heapq
 import json
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
@@ -94,7 +93,7 @@ class Transition:
 
 class Successors(NamedTuple):
     """The enabled transitions of one marking, as ``(transition index,
-    successor marking)`` pairs, each group in ascending transition index.
+    successor marking id)`` pairs, each group in ascending transition index.
     The memo hands the same instance to every caller, who must not modify
     ``by_label``."""
 
@@ -110,10 +109,13 @@ class PetriNetModel:
     have multiplicity one.  ``min_visible_length`` is computed eagerly so an
     unreachable final marking fails at construction time.
 
-    ``successors`` memoises its answer per marking on the model, so the
-    memo holds the part of the reachability graph that searches on this
-    model have expanded.  On a bounded net it is finite; each search adds
-    at most ``state_bound`` markings to it.
+    The searches carry markings as dense integer ids: a marking gets the
+    next id the first time the model meets it (``initial_id`` is 0), and
+    one dict maps each marking tuple to its id.  ``successors`` takes and
+    returns ids and memoises its answer per id on the model, so the memo
+    holds the part of the reachability graph that searches on this model
+    have expanded.  On a bounded net it is finite; each search adds at most
+    ``state_bound`` markings to it.
     """
 
     def __init__(
@@ -143,7 +145,11 @@ class PetriNetModel:
         self.alphabet = frozenset(
             t.label for t in self.transitions if t.label is not None
         )
-        self._successors: dict[tuple, Successors] = {}
+        self._ids: dict[tuple, int] = {}
+        self._markings: list[tuple] = []  # id -> marking
+        self._successors: list[Successors | None] = []  # id -> memo entry
+        self.initial_id = self._intern(self.initial_marking)
+        self.final_id = self._intern(self.final_marking)
         self.min_visible_length = self._min_visible_length()
 
     def __repr__(self):
@@ -163,18 +169,28 @@ class PetriNetModel:
             after[p] += 1
         return tuple(after)
 
-    def successors(self, marking) -> Successors:
-        """The transitions enabled in ``marking`` with their successor
-        markings, memoised per model (see the class docstring)."""
-        succ = self._successors.get(marking)
+    def _intern(self, marking) -> int:
+        mid = self._ids.get(marking)
+        if mid is None:
+            mid = self._ids[marking] = len(self._markings)
+            self._markings.append(marking)
+            self._successors.append(None)
+        return mid
+
+    def successors(self, mid: int) -> Successors:
+        """The transitions enabled in the marking with id ``mid`` with the
+        ids of their successor markings, memoised per model (see the class
+        docstring)."""
+        succ = self._successors[mid]
         if succ is None:
+            marking = self._markings[mid]
             silent = []
             visible = []
             by_label: dict[str, list] = {}
             for ti, trans in enumerate(self.transitions):
                 if not self.enabled(marking, ti):
                     continue
-                step = (ti, self.fire(marking, ti))
+                step = (ti, self._intern(self.fire(marking, ti)))
                 if trans.silent:
                     silent.append(step)
                 else:
@@ -185,37 +201,42 @@ class PetriNetModel:
                 tuple(visible),
                 {label: tuple(steps) for label, steps in by_label.items()},
             )
-            self._successors[marking] = succ
+            self._successors[mid] = succ
         return succ
 
     def _min_visible_length(self) -> int:
-        # least-cost search; silent transitions are free.  Every push lowers
-        # a marking's cost, so an entry dearer than the best known is stale.
-        start = self.initial_marking
-        target = self.final_marking
-        best = {start: 0}
-        heap = [(0, 0, start)]
-        seq = 0
+        # least-cost search; a free silent step stays in the current cost's
+        # bucket and a visible one goes to the next.  Every push lowers a
+        # marking's cost, so an entry dearer than the best known is stale.
+        target = self.final_id
+        best = {self.initial_id: 0}
+        cost = 0
+        bucket = [self.initial_id]
+        later: list[int] = []
         explored = 0
-        while heap:
-            cost, _, marking = heapq.heappop(heap)
-            if cost > best[marking]:
-                continue
-            if marking == target:
-                return cost
-            explored += 1
-            if explored > self.state_bound:
-                raise StateBoundError(
-                    f"state bound {self.state_bound} exceeded after exploring "
-                    f"{explored} markings while searching for the final marking"
-                )
-            succ = self.successors(marking)
-            for steps, step_cost in ((succ.silent, 0), (succ.visible, 1)):
-                for _, after in steps:
-                    if after not in best or cost + step_cost < best[after]:
-                        best[after] = cost + step_cost
-                        seq += 1
-                        heapq.heappush(heap, (cost + step_cost, seq, after))
+        while bucket:
+            for mid in bucket:  # grows while it is scanned
+                if cost > best[mid]:
+                    continue
+                if mid == target:
+                    return cost
+                explored += 1
+                if explored > self.state_bound:
+                    raise StateBoundError(
+                        f"state bound {self.state_bound} exceeded after exploring "
+                        f"{explored} markings while searching for the final marking"
+                    )
+                succ = self.successors(mid)
+                for steps, step_cost, queue in (
+                    (succ.silent, cost, bucket),
+                    (succ.visible, cost + 1, later),
+                ):
+                    for _, after in steps:
+                        if after not in best or step_cost < best[after]:
+                            best[after] = step_cost
+                            queue.append(after)
+            bucket, later = later, []
+            cost += 1
         raise ModelError("final marking is unreachable from the initial marking")
 
     def probe_fired(self, max_states: int = 10_000):
@@ -227,8 +248,8 @@ class PetriNetModel:
         from collections import deque
 
         fired: set[str] = set()
-        seen = {self.initial_marking}
-        queue = deque([self.initial_marking])
+        seen = {self.initial_id}
+        queue = deque([self.initial_id])
         complete = True
         while queue:
             succ = self.successors(queue.popleft())
@@ -260,7 +281,8 @@ def parse_pnml(
         data = data.encode("utf-8")
     try:
         root = ET.fromstring(data)
-    except ET.ParseError as exc:
+    except (ET.ParseError, LookupError, ValueError) as exc:
+        # LookupError and ValueError: an encoding expat cannot read
         raise ModelError(f"malformed PNML: {exc}") from None
 
     def local(tag):

@@ -1,4 +1,5 @@
 import random
+from itertools import zip_longest
 
 import pytest
 
@@ -244,20 +245,43 @@ def noisy_walk(rng, net, alphabet, max_ops):
     return tuple(trace)
 
 
-@pytest.mark.parametrize("heuristic", [False, True])
-@pytest.mark.parametrize(
+def with_x_runs(rng, trace):
+    """``trace`` with two runs of two to four off-alphabet ``x`` inserted."""
+    trace = list(trace)
+    for _ in range(2):
+        at = rng.randint(0, len(trace))
+        trace[at:at] = ["x"] * rng.randint(2, 4)
+    return tuple(trace)
+
+
+# the nets the search is checked on, each with the alphabet its random
+# traces are drawn from (x is outside both nets' alphabets)
+search_nets = pytest.mark.parametrize(
     "make_net, alphabet",
     [(fixtures.parallel_loop_petri, "abcdex"), (three_branch_net, "abcdeghizx")],
     ids=["loop_net", "three_branch_net"],
 )
+
+
+@pytest.mark.parametrize("heuristic", [False, True])
+@search_nets
 def test_net_search_matches_reference(make_net, alphabet, heuristic):
     # equal cost, moves, transitions and work as the three-scan search;
     # the successor memo must not change any of them, so every trace is
     # also aligned on a net whose memo every other trace has filled
     rng = random.Random(53)
-    traces = [(), ("x",)]
-    traces += [random_trace(rng, alphabet, 0, 8) for _ in range(20)]
-    traces += [noisy_walk(rng, make_net(), alphabet, 3) for _ in range(30)]
+    short = [(), ("x",)]
+    short += [random_trace(rng, alphabet, 0, 8) for _ in range(20)]
+    short += [noisy_walk(rng, make_net(), alphabet, 3) for _ in range(30)]
+    # long traces fill large buckets over many f levels; runs of the
+    # off-alphabet x are log moves that keep f under the heuristic
+    long = [random_trace(rng, alphabet, 15, 25) for _ in range(6)]
+    long += [
+        with_x_runs(rng, noisy_walk(rng, make_net(), alphabet, 3)) for _ in range(6)
+    ]
+    # long and short in turn, so the warmed net's memo serves one marking
+    # id to searches with different strides
+    traces = [t for pair in zip_longest(short, long) for t in pair if t is not None]
     assert any("x" in t and len(t) > 1 for t in traces)
     warmed = make_net()
     for trace in traces:
@@ -270,6 +294,15 @@ def test_net_search_matches_reference(make_net, alphabet, heuristic):
                 result.alignment, result.cost, result.states_expanded
             )
             assert outcome == expected, trace
+
+
+@pytest.mark.parametrize("heuristic", [False, True])
+@search_nets
+def test_min_visible_length_is_the_empty_trace_cost(make_net, alphabet, heuristic):
+    # the model's own search and the aligner compute this number separately
+    net = make_net()
+    assert net.min_visible_length == optimal_alignment((), net, heuristic).cost
+    assert net.min_visible_length > 0
 
 
 def test_alignment_cost_counts_visible_moves_only():

@@ -290,6 +290,32 @@ def test_unreadable_log_fails(workspace, capsys):
     assert "error[" in err
 
 
+@pytest.mark.parametrize("kind", ["log", "model"])
+def test_unknown_xml_encoding_fails_cleanly(workspace, capsys, kind):
+    # a declared encoding Python has no codec for is a parse or model error,
+    # not a traceback
+    paths = {"log": workspace["log"], "model": workspace["pnml"]}
+    bad = workspace["dir"] / ("bad.xes" if kind == "log" else "bad.pnml")
+    bad.write_text('<?xml version="1.0" encoding="latin-9"?><log/>', encoding="utf-8")
+    paths[kind] = str(bad)
+    rc, out, err = run(
+        [
+            "exact",
+            "--log",
+            paths["log"],
+            "--model",
+            paths["model"],
+            "--final-marking",
+            workspace["marking"],
+        ],
+        capsys,
+    )
+    assert rc == 1
+    assert out == ""
+    code, fmt = ("parse", "XES") if kind == "log" else ("model", "PNML")
+    assert f"error[{code}]: malformed {fmt}: unknown encoding: latin-9" in err
+
+
 def test_dead_transition_warning(workspace, capsys):
     pnml_path = workspace["dir"] / "dead.pnml"
     pnml_path.write_text(DEAD_TRANSITION_PNML, encoding="utf-8")

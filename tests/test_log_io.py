@@ -64,6 +64,20 @@ def test_parse_xes_malformed_reports_position():
         parse_xes(b"<log><trace></log>")
 
 
+@pytest.mark.parametrize(
+    "encoding, message",
+    [
+        ("latin-9", "unknown encoding: latin-9"),
+        ("hex", "'hex' is not a text encoding"),
+        ("shift_jis", "multi-byte encodings are not supported"),
+    ],
+)
+def test_parse_xes_unreadable_encoding(encoding, message):
+    data = f'<?xml version="1.0" encoding="{encoding}"?><log/>'.encode()
+    with pytest.raises(LogParseError, match=f"^malformed XES: {message}"):
+        parse_xes(data)
+
+
 def test_parse_xes_event_without_name():
     data = b'<log><trace><event/></trace></log>'
     with pytest.raises(LogParseError, match="trace 0"):

@@ -86,6 +86,19 @@ def test_parse_pnml_dangling_arc_named():
         parse_pnml(data, final_marking={"p3": 1})
 
 
+@pytest.mark.parametrize(
+    "encoding, message",
+    [
+        ("latin-9", "unknown encoding: latin-9"),
+        ("shift_jis", "multi-byte encodings are not supported"),
+    ],
+)
+def test_parse_pnml_unreadable_encoding(encoding, message):
+    data = PNML_SEQUENCE.replace("?>", f' encoding="{encoding}"?>', 1)
+    with pytest.raises(ModelError, match=f"^malformed PNML: {message}"):
+        parse_pnml(data, final_marking={"p3": 1})
+
+
 def test_parse_pnml_needs_final_marking():
     with pytest.raises(ModelError, match="final marking"):
         parse_pnml(PNML_SEQUENCE)
