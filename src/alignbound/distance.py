@@ -22,13 +22,18 @@ masks once and passes them to :func:`edit_distance` in place of the trace.
 With ``cutoff`` set, :func:`edit_distance` returns ``min(distance,
 cutoff)``; it may skip the scan when the length difference alone reaches
 the cutoff.
+
+numpy is imported inside :func:`distance_matrix`, its only user here, so a
+command that builds no matrix never loads it.
 """
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .log import Trace, trace_sort_key
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class MatchMasks:
@@ -103,7 +108,7 @@ class DistanceMatrix:
     """Symmetric pairwise distance matrix over a fixed variant order."""
 
     labels: tuple[Trace, ...]
-    cells: np.ndarray
+    cells: "np.ndarray"
 
     def to_csv(self) -> str:
         """Debug dump: header row of traces, then one row per trace."""
@@ -118,6 +123,8 @@ class DistanceMatrix:
 
 def distance_matrix(variants) -> DistanceMatrix:
     """Pairwise distances over ``variants`` (each pair computed once)."""
+    import numpy as np
+
     labels = tuple(tuple(v) for v in variants)
     n = len(labels)
     cells = np.zeros((n, n), dtype=np.int64)

@@ -18,7 +18,6 @@ from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 from xml.parsers import expat
-from xml.sax.saxutils import quoteattr
 
 from .errors import LogParseError
 
@@ -66,6 +65,15 @@ class EventLog:
     def variant_traces(self) -> tuple[Trace, ...]:
         """Distinct traces in canonical order."""
         return tuple(sorted(self.variants, key=trace_sort_key))
+
+
+def decode_text(data: bytes, error: type[Exception], what: str) -> str:
+    """Decode a UTF-8 text input, dropping a leading byte-order mark; bytes
+    that are not UTF-8 raise ``error`` naming ``what``."""
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} is not valid UTF-8: {exc}") from None
 
 
 def parse_xes(data: bytes) -> EventLog:
@@ -185,11 +193,12 @@ def parse_csv(
     skipped; a column named twice in the header is read from its last
     position.
 
-    :raises LogParseError: missing header or column (named in the message),
+    :raises LogParseError: input that is not UTF-8 (a leading byte-order
+        mark is dropped), missing header or column (named in the message),
         or a row with missing cells (reported with its line number, counting
         non-blank rows).
     """
-    reader = csv.reader(io.StringIO(data.decode("utf-8")))
+    reader = csv.reader(io.StringIO(decode_text(data, LogParseError, "CSV log")))
     header = next(reader, None)
     if not header:
         raise LogParseError("CSV input has no header row")
@@ -248,6 +257,10 @@ def write_log_csv(
 
 def write_log_xes(log: EventLog) -> bytes:
     """Serialize a log to the XES subset understood by :func:`parse_xes`."""
+    # imported here: xml.sax.saxutils loads urllib.request, which no parser
+    # or command but this writer needs
+    from xml.sax.saxutils import quoteattr
+
     out = ['<?xml version="1.0" encoding="UTF-8"?>', '<log xes.version="1.0">']
     case_no = 0
     for trace in sorted(log.variants, key=trace_sort_key):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ModelError, StateBoundError
-from .log import Trace, make_trace, trace_sort_key
+from .log import Trace, decode_text, make_trace, trace_sort_key
 
 DEFAULT_STATE_BOUND = 1_000_000
 
@@ -47,9 +47,10 @@ def parse_explicit_language(text) -> ExplicitLanguageModel:
 
     Each non-blank line is a comma-separated activity sequence; the single
     character ``-`` stands for the empty trace.  Duplicate lines collapse.
+    Bytes are decoded as UTF-8 with a leading byte-order mark dropped.
     """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        text = decode_text(text, ModelError, "language file")
     traces = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -378,7 +379,7 @@ def parse_pnml(
 def parse_final_marking_json(data) -> dict:
     """Read a place-id -> token-count mapping from JSON bytes or text."""
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        data = decode_text(data, ModelError, "final marking JSON")
     try:
         raw = json.loads(data)
     except json.JSONDecodeError as exc:

@@ -5,15 +5,14 @@ log during alignment approximation.  Its a-priori maximal absolute error on
 any model is the multiplicity-weighted sum of each variant's distance to
 its nearest proxy member, so the strategies below all try to keep that sum
 small: plain random sampling, frequency-based selection, a PAM style
-K-Medoids, and a greedy K-Center.
+K-Medoids, and a greedy K-Center.  Only K-Medoids uses numpy, which its
+functions import themselves, so the other strategies never load it.
 """
 
 import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
 
 from .distance import (
     DistanceMatrix,
@@ -129,6 +128,8 @@ def _pam_objective(cells, weights, medoids) -> int:
 
 
 def _pam_build(cells, weights, k):
+    import numpy as np
+
     # greedy init: start from the weighted 1-medoid, then add whichever
     # candidate removes the most weighted distance
     totals = (cells * weights[:, None]).sum(axis=0)
@@ -165,6 +166,8 @@ def _pam_swap(cells, weights, medoids):
     # points assigned to m.  Which of two equally near medoids a point is
     # assigned to does not matter: then second == nearest and both formulas
     # agree.  All terms are int64, so the deltas are exact.
+    import numpy as np
+
     n = len(weights)
     medoids = sorted(medoids)
     k = len(medoids)
@@ -213,6 +216,8 @@ def cluster_kmedoids(
     _check_k(k, len(variants))
     if k == len(variants):
         return ProxySet(members=variants, provenance=f"kmedoids(k={k}, seed={seed})")
+    import numpy as np
+
     matrix = _resolve_matrix(variants, matrix)
     cells = matrix.cells
     weights = np.array([log.variants[t] for t in variants], dtype=np.int64)

@@ -247,7 +247,7 @@ def parse_csv_reference(
     """CSV parsing through a DictReader into a list of every row, then a
     second pass that decides the numeric order flag for the whole file and
     groups the rows by case."""
-    reader = csv.DictReader(io.StringIO(data.decode("utf-8")))
+    reader = csv.DictReader(io.StringIO(data.decode("utf-8-sig")))
     if not reader.fieldnames:
         raise LogParseError("CSV input has no header row")
     for col in (case_column, activity_column, order_column):

@@ -1,12 +1,17 @@
 """End-to-end tests driving the CLI through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import alignbound
 from alignbound.cli import main
 from alignbound.fixtures import copy_fixture_files
-from alignbound.log import parse_xes
+from alignbound.log import parse_csv, parse_xes, write_log_xes
 from alignbound.model import parse_explicit_language
 from alignbound.report import read_report_json
 
@@ -314,6 +319,112 @@ def test_unknown_xml_encoding_fails_cleanly(workspace, capsys, kind):
     assert out == ""
     code, fmt = ("parse", "XES") if kind == "log" else ("model", "PNML")
     assert f"error[{code}]: malformed {fmt}: unknown encoding: latin-9" in err
+
+
+def test_byte_order_marks_in_inputs_are_dropped(workspace, capsys):
+    model = workspace["dir"] / "bom.lang"
+    model.write_bytes(b"\xef\xbb\xbfa,b\n")
+    log = workspace["dir"] / "a.csv"
+    log.write_bytes(b"\xef\xbb\xbfcase,activity,order\nc1,a,1\n")
+    rc, out, _ = run(["exact", "--log", str(log), "--model", str(model)], capsys)
+    assert rc == 0
+    assert out.splitlines()[1] == "a,1,1"
+
+
+@pytest.mark.parametrize(
+    "kind, code, what",
+    [
+        ("log", "parse", "CSV log"),
+        ("model", "model", "language file"),
+        ("proxy", "model", "language file"),
+        ("marking", "model", "final marking JSON"),
+    ],
+)
+def test_invalid_utf8_input_fails_cleanly(workspace, capsys, kind, code, what):
+    bad = workspace["dir"] / ("bad.csv" if kind == "log" else "bad.txt")
+    bad.write_bytes(b"a,\xff\n")
+    paths = {
+        "log": workspace["log"],
+        "model": workspace["pnml"] if kind == "marking" else workspace["lang"],
+        "proxy": workspace["lang"],
+        "marking": workspace["marking"],
+    }
+    paths[kind] = str(bad)
+    rc, out, err = run(
+        [
+            "approximate",
+            "--log",
+            paths["log"],
+            "--model",
+            paths["model"],
+            "--final-marking",
+            paths["marking"],
+            "--proxy-in",
+            paths["proxy"],
+        ],
+        capsys,
+    )
+    assert rc == 1
+    assert out == ""
+    assert f"error[{code}]: {what} is not valid UTF-8: " in err
+
+
+# Runs each argv through cli.main in this fresh process and prints, per
+# command, its exit code and whether numpy and urllib.request are loaded.
+LOADED_MODULES_CHILD = """
+import contextlib, io, json, sys
+from alignbound.cli import main
+seen = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        rc = main(argv)
+    seen.append([rc, "numpy" in sys.modules, "urllib.request" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def loaded_modules(argvs):
+    # a fresh interpreter: this test process has numpy loaded already
+    src = str(Path(alignbound.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_MODULES_CHILD, json.dumps(argvs)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_only_distance_matrix_commands_load_numpy(workspace):
+    xes = workspace["dir"] / "log.xes"
+    xes.write_bytes(write_log_xes(parse_csv(LOG_CSV.encode())))
+    proxy = str(workspace["dir"] / "proxy.lang")
+    net = ["--model", workspace["pnml"], "--final-marking", workspace["marking"]]
+    lang = ["--model", workspace["lang"]]
+    log = ["--log", workspace["log"]]
+    size = ["--size-percent", "50"]
+    lean = [
+        ["exact", *log, *lang],
+        ["exact", "--log", str(xes), *lang],
+        ["exact", *log, *net],
+        *(
+            ["approximate", *log, *model, "--strategy", strategy, *size]
+            for model in (lang, net)
+            for strategy in ("random", "frequency", "kcenter")
+        ),
+        *(
+            ["proxy-gen", *log, "--strategy", strategy, *size, "--out", proxy]
+            for strategy in ("random", "frequency", "kcenter")
+        ),
+        ["approximate", *log, *lang, "--proxy-in", proxy],
+    ]
+    assert loaded_modules(lean) == [[0, False, False]] * len(lean)
+    kmedoids = ["approximate", *log, *lang, "--strategy", "kmedoids", *size]
+    assert loaded_modules([kmedoids]) == [[0, True, False]]
 
 
 def test_dead_transition_warning(workspace, capsys):

@@ -150,9 +150,14 @@ def test_parse_csv_blank_first_line_is_no_header():
         parse_csv(b"\ncase,activity,order\nc1,a,1\n")
 
 
-def test_parse_csv_byte_order_mark_is_part_of_the_first_name():
-    with pytest.raises(LogParseError, match="missing column 'case'"):
-        parse_csv(b"\xef\xbb\xbfcase,activity,order\nc1,a,1\n")
+def test_parse_csv_drops_byte_order_mark():
+    data = b"case,activity,order\nc1,a,1\n"
+    assert parse_csv(b"\xef\xbb\xbf" + data) == parse_csv(data)
+
+
+def test_parse_csv_invalid_utf8_is_a_parse_error():
+    with pytest.raises(LogParseError, match="^CSV log is not valid UTF-8: "):
+        parse_csv(b"case,activity,order\nc1,\xff,1\n")
 
 
 def test_event_log_canonical_variant_order():

@@ -19,6 +19,17 @@ def test_parse_explicit_language_basics():
     assert ("b",) not in model
 
 
+def test_parse_explicit_language_drops_byte_order_mark():
+    model = parse_explicit_language(b"\xef\xbb\xbfa,b\n")
+    assert model.traces == (("a", "b"),)
+    assert model.alphabet == {"a", "b"}
+
+
+def test_parse_explicit_language_invalid_utf8_is_a_model_error():
+    with pytest.raises(ModelError, match="^language file is not valid UTF-8: "):
+        parse_explicit_language(b"a,\xff\n")
+
+
 def test_parse_explicit_language_rejects_empty_file():
     with pytest.raises(ModelError):
         parse_explicit_language("\n\n")
@@ -117,6 +128,9 @@ def test_final_marking_json():
         parse_final_marking_json(b"[1]")
     with pytest.raises(ModelError):
         parse_final_marking_json(b'{"p": -1}')
+    assert parse_final_marking_json(b'\xef\xbb\xbf{"p": 1}') == {"p": 1}
+    with pytest.raises(ModelError, match="^final marking JSON is not valid UTF-8: "):
+        parse_final_marking_json(b'{"\xff": 1}')
 
 
 UNBOUNDED_PNML = """<?xml version="1.0"?>
@@ -138,6 +152,33 @@ def test_state_bound_is_a_hard_error():
         r"searching for the final marking",
     ):
         parse_pnml(UNBOUNDED_PNML, final_marking={"p1": 0}, state_bound=50)
+
+
+# p0 -a-> p1 directly, or p0 -tau-> p2 -tau-> p1 for free, then p1 -b-> p3.
+# The silent path lowers p1's cost after the visible step already queued p1
+# for cost 1, so that entry is stale when cost 1 comes up.
+STALE_ENTRY_PNML = """<?xml version="1.0"?>
+<pnml><net id="n"><page id="p">
+  <place id="p0"><initialMarking><text>1</text></initialMarking></place>
+  <place id="p1"/><place id="p2"/><place id="p3"/>
+  <transition id="t_a"><name><text>a</text></name></transition>
+  <transition id="t_s1"/><transition id="t_s2"/>
+  <transition id="t_b"><name><text>b</text></name></transition>
+  <arc id="a1" source="p0" target="t_a"/><arc id="a2" source="t_a" target="p1"/>
+  <arc id="a3" source="p0" target="t_s1"/><arc id="a4" source="t_s1" target="p2"/>
+  <arc id="a5" source="p2" target="t_s2"/><arc id="a6" source="t_s2" target="p1"/>
+  <arc id="a7" source="p1" target="t_b"/><arc id="a8" source="t_b" target="p3"/>
+</page></net></pnml>
+"""
+
+
+def test_min_visible_length_skips_stale_entries():
+    # p0, p2 and p1 are explored once each; re-expanding the stale p1 entry
+    # would count a fourth marking and exceed the bound
+    net = parse_pnml(STALE_ENTRY_PNML, final_marking={"p3": 1}, state_bound=3)
+    assert net.min_visible_length == 1
+    with pytest.raises(StateBoundError, match="after exploring 3 markings"):
+        parse_pnml(STALE_ENTRY_PNML, final_marking={"p3": 1}, state_bound=2)
 
 
 def test_probe_fired_finds_dead_transition(loop_net):
