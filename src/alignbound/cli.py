@@ -19,7 +19,7 @@ from pathlib import Path
 from .aligner import optimal_alignment
 from .bounds import ESTIMATOR_HALF_DISTANCE, ESTIMATOR_MIDPOINT, approximate_log
 from .distance import distance_matrix
-from .errors import AlignboundError, ModelError
+from .errors import AlignboundError, ExperimentError, ModelError
 from .harness import (
     SyntheticSpec,
     generate_synthetic,
@@ -27,7 +27,7 @@ from .harness import (
     rows_to_long_csv,
     run_experiment,
 )
-from .log import EventLog, parse_csv, parse_xes, write_log_xes
+from .log import EventLog, decode_text, parse_csv, parse_xes, write_log_xes
 from .model import (
     DEFAULT_STATE_BOUND,
     PetriNetModel,
@@ -339,11 +339,13 @@ def _cmd_proxy_gen(args) -> int:
 
 def _load_spec(args) -> SyntheticSpec:
     try:
-        raw = json.loads(Path(args.spec).read_text(encoding="utf-8"))
+        data = Path(args.spec).read_bytes()
     except OSError as exc:
-        raise AlignboundError(f"cannot read spec {args.spec}: {exc}") from None
+        raise ExperimentError(f"cannot read spec {args.spec}: {exc}") from None
+    try:
+        raw = json.loads(decode_text(data, ExperimentError, "spec JSON"))
     except json.JSONDecodeError as exc:
-        raise AlignboundError(f"malformed spec JSON: {exc}") from None
+        raise ExperimentError(f"malformed spec JSON: {exc}") from None
     spec = SyntheticSpec.from_dict(raw)
     if args.seed is not None:
         spec = SyntheticSpec.from_dict({**raw, "seed": args.seed})

@@ -79,15 +79,37 @@ class SyntheticSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SyntheticSpec":
+        """Spec from its JSON form; every field is an integer except the
+        ranges, which are ``[lo, hi]`` pairs of integers."""
+        if not isinstance(raw, dict):
+            raise ExperimentError(
+                f"synthetic spec must be a JSON object, not {type(raw).__name__}"
+            )
         known = {f for f in cls.__dataclass_fields__}
         extra = set(raw) - known
         if extra:
             raise ExperimentError(f"unknown synthetic spec fields {sorted(extra)}")
-        kwargs = dict(raw)
-        for key in ("model_trace_length", "noise_ops", "multiplicity"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
+        kwargs = {}
+        for key, value in raw.items():
+            if key in ("model_trace_length", "noise_ops", "multiplicity"):
+                if not (
+                    isinstance(value, (list, tuple))
+                    and len(value) == 2
+                    and all(_is_int(x) for x in value)
+                ):
+                    raise ExperimentError(
+                        f"spec field {key} must be a pair of integers, not {value!r}"
+                    )
+                value = tuple(value)
+            elif not _is_int(value):
+                raise ExperimentError(f"spec field {key} must be an integer, not {value!r}")
+            kwargs[key] = value
         return cls(**kwargs)
+
+
+def _is_int(value) -> bool:
+    # JSON true/false load as bools, which Python counts as ints
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _labels(n: int) -> list[str]:

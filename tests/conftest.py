@@ -3,7 +3,8 @@
 The oracles deliberately avoid the production code paths: distances come
 from a plain recursion on the definition (delete from either side), the
 alignment oracle enumerates every edit script, the clustering optima
-come from exhaustive subset scans, the PAM swap phase evaluates one
+come from exhaustive subset scans, the distance matrix is built one row
+at a time with the scalar kernel, the PAM swap phase evaluates one
 swap at a time, and the net alignment search scans every transition with
 ``enabled``/``fire`` for each expanded state, and the log parsers build
 a whole ElementTree or a ``DictReader`` row list.  Tests compare the fast
@@ -23,6 +24,7 @@ import pytest
 
 from alignbound import fixtures
 from alignbound.aligner import Alignment, Move, MoveKind
+from alignbound.distance import MatchMasks, edit_distance
 from alignbound.errors import LogParseError, StateBoundError
 from alignbound.log import CONCEPT_NAME, EventLog
 
@@ -98,6 +100,21 @@ def kmedoids_optimal_objective(log: EventLog, k, dist) -> int:
         if best is None or obj < best:
             best = obj
     return best
+
+
+def distance_matrix_rows(variants):
+    """Distance matrix cells built one row at a time: each variant's
+    ``MatchMasks`` against every later variant, mirrored below the
+    diagonal."""
+    labels = tuple(tuple(v) for v in variants)
+    n = len(labels)
+    cells = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        masks = MatchMasks(labels[i])
+        row = [edit_distance(masks, labels[j]) for j in range(i + 1, n)]
+        cells[i, i + 1 :] = row
+        cells[i + 1 :, i] = row
+    return cells
 
 
 def pam_swap_loop(cells, weights, medoids):

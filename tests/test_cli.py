@@ -578,3 +578,52 @@ def test_evaluate_unknown_strategy_fails(tmp_path, capsys):
     )
     assert rc == 1
     assert "unknown strategy" in err
+
+
+def generate_argv(tmp_path, spec):
+    return [
+        "generate",
+        "--spec",
+        spec,
+        "--model-out",
+        str(tmp_path / "model.lang"),
+        "--log-out",
+        str(tmp_path / "log.xes"),
+    ]
+
+
+def test_spec_with_byte_order_mark_is_read(tmp_path, capsys):
+    spec = Path(spec_file(tmp_path))
+    assert run(generate_argv(tmp_path, str(spec)), capsys)[0] == 0
+    plain = (tmp_path / "log.xes").read_bytes()
+    spec.write_bytes(b"\xef\xbb\xbf" + spec.read_bytes())
+    assert run(generate_argv(tmp_path, str(spec)), capsys)[0] == 0
+    assert (tmp_path / "log.xes").read_bytes() == plain
+
+
+@pytest.mark.parametrize("command", ["generate", "evaluate"])
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b'{"seed": 1\xff}', "spec JSON is not valid UTF-8: "),
+        (b'{"seed": ', "malformed spec JSON: "),
+        (b"[1, 2]", "synthetic spec must be a JSON object, not list"),
+        (
+            b'{"model_trace_length": 5}',
+            "spec field model_trace_length must be a pair of integers, not 5",
+        ),
+        (b'{"alphabet_size": "8"}', "spec field alphabet_size must be an integer, not '8'"),
+    ],
+    ids=["bad-byte", "truncated", "list", "int-range", "string-count"],
+)
+def test_bad_spec_is_an_experiment_error(tmp_path, capsys, command, data, message):
+    spec = tmp_path / "spec.json"
+    spec.write_bytes(data)
+    if command == "generate":
+        argv = generate_argv(tmp_path, str(spec))
+    else:
+        argv = ["evaluate", "--spec", str(spec)]
+    rc, out, err = run(argv, capsys)
+    assert rc == 1
+    assert out == ""
+    assert f"error[experiment]: {message}" in err

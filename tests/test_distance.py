@@ -1,9 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alignbound import distance
 from alignbound.distance import (
     MatchMasks,
     distance_matrix,
@@ -11,7 +13,7 @@ from alignbound.distance import (
     edit_distance,
 )
 
-from conftest import naive_edit_distance, random_trace
+from conftest import distance_matrix_rows, naive_edit_distance, random_trace
 
 
 def test_known_values():
@@ -156,3 +158,56 @@ def test_distance_matrix_matches_pairwise_distances():
     for i, a in enumerate(variants):
         for j, b in enumerate(variants):
             assert cells[i, j] == naive_edit_distance(a, b)
+
+
+# the all-pairs kernel packs 62 positions per int64 word: lengths on both
+# sides of one and two word boundaries, plus the empty trace
+WORD_EDGE_LENGTHS = (0, 1, 61, 62, 63, 124, 125)
+matrix_traces = st.one_of(
+    st.sampled_from(WORD_EDGE_LENGTHS), st.integers(min_value=0, max_value=130)
+).flatmap(lambda n: st.lists(activities, min_size=n, max_size=n).map(tuple))
+
+
+def check_matrix(variants):
+    cells = distance_matrix(variants).cells
+    n = len(variants)
+    assert cells.dtype == np.int64
+    assert cells.shape == (n, n)
+    assert (cells == cells.T).all()
+    assert not cells.diagonal().any()
+    assert (cells == distance_matrix_rows(variants)).all()
+    for i, a in enumerate(variants):
+        for j, b in enumerate(variants):
+            assert cells[i, j] == edit_distance(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(matrix_traces, max_size=7))
+def test_distance_matrix_matches_row_oracle(variants):
+    check_matrix(variants)
+
+
+def test_distance_matrix_across_word_boundaries():
+    rng = random.Random(23)
+    alphabet = ["a", "b", "Register request"]
+    variants = [random_trace(rng, alphabet, n, n) for n in WORD_EDGE_LENGTHS * 2]
+    check_matrix(variants)
+
+
+@pytest.mark.parametrize("variants", [[], [()], [("a", "b")]], ids=["none", "empty", "one"])
+def test_distance_matrix_of_fewer_than_two_variants(variants):
+    cells = distance_matrix(variants).cells
+    assert cells.dtype == np.int64
+    assert cells.shape == (len(variants), len(variants))
+    assert not cells.any()
+
+
+# 10 variants of up to 70 events take two words per row, so these budgets
+# give row blocks of 1, 3 and 7 rows, the last block shorter than the rest
+@pytest.mark.parametrize("block_cells", [1, 60, 140])
+def test_distance_matrix_in_several_row_blocks(monkeypatch, block_cells):
+    monkeypatch.setattr(distance, "MATRIX_BLOCK_CELLS", block_cells)
+    rng = random.Random(block_cells)
+    variants = [random_trace(rng, ["a", "b", "c"], 0, 70) for _ in range(9)]
+    variants.append(("a",) * 70)
+    check_matrix(variants)

@@ -82,6 +82,21 @@ def test_spec_from_dict_rejects_unknown_fields():
         SyntheticSpec.from_dict({"seed": 1, "typo_field": 2})
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"seed": True},
+        {"alphabet_size": 8.0},
+        {"noise_ops": [0, 1, 2]},
+        {"multiplicity": [1, 2.5]},
+        {"model_trace_length": "4-8"},
+    ],
+)
+def test_spec_from_dict_rejects_wrong_types(raw):
+    with pytest.raises(ExperimentError, match="must be"):
+        SyntheticSpec.from_dict(raw)
+
+
 def test_pearson_known_value():
     assert pearson([1, 2, 3], [1, 3, 2]) == pytest.approx(0.5)
 
