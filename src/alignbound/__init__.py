@@ -21,7 +21,7 @@ from .bounds import (
     approximate_cost,
     approximate_log,
 )
-from .distance import DistanceMatrix, distance_matrix, distance_to_set, edit_distance
+from .distance import DistanceMatrix, distance_matrix, edit_distance
 from .errors import (
     AlignboundError,
     BoundsError,
@@ -53,6 +53,7 @@ from .proxy import (
     brute_force_k_primal,
     cluster_kcenter,
     cluster_kmedoids,
+    distance_table,
     dominates,
     epsilon_max_error,
     generate_proxy,
@@ -94,7 +95,7 @@ __all__ = [
     "cluster_kcenter",
     "cluster_kmedoids",
     "distance_matrix",
-    "distance_to_set",
+    "distance_table",
     "dominates",
     "edit_distance",
     "epsilon_max_error",

@@ -19,10 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .aligner import optimal_alignment
-from .distance import DistanceMatrix, MatchMasks, edit_distance
+# edit_distance stays importable: perfbench/tracer.py wraps it here to count LCS calls
+from .distance import DistanceMatrix, edit_distance  # noqa: F401
 from .errors import BoundsError
 from .log import EventLog, Trace, format_trace
-from .proxy import ProxySet, StrategyParams, generate_proxy
+from .proxy import ProxySet, StrategyParams, distance_table, generate_proxy, variant_matrix
 
 LOWER_STRUCTURAL = "structural"
 LOWER_PROXY = "proxy"
@@ -59,6 +60,7 @@ def approximate_cost(
     model,
     estimator: str = ESTIMATOR_MIDPOINT,
     upper_weight: Fraction = Fraction(1, 2),
+    distances=None,
 ) -> BoundsResult:
     """Certified bracket plus a point estimate for one trace.
 
@@ -74,6 +76,10 @@ def approximate_cost(
     valid when every reference cost is zero, i.e. the proxy members fit the
     model perfectly; it reads half the nearest-member distance as the
     estimate, clamped into the bounds.
+
+    ``distances`` is the trace's row of the variant x member table
+    (:func:`proxy.distance_table`), one distance per member of ``proxy``
+    in its order; it is computed here when omitted.
     """
     trace = tuple(trace)
     if estimator not in ESTIMATORS:
@@ -82,20 +88,18 @@ def approximate_cost(
     if not 0 <= weight <= 1:
         raise BoundsError(f"upper weight must be within [0, 1], got {weight}")
 
-    masks = MatchMasks(trace)
-    # (member, distance, reference cost) in canonical member order, so the
-    # first minimum is the canonical nearest member
-    table = [
-        (member, edit_distance(masks, member), _ref_cost(proxy, member))
-        for member in proxy.members
-    ]
-    proxy_distance = min(d for _, d, _ in table)
-    nearest = next(m for m, d, _ in table if d == proxy_distance)
+    if distances is None:
+        [distances] = zip(*distance_table((trace,), proxy.members))
+    costs = [_ref_cost(proxy, member) for member in proxy.members]
+    proxy_distance = min(distances)
+    # members are in canonical order, so the first minimum is the canonical
+    # nearest member
+    nearest = proxy.members[distances.index(proxy_distance)]
 
-    upper = min(cost + d for _, d, cost in table)
+    upper = min(cost + d for cost, d in zip(costs, distances))
     outside = sum(1 for a in trace if a not in model.alphabet)
     structural = max(0, model.min_visible_length - len(trace)) + outside
-    proxy_term = max(0, max(cost - d for _, d, cost in table))
+    proxy_term = max(0, max(cost - d for cost, d in zip(costs, distances)))
     lower = max(structural, proxy_term)
     if structural == proxy_term:
         source = LOWER_BOTH
@@ -107,7 +111,7 @@ def approximate_cost(
     if estimator == ESTIMATOR_MIDPOINT:
         estimate = (1 - weight) * lower + weight * upper
     else:
-        for member, _, cost in table:
+        for member, cost in zip(proxy.members, costs):
             if cost != 0:
                 raise BoundsError(
                     "half-distance estimator needs all reference costs to be zero; "
@@ -184,14 +188,20 @@ def approximate_log(
 
     Either ``params`` selects a generation strategy or ``proxy`` supplies a
     ready-made set (its reference costs are recomputed here either way).
+    The member distances come from one table, which reads the columns of
+    ``matrix`` (built here for kmedoids, which clusters on it) where the
+    members are among its labels.
     """
     if (params is None) == (proxy is None):
         raise BoundsError("provide exactly one of params or proxy")
     if log.total_traces == 0:
         raise BoundsError("cannot approximate an empty log")
 
+    variants = log.variant_traces
     t0 = _now_us()
     if proxy is None:
+        if params.strategy == "kmedoids":
+            matrix = variant_matrix(variants, matrix)
         proxy = generate_proxy(log, params, matrix=matrix)
     t_generated = _now_us()
 
@@ -201,9 +211,15 @@ def approximate_log(
     rows = []
     epsilon = 0
     total_estimate = Fraction(0)
-    for trace in log.variant_traces:
+    columns = distance_table(variants, proxy.members, matrix)
+    for trace, distances in zip(variants, zip(*columns)):
         result = approximate_cost(
-            trace, proxy, model, estimator=estimator, upper_weight=upper_weight
+            trace,
+            proxy,
+            model,
+            estimator=estimator,
+            upper_weight=upper_weight,
+            distances=distances,
         )
         mult = log.variants[trace]
         rows.append((result, mult))

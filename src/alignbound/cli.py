@@ -19,7 +19,14 @@ from pathlib import Path
 from .aligner import optimal_alignment
 from .bounds import ESTIMATOR_HALF_DISTANCE, ESTIMATOR_MIDPOINT, approximate_log
 from .distance import distance_matrix
-from .errors import AlignboundError, ExperimentError, ModelError
+from .errors import (
+    AlignboundError,
+    BoundsError,
+    ExperimentError,
+    LogParseError,
+    ModelError,
+    ProxyError,
+)
 from .harness import (
     SyntheticSpec,
     generate_synthetic,
@@ -183,12 +190,25 @@ def _resolve_state_bound(args) -> int:
     return _env_int(STATE_BOUND_ENV, DEFAULT_STATE_BOUND)
 
 
+def _fraction(text: str, error: type[AlignboundError], flag: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise error(f"{flag} must be a number or a fraction, got {text!r}") from None
+
+
+def _read_input(path, error: type[AlignboundError], what: str) -> bytes:
+    """Bytes of an input file; a file that cannot be read is an error of
+    the input's kind."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from None
+
+
 def _load_log(args) -> EventLog:
     path = Path(args.log)
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise AlignboundError(f"cannot read log {path}: {exc}") from None
+    data = _read_input(path, LogParseError, "log")
     if path.suffix.lower() == ".csv":
         return parse_csv(
             data,
@@ -201,17 +221,13 @@ def _load_log(args) -> EventLog:
 
 def _load_model(args):
     path = Path(args.model)
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise AlignboundError(f"cannot read model {path}: {exc}") from None
+    data = _read_input(path, ModelError, "model")
     if path.suffix.lower() == ".pnml":
         if not args.final_marking:
             raise ModelError("net models need --final-marking")
-        try:
-            marking = parse_final_marking_json(Path(args.final_marking).read_bytes())
-        except OSError as exc:
-            raise AlignboundError(f"cannot read final marking: {exc}") from None
+        marking = parse_final_marking_json(
+            _read_input(args.final_marking, ModelError, "final marking")
+        )
         return parse_pnml(
             data,
             final_marking=marking,
@@ -267,11 +283,7 @@ def _cmd_exact(args) -> int:
 
 
 def _load_proxy_file(path: str) -> ProxySet:
-    try:
-        text = Path(path).read_bytes()
-    except OSError as exc:
-        raise AlignboundError(f"cannot read proxy file {path}: {exc}") from None
-    language = parse_explicit_language(text)
+    language = parse_explicit_language(_read_input(path, ProxyError, "proxy file"))
     return ProxySet(members=language.traces, provenance=f"file:{path}")
 
 
@@ -289,7 +301,7 @@ def _cmd_approximate(args) -> int:
     else:
         params = StrategyParams(
             strategy=args.strategy,
-            size_percent=Fraction(args.size_percent),
+            size_percent=_fraction(args.size_percent, ProxyError, "--size-percent"),
             seed=args.seed,
         )
 
@@ -299,7 +311,7 @@ def _cmd_approximate(args) -> int:
         params=params,
         proxy=proxy,
         estimator=args.estimator,
-        upper_weight=Fraction(args.upper_weight),
+        upper_weight=_fraction(args.upper_weight, BoundsError, "--upper-weight"),
         heuristic=args.heuristic,
     )
     if args.proxy_out:
@@ -318,7 +330,7 @@ def _cmd_proxy_gen(args) -> int:
     log = _load_log(args)
     params = StrategyParams(
         strategy=args.strategy,
-        size_percent=Fraction(args.size_percent),
+        size_percent=_fraction(args.size_percent, ProxyError, "--size-percent"),
         seed=args.seed,
     )
     matrix = None
@@ -338,10 +350,7 @@ def _cmd_proxy_gen(args) -> int:
 
 
 def _load_spec(args) -> SyntheticSpec:
-    try:
-        data = Path(args.spec).read_bytes()
-    except OSError as exc:
-        raise ExperimentError(f"cannot read spec {args.spec}: {exc}") from None
+    data = _read_input(args.spec, ExperimentError, "spec")
     try:
         raw = json.loads(decode_text(data, ExperimentError, "spec JSON"))
     except json.JSONDecodeError as exc:
@@ -376,7 +385,9 @@ def _cmd_evaluate(args) -> int:
         if s not in STRATEGIES:
             raise AlignboundError(f"unknown strategy {s!r}; expected {STRATEGIES}")
     sizes = tuple(
-        Fraction(part.strip()) for part in args.sizes.split(",") if part.strip()
+        _fraction(part.strip(), ExperimentError, "--sizes")
+        for part in args.sizes.split(",")
+        if part.strip()
     )
     rows = run_experiment(
         spec,

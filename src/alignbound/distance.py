@@ -45,7 +45,7 @@ command that builds no matrix never loads it.
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .log import Trace, trace_sort_key
+from .log import Trace
 
 if TYPE_CHECKING:
     import numpy as np
@@ -100,30 +100,6 @@ def edit_distance(a, b, cutoff: int | None = None) -> int:
         return cutoff
     d = la + lb - 2 * masks.lcs(b)
     return d if cutoff is None or d < cutoff else cutoff
-
-
-def distance_to_set(trace, traces) -> tuple[int, Trace]:
-    """Minimal distance from ``trace`` to a non-empty collection of traces.
-
-    Returns ``(distance, nearest)`` where ties on the distance are broken by
-    the first trace in canonical order (length, then lexicographic), so the
-    result does not depend on iteration order of ``traces``.
-    """
-    masks = MatchMasks(trace)
-    best_d = None
-    best_t = None
-    for cand in traces:
-        cand = tuple(cand)
-        d = edit_distance(masks, cand)
-        if (
-            best_d is None
-            or d < best_d
-            or (d == best_d and trace_sort_key(cand) < trace_sort_key(best_t))
-        ):
-            best_d, best_t = d, cand
-    if best_d is None:
-        raise ValueError("distance_to_set needs a non-empty collection of traces")
-    return best_d, best_t
 
 
 @dataclass(frozen=True)

@@ -14,13 +14,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .distance import (
-    DistanceMatrix,
-    MatchMasks,
-    distance_matrix,
-    distance_to_set,
-    edit_distance,
-)
+from .distance import DistanceMatrix, MatchMasks, distance_matrix, edit_distance
 from .errors import ProxyError
 from .log import EventLog, Trace, make_trace, trace_sort_key
 
@@ -115,12 +109,37 @@ def sample_frequency(log: EventLog, k: int) -> ProxySet:
     return ProxySet(members=tuple(variants[:k]), provenance=f"frequency(k={k})")
 
 
-def _resolve_matrix(variants, matrix: DistanceMatrix | None) -> DistanceMatrix:
+def variant_matrix(variants, matrix: DistanceMatrix | None = None) -> DistanceMatrix:
+    """``matrix`` checked against ``variants``, or built over them if None."""
     if matrix is None:
         return distance_matrix(variants)
     if matrix.labels != variants:
         raise ValueError("distance matrix labels do not match the log variants")
     return matrix
+
+
+def distance_table(
+    variants, members, matrix: DistanceMatrix | None = None
+) -> list[list[int]]:
+    """The variant x member distance table, one column per member.
+
+    Every distance from a variant to a proxy member (bracket, epsilon,
+    k-center step, brute force) is read from this table.  A member among
+    the labels of ``matrix``, whose rows must be ``variants``, gets its
+    matrix column; any other member is scanned over the variants once.
+    """
+    index = {}
+    if matrix is not None:
+        index = {t: j for j, t in enumerate(variant_matrix(variants, matrix).labels)}
+    columns = []
+    for member in members:
+        j = index.get(member)
+        if j is None:
+            masks = MatchMasks(member)
+            columns.append([edit_distance(masks, t) for t in variants])
+        else:
+            columns.append(matrix.cells[:, j].tolist())
+    return columns
 
 
 def _pam_objective(cells, weights, medoids) -> int:
@@ -218,8 +237,7 @@ def cluster_kmedoids(
         return ProxySet(members=variants, provenance=f"kmedoids(k={k}, seed={seed})")
     import numpy as np
 
-    matrix = _resolve_matrix(variants, matrix)
-    cells = matrix.cells
+    cells = variant_matrix(variants, matrix).cells
     weights = np.array([log.variants[t] for t in variants], dtype=np.int64)
     rng = random.Random(seed)
     starts = [_pam_build(cells, weights, k)]
@@ -249,29 +267,16 @@ def cluster_kcenter(
     variants = log.variant_traces
     n = len(variants)
     _check_k(k, n)
-    if matrix is not None:
-        matrix = _resolve_matrix(variants, matrix)
-
-    def distances_to(j):
-        if matrix is not None:
-            return matrix.cells[:, j].tolist()
-        masks = MatchMasks(variants[j])
-        return [edit_distance(masks, t) for t in variants]
-
     first = min(range(n), key=lambda i: _frequency_key(log)(variants[i]))
     centers = [first]
-    min_dist = distances_to(first)
+    [min_dist] = distance_table(variants, [variants[first]], matrix)
     while len(centers) < k:
         # variants are canonically sorted, so the first maximum is also the
         # canonical tie-break
-        far = 0
-        for i in range(1, n):
-            if min_dist[i] > min_dist[far]:
-                far = i
+        far = min_dist.index(max(min_dist))
         centers.append(far)
-        for i, d in enumerate(distances_to(far)):
-            if d < min_dist[i]:
-                min_dist[i] = d
+        [column] = distance_table(variants, [variants[far]], matrix)
+        min_dist = list(map(min, min_dist, column))
     members = tuple(variants[i] for i in centers)
     return ProxySet(members=members, provenance=f"kcenter(k={k}, seed={seed})")
 
@@ -286,12 +291,10 @@ def epsilon_max_error(log: EventLog, proxy: ProxySet) -> EpsilonResult:
     """A-priori maximal absolute error of ``proxy`` on ``log``: the
     multiplicity-weighted sum of nearest-member distances.  Zero exactly
     when the members cover every variant."""
-    per_variant = {}
-    total = 0
-    for trace in log.variant_traces:
-        d, _ = distance_to_set(trace, proxy.members)
-        per_variant[trace] = d
-        total += log.variants[trace] * d
+    variants = log.variant_traces
+    rows = zip(*distance_table(variants, proxy.members))
+    per_variant = {t: min(row) for t, row in zip(variants, rows)}
+    total = sum(log.variants[t] * d for t, d in per_variant.items())
     return EpsilonResult(value=total, per_variant=per_variant)
 
 
@@ -314,19 +317,17 @@ def brute_force_k_primal(log: EventLog, k: int, candidate_universe) -> ProxySet:
             f"candidate universe of {len(universe)} is too large for brute force (max 15)"
         )
     _check_k(k, len(universe))
+    variants = log.variant_traces
+    weights = [log.variants[t] for t in variants]
+    columns = distance_table(variants, universe)
     best = None
-    best_members = None
-    for combo in itertools.combinations(universe, k):
-        eps = 0
-        for trace in log.variant_traces:
-            d, _ = distance_to_set(trace, combo)
-            eps += log.variants[trace] * d
-        if best is None or eps < best:
-            best = eps
-            best_members = combo
-    return ProxySet(
-        members=best_members, provenance=f"brute-force-k-primal(k={k})"
-    )
+    for combo in itertools.combinations(range(len(universe)), k):
+        rows = zip(*(columns[j] for j in combo))
+        eps = sum(w * min(row) for w, row in zip(weights, rows))
+        if best is None or eps < best[0]:
+            best = (eps, combo)
+    members = tuple(universe[j] for j in best[1])
+    return ProxySet(members=members, provenance=f"brute-force-k-primal(k={k})")
 
 
 def generate_proxy(

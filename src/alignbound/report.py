@@ -9,6 +9,7 @@ fixed so identical runs produce identical bytes once timings are zeroed.
 import csv
 import io
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 from .bounds import (
@@ -41,15 +42,7 @@ CSV_HEADER = (
 
 def strip_timings(report: ApproxReport) -> ApproxReport:
     """Copy of the report with every timing zeroed, for reproducible bytes."""
-    return ApproxReport(
-        per_variant=report.per_variant,
-        epsilon_max=report.epsilon_max,
-        total_estimate=report.total_estimate,
-        total_traces=report.total_traces,
-        aligner_invocations=report.aligner_invocations,
-        timings_us={key: 0 for key in TIMING_KEYS},
-        proxy=report.proxy,
-    )
+    return replace(report, timings_us={key: 0 for key in TIMING_KEYS})
 
 
 def _variant_dict(result: BoundsResult, mult: int) -> dict:

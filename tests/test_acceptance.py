@@ -353,10 +353,11 @@ def test_criterion_8_invocation_count_and_speedup(monkeypatch):
 def test_criterion_8_distance_work_count(monkeypatch):
     # the work-count twin of the wall-clock speedup above: the distances
     # evaluated by reference alignment plus bracketing (what pi_without
-    # times) against those of exact alignment, which repeat exactly
+    # times) against those of exact alignment, which repeat exactly; the
+    # bracket's variant x member table is built in the proxy module
     with criterion(8, "approximate evaluates fewer distances than exact"):
         import alignbound.aligner as aligner_module
-        import alignbound.bounds as bounds_module
+        import alignbound.proxy as proxy_module
         from alignbound.distance import edit_distance
 
         calls = {"n": 0}
@@ -365,7 +366,7 @@ def test_criterion_8_distance_work_count(monkeypatch):
             calls["n"] += 1
             return edit_distance(*args, **kwargs)
 
-        for module in (aligner_module, bounds_module):
+        for module in (aligner_module, proxy_module):
             monkeypatch.setattr(module, "edit_distance", counting_distance)
         model, log = generate_synthetic(CRITERION_8_SPEC)
         exact_costs(log, model)
@@ -373,12 +374,13 @@ def test_criterion_8_distance_work_count(monkeypatch):
         assert exact_calls > 0
         for seed in range(10):
             calls["n"] = 0
-            approximate_log(
+            report = approximate_log(
                 log,
                 model,
                 params=StrategyParams(strategy="random", size_percent=5, seed=seed),
             )
-            assert 0 < calls["n"] < exact_calls
+            # every variant x member distance of the bracket is counted
+            assert len(log.variants) * len(report.proxy) <= calls["n"] < exact_calls
 
 
 def test_criterion_9_lower_bound_source_statistics(tmp_path, capsys):

@@ -13,10 +13,13 @@ from alignbound.bounds import (
     approximate_log,
     compute_ref_costs,
 )
+from alignbound.distance import distance_matrix
 from alignbound.errors import BoundsError
+from alignbound.harness import SyntheticSpec, generate_synthetic
 from alignbound.log import EventLog
 from alignbound.model import ExplicitLanguageModel, PetriNetModel, Transition
-from alignbound.proxy import ProxySet, StrategyParams
+from alignbound.proxy import STRATEGIES, ProxySet, StrategyParams
+from alignbound.report import strip_timings, write_report
 
 from conftest import random_trace
 
@@ -62,6 +65,25 @@ def test_two_references_pin_the_value():
     assert result.lower == 5
     assert result.estimate == Fraction(5)
     assert result.lower_source == LOWER_PROXY
+
+
+def test_nearest_proxy_tie_break_is_canonical():
+    # tied members given out of canonical order: the shorter one is the
+    # nearest, then at equal length the lexicographically smaller one, on
+    # the single-trace path and on the whole-log table alike
+    trace = ("a", "b")
+    model = ExplicitLanguageModel([trace])
+    log = EventLog({trace: 1})
+    for members, nearest, d in (
+        ([("a", "b", "c"), ("a",)], ("a",), 1),
+        ([("a", "x"), ("a", "c")], ("a", "c"), 2),
+        ([("a", "c"), ("a", "x")], ("a", "c"), 2),
+    ):
+        proxy = _ref(members, {m: 0 for m in members})
+        result = approximate_cost(trace, proxy, model)
+        assert (result.proxy_distance, result.nearest_proxy) == (d, nearest)
+        [(row, _)] = approximate_log(log, model, proxy=proxy).per_variant
+        assert (row.proxy_distance, row.nearest_proxy) == (d, nearest)
 
 
 def test_missing_reference_cost_errors():
@@ -292,3 +314,33 @@ def test_approximate_log_argument_validation(loop_language):
             params=StrategyParams("random", Fraction(50), 0),
             proxy=ProxySet(members=(("a",),)),
         )
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_approximate_log_same_bytes_with_and_without_a_matrix(strategy):
+    spec = SyntheticSpec(
+        alphabet_size=5,
+        model_trace_count=4,
+        model_trace_length=(3, 7),
+        log_variant_count=30,
+        noise_ops=(0, 3),
+        seed=13,
+    )
+    model, log = generate_synthetic(spec)
+    matrix = distance_matrix(log.variant_traces)
+    params = StrategyParams(strategy=strategy, size_percent=Fraction(20), seed=3)
+    reports = [
+        approximate_log(log, model, params=params, matrix=m) for m in (None, matrix)
+    ]
+    blobs = [write_report(strip_timings(r)) for r in reports]
+    assert blobs[0] == blobs[1]
+    # the table rows give what the single-trace bracket computes itself
+    for result, _ in reports[1].per_variant:
+        assert approximate_cost(result.trace, reports[1].proxy, model) == result
+    # members outside the matrix labels are scanned, not looked up
+    proxy = ProxySet(members=(("z",), *reports[0].proxy.members))
+    blobs = [
+        write_report(strip_timings(approximate_log(log, model, proxy=proxy, matrix=m)))
+        for m in (None, matrix)
+    ]
+    assert blobs[0] == blobs[1]

@@ -295,6 +295,24 @@ def test_unreadable_log_fails(workspace, capsys):
     assert "error[" in err
 
 
+@pytest.mark.parametrize(
+    "kind, code",
+    [("log", "parse"), ("model", "model"), ("marking", "model"), ("proxy", "proxy")],
+)
+def test_unreadable_input_is_an_error_of_its_kind(workspace, capsys, kind, code):
+    missing = str(workspace["dir"] / "no" / "such.file")
+    inputs = {"log": workspace["log"], "model": workspace["pnml"]}
+    inputs.update({"marking": workspace["marking"], "proxy": workspace["lang"]})
+    inputs[kind] = missing
+    argv = ["approximate", "--log", inputs["log"], "--model", inputs["model"]]
+    argv += ["--final-marking", inputs["marking"], "--proxy-in", inputs["proxy"]]
+    rc, out, err = run(argv, capsys)
+    assert rc == 1
+    assert out == ""
+    assert f"error[{code}]: cannot read " in err
+    assert missing in err
+
+
 @pytest.mark.parametrize("kind", ["log", "model"])
 def test_unknown_xml_encoding_fails_cleanly(workspace, capsys, kind):
     # a declared encoding Python has no codec for is a parse or model error,
@@ -627,3 +645,29 @@ def test_bad_spec_is_an_experiment_error(tmp_path, capsys, command, data, messag
     assert rc == 1
     assert out == ""
     assert f"error[experiment]: {message}" in err
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, code",
+    [
+        ("approximate", "--upper-weight", "1/0", "bounds"),
+        ("approximate", "--size-percent", "1/0", "proxy"),
+        ("proxy-gen", "--size-percent", "1/0", "proxy"),
+        ("evaluate", "--sizes", "5,1/0", "experiment"),
+    ],
+)
+def test_zero_denominator_is_a_stable_error(workspace, capsys, command, flag, value, code):
+    tmp_path = workspace["dir"]
+    if command == "evaluate":
+        argv = ["evaluate", "--spec", spec_file(tmp_path)]
+    else:
+        argv = [command, "--log", workspace["log"]]
+        if command == "approximate":
+            argv += ["--model", workspace["lang"]]
+        else:
+            argv += ["--out", str(tmp_path / "proxy.lang")]
+    rc, out, err = run(argv + [flag, value], capsys)
+    assert rc == 1
+    assert out == ""
+    assert f"error[{code}]: {flag} must be a number or a fraction, got '1/0'" in err
+    assert "Traceback" not in err

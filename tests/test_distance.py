@@ -6,12 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alignbound import distance
-from alignbound.distance import (
-    MatchMasks,
-    distance_matrix,
-    distance_to_set,
-    edit_distance,
-)
+from alignbound.distance import MatchMasks, distance_matrix, edit_distance
 
 from conftest import distance_matrix_rows, naive_edit_distance, random_trace
 
@@ -66,25 +61,6 @@ def test_cutoff_early_exit():
     # cutoff above the true distance must not disturb the result
     assert edit_distance(a, b, cutoff=21) == 20
     assert edit_distance(("a", "b"), ("a", "x", "b"), cutoff=1) == 1
-
-
-def test_distance_to_set_tie_break():
-    # both candidates at distance 1; the shorter one wins
-    d, nearest = distance_to_set(("a", "b"), [("a", "b", "c"), ("a",)])
-    assert d == 1
-    assert nearest == ("a",)
-    # equal length: lexicographic
-    d, nearest = distance_to_set(("a", "b"), [("a", "x"), ("a", "c")])
-    assert d == 2
-    assert nearest == ("a", "c")
-    # result independent of iteration order
-    d2, nearest2 = distance_to_set(("a", "b"), [("a", "c"), ("a", "x")])
-    assert (d2, nearest2) == (d, nearest)
-
-
-def test_distance_to_set_empty_errors():
-    with pytest.raises(ValueError):
-        distance_to_set(("a",), [])
 
 
 def test_distance_matrix_triangle_on_all_ordered_triples():

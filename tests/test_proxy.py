@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alignbound.distance import distance_matrix, edit_distance
 from alignbound.errors import ProxyError
@@ -17,6 +19,7 @@ from alignbound.proxy import (
     brute_force_k_primal,
     cluster_kcenter,
     cluster_kmedoids,
+    distance_table,
     dominates,
     epsilon_max_error,
     generate_proxy,
@@ -52,6 +55,33 @@ def test_proxy_set_normalizes_members():
 def test_proxy_set_rejects_empty():
     with pytest.raises(ProxyError):
         ProxySet(members=())
+
+
+small_traces = st.lists(st.sampled_from("abc"), max_size=6).map(tuple)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(small_traces, min_size=1, max_size=8, unique=True),
+    st.lists(small_traces, min_size=1, max_size=5),
+    st.randoms(use_true_random=False),
+)
+def test_distance_table_matrix_columns_equal_scanned_columns(variants, extra, rng):
+    variants = tuple(variants)
+    # members: some variants (matrix columns) and some traces that may lie
+    # outside the labels (scanned), in any order
+    members = rng.sample(variants, rng.randint(0, len(variants))) + extra
+    rng.shuffle(members)
+    matrix = distance_matrix(variants)
+    scanned = distance_table(variants, members)
+    assert distance_table(variants, members, matrix) == scanned
+    assert scanned == [[edit_distance(t, m) for t in variants] for m in members]
+
+
+def test_distance_table_rejects_a_matrix_over_other_variants():
+    matrix = distance_matrix([("a",), ("b",)])
+    with pytest.raises(ValueError, match="labels"):
+        distance_table((("b",), ("a",)), [("a",)], matrix)
 
 
 def test_strategy_params_k_rounding():
