@@ -85,7 +85,8 @@ def approximate_cost(
     if estimator not in ESTIMATORS:
         raise BoundsError(f"unknown estimator {estimator!r}; expected {ESTIMATORS}")
     weight = Fraction(upper_weight)
-    if not 0 <= weight <= 1:
+    p, q = weight.numerator, weight.denominator
+    if not 0 <= p <= q:
         raise BoundsError(f"upper weight must be within [0, 1], got {weight}")
 
     if distances is None:
@@ -109,7 +110,8 @@ def approximate_cost(
         source = LOWER_PROXY
 
     if estimator == ESTIMATOR_MIDPOINT:
-        estimate = (1 - weight) * lower + weight * upper
+        # (1 - p/q) * lower + p/q * upper over one denominator
+        estimate = Fraction((q - p) * lower + p * upper, q)
     else:
         for member, cost in zip(proxy.members, costs):
             if cost != 0:
@@ -124,7 +126,7 @@ def approximate_cost(
         trace=trace,
         lower=lower,
         upper=upper,
-        estimate=Fraction(estimate),
+        estimate=estimate,
         nearest_proxy=nearest,
         proxy_distance=proxy_distance,
         lower_source=source,
@@ -210,7 +212,11 @@ def approximate_log(
 
     rows = []
     epsilon = 0
-    total_estimate = Fraction(0)
+    # every estimate is a multiple of 1/(2q) for an upper weight p/q (the
+    # half-distance estimator gives halves), so the total sums integer
+    # numerators over that one denominator
+    scale = 2 * Fraction(upper_weight).denominator
+    numerator = 0
     columns = distance_table(variants, proxy.members, matrix)
     for trace, distances in zip(variants, zip(*columns)):
         result = approximate_cost(
@@ -224,13 +230,14 @@ def approximate_log(
         mult = log.variants[trace]
         rows.append((result, mult))
         epsilon += mult * result.proxy_distance
-        total_estimate += mult * result.estimate
+        estimate = result.estimate
+        numerator += mult * estimate.numerator * (scale // estimate.denominator)
     t_bounded = _now_us()
 
     return ApproxReport(
         per_variant=rows,
         epsilon_max=epsilon,
-        total_estimate=total_estimate,
+        total_estimate=Fraction(numerator, scale),
         total_traces=log.total_traces,
         aligner_invocations=invocations,
         timings_us={

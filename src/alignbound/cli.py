@@ -107,7 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--seed",
             type=int,
             default=None,
-            help=f"sampling seed (default 0, env {SEED_ENV})",
+            help=f"seed of the random strategy, the only one that reads it "
+            f"(default 0, env {SEED_ENV})",
         )
 
     p_exact = sub.add_parser("exact", help="exact alignment cost per variant")
@@ -333,12 +334,15 @@ def _cmd_proxy_gen(args) -> int:
         size_percent=_fraction(args.size_percent, ProxyError, "--size-percent"),
         seed=args.seed,
     )
+    # kmedoids clusters on the matrix, so it is built once and epsilon
+    # reads the members' columns from it
     matrix = None
-    if args.dump_distance_matrix:
+    if args.dump_distance_matrix or params.strategy == "kmedoids":
         matrix = distance_matrix(log.variant_traces)
+    if args.dump_distance_matrix:
         Path(args.dump_distance_matrix).write_text(matrix.to_csv(), encoding="utf-8")
     proxy = generate_proxy(log, params, matrix=matrix)
-    eps = epsilon_max_error(log, proxy)
+    eps = epsilon_max_error(log, proxy, matrix=matrix)
     Path(args.out).write_text(
         serialize_explicit_language(proxy.members), encoding="utf-8"
     )

@@ -104,7 +104,11 @@ def edit_distance(a, b, cutoff: int | None = None) -> int:
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """Symmetric pairwise distance matrix over a fixed variant order."""
+    """Symmetric pairwise distance matrix over a fixed variant order.
+
+    ``cells`` is int32, half the memory of int64 (1.7 MB at 650 variants);
+    a distance is at most the sum of two trace lengths.
+    """
 
     labels: tuple[Trace, ...]
     cells: "np.ndarray"
@@ -143,7 +147,7 @@ def distance_matrix(variants) -> DistanceMatrix:
     bits = np.clip(lengths - WORD_BITS * np.arange(words)[:, None], 0, WORD_BITS)
     full = (np.left_shift(1, bits) - 1)[:, :, None]
 
-    cells = np.zeros((n, n), dtype=np.int64)
+    cells = np.zeros((n, n), dtype=np.int32)
     block = max(1, MATRIX_BLOCK_CELLS // (words * max(n, 1)))
     for r0 in range(0, n, block):
         r1 = min(n, r0 + block)

@@ -142,23 +142,25 @@ def distance_table(
     return columns
 
 
-def _pam_objective(cells, weights, medoids) -> int:
-    return int((cells[:, sorted(medoids)].min(axis=1) * weights).sum())
-
-
 def _pam_build(cells, weights, k):
     import numpy as np
 
     # greedy init: start from the weighted 1-medoid, then add whichever
-    # candidate removes the most weighted distance
-    totals = (cells * weights[:, None]).sum(axis=0)
-    chosen = [int(np.argmin(totals))]
-    nearest = cells[:, chosen[0]].copy()
+    # candidate removes the most weighted distance.  Candidate j's gain is
+    # sum_i w_i * max(nearest_i - cells[i, j], 0): one n x n int64 buffer
+    # holds the clipped differences and one product sums them.  The product
+    # takes int64 operands, as a mixed one would copy the whole int32
+    # matrix to int64 first.
+    n = len(weights)
+    buf = np.empty((n, n), dtype=np.int64)
+    np.copyto(buf, cells)
+    chosen = [int(np.argmin(weights @ buf))]
+    nearest = cells[:, chosen[0]].astype(np.int64)
     while len(chosen) < k:
-        gains = (np.clip(nearest[:, None] - cells, 0, None) * weights[:, None]).sum(
-            axis=0
-        )
-        gains[np.array(chosen)] = -1
+        np.subtract(nearest[:, None], cells, out=buf)
+        np.maximum(buf, 0, out=buf)
+        gains = weights @ buf
+        gains[chosen] = -1
         nxt = int(np.argmax(gains))
         chosen.append(nxt)
         np.minimum(nearest, cells[:, nxt], out=nearest)
@@ -227,9 +229,9 @@ def cluster_kmedoids(
 ) -> ProxySet:
     """Frequency-weighted K-Medoids over the variants.
 
-    Greedy build plus swap-until-converged, repeated from two extra seeded
-    random starts to dodge the occasional bad local optimum; the best
-    objective wins, with the canonical member tuple as tie-break.
+    Greedy BUILD, then swap until no swap lowers the objective.  Both
+    phases are deterministic, so ``seed`` only keeps the signature uniform
+    across strategies.
     """
     variants = log.variant_traces
     _check_k(k, len(variants))
@@ -239,17 +241,8 @@ def cluster_kmedoids(
 
     cells = variant_matrix(variants, matrix).cells
     weights = np.array([log.variants[t] for t in variants], dtype=np.int64)
-    rng = random.Random(seed)
-    starts = [_pam_build(cells, weights, k)]
-    for _ in range(2):
-        starts.append(sorted(rng.sample(range(len(variants)), k)))
-    best = None
-    for start in starts:
-        medoids = _pam_swap(cells, weights, start)
-        key = (_pam_objective(cells, weights, medoids), tuple(medoids))
-        if best is None or key < best:
-            best = key
-    members = tuple(variants[i] for i in best[1])
+    medoids = _pam_swap(cells, weights, _pam_build(cells, weights, k))
+    members = tuple(variants[i] for i in medoids)
     return ProxySet(members=members, provenance=f"kmedoids(k={k}, seed={seed})")
 
 
@@ -287,12 +280,15 @@ class EpsilonResult:
     per_variant: dict[Trace, int]
 
 
-def epsilon_max_error(log: EventLog, proxy: ProxySet) -> EpsilonResult:
+def epsilon_max_error(
+    log: EventLog, proxy: ProxySet, matrix: DistanceMatrix | None = None
+) -> EpsilonResult:
     """A-priori maximal absolute error of ``proxy`` on ``log``: the
     multiplicity-weighted sum of nearest-member distances.  Zero exactly
-    when the members cover every variant."""
+    when the members cover every variant.  ``matrix`` is handed to
+    :func:`distance_table`."""
     variants = log.variant_traces
-    rows = zip(*distance_table(variants, proxy.members))
+    rows = zip(*distance_table(variants, proxy.members, matrix))
     per_variant = {t: min(row) for t, row in zip(variants, rows)}
     total = sum(log.variants[t] * d for t, d in per_variant.items())
     return EpsilonResult(value=total, per_variant=per_variant)

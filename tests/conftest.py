@@ -117,6 +117,24 @@ def distance_matrix_rows(variants):
     return cells
 
 
+def pam_build_loop(cells, weights, k):
+    """PAM BUILD with fresh clip and sum temporaries at every step: start
+    from the weighted 1-medoid, then add the candidate that removes the
+    most weighted distance, the first one on ties."""
+    totals = (cells * weights[:, None]).sum(axis=0)
+    chosen = [int(np.argmin(totals))]
+    nearest = cells[:, chosen[0]].copy()
+    while len(chosen) < k:
+        gains = (np.clip(nearest[:, None] - cells, 0, None) * weights[:, None]).sum(
+            axis=0
+        )
+        gains[np.array(chosen)] = -1
+        nxt = int(np.argmax(gains))
+        chosen.append(nxt)
+        np.minimum(nearest, cells[:, nxt], out=nearest)
+    return sorted(chosen)
+
+
 def pam_swap_loop(cells, weights, medoids):
     """PAM swap phase evaluating each of the k x (n-k) swaps on its own:
     take the most negative objective change, the first medoid and then

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alignbound.aligner import optimal_alignment
 from alignbound.bounds import (
@@ -243,6 +245,48 @@ def test_weighted_estimator_moves_inside_bracket():
     assert mid.estimate == Fraction(low.lower + high.upper, 2)
     with pytest.raises(BoundsError):
         approximate_cost(trace, proxy, model, upper_weight=Fraction(3, 2))
+
+
+short_traces = st.lists(st.sampled_from("abcd"), max_size=6).map(tuple)
+UPPER_WEIGHTS = tuple(map(Fraction, ("0", "1/3", "1/2", "2/7", "1")))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    model_traces=st.lists(short_traces.filter(bool), min_size=1, max_size=4),
+    variants=st.dictionaries(short_traces, st.integers(1, 5), min_size=1, max_size=8),
+    members=st.lists(short_traces, min_size=1, max_size=3),
+    weight=st.sampled_from(UPPER_WEIGHTS),
+)
+def test_estimates_and_total_are_exact(model_traces, variants, members, weight):
+    model = ExplicitLanguageModel(model_traces)
+    log = EventLog(variants)
+    report = approximate_log(
+        log, model, proxy=ProxySet(members=tuple(members)), upper_weight=weight
+    )
+    for result, _ in report.per_variant:
+        assert isinstance(result.estimate, Fraction)
+        assert result.estimate == (1 - weight) * result.lower + weight * result.upper
+    assert report.total_estimate == sum(
+        mult * r.estimate for r, mult in report.per_variant
+    )
+    # half-distance estimates are halves whatever the weight; members taken
+    # from the model cost zero, as that estimator requires
+    fitting = ProxySet(members=tuple(model_traces))
+    report = approximate_log(
+        log,
+        model,
+        proxy=fitting,
+        estimator=ESTIMATOR_HALF_DISTANCE,
+        upper_weight=weight,
+    )
+    for result, _ in report.per_variant:
+        assert result.estimate == min(
+            max(Fraction(result.proxy_distance, 2), result.lower), result.upper
+        )
+    assert report.total_estimate == sum(
+        mult * r.estimate for r, mult in report.per_variant
+    )
 
 
 def test_bigger_proxy_never_loosens_the_bracket():

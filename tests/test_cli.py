@@ -9,10 +9,13 @@ from pathlib import Path
 import pytest
 
 import alignbound
+import alignbound.proxy
 from alignbound.cli import main
 from alignbound.fixtures import copy_fixture_files
+from alignbound.harness import SyntheticSpec, generate_synthetic
 from alignbound.log import parse_csv, parse_xes, write_log_xes
 from alignbound.model import parse_explicit_language
+from alignbound.proxy import ProxySet, epsilon_max_error
 from alignbound.report import read_report_json
 
 LOG_CSV = """case,activity,order
@@ -443,6 +446,41 @@ def test_only_distance_matrix_commands_load_numpy(workspace):
     assert loaded_modules(lean) == [[0, False, False]] * len(lean)
     kmedoids = ["approximate", *log, *lang, "--strategy", "kmedoids", *size]
     assert loaded_modules([kmedoids]) == [[0, True, False]]
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["--strategy", "kmedoids"], ["--strategy", "kcenter", "--dump-distance-matrix"]],
+)
+def test_proxy_gen_reads_epsilon_from_the_matrix(workspace, capsys, monkeypatch, extra):
+    spec = SyntheticSpec(
+        alphabet_size=6,
+        model_trace_count=6,
+        model_trace_length=(3, 8),
+        log_variant_count=40,
+        noise_ops=(0, 3),
+        seed=17,
+    )
+    _, log = generate_synthetic(spec)
+    log_path = workspace["dir"] / "synth.xes"
+    log_path.write_bytes(write_log_xes(log))
+    out_path = workspace["dir"] / "proxy.lang"
+    if extra[-1] == "--dump-distance-matrix":
+        extra = [*extra, str(workspace["dir"] / "matrix.csv")]
+    calls = []
+    scalar = alignbound.proxy.edit_distance
+    monkeypatch.setattr(
+        alignbound.proxy, "edit_distance", lambda *a: calls.append(a) or scalar(*a)
+    )
+    argv = ["proxy-gen", "--log", str(log_path), *extra, "--size-percent", "20"]
+    rc, _, err = run([*argv, "--out", str(out_path)], capsys)
+    assert rc == 0
+    # kmedoids and a dumped matrix build the matrix once; epsilon reads
+    # the members' columns from it instead of scanning each member
+    assert calls == []
+    members = parse_explicit_language(out_path.read_bytes()).traces
+    eps = epsilon_max_error(log, ProxySet(members=members))
+    assert f"a-priori max error {eps.value}" in err
 
 
 def test_dead_transition_warning(workspace, capsys):

@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alignbound import distance
-from alignbound.distance import MatchMasks, distance_matrix, edit_distance
+from alignbound.distance import (
+    DistanceMatrix,
+    MatchMasks,
+    distance_matrix,
+    edit_distance,
+)
 
 from conftest import distance_matrix_rows, naive_edit_distance, random_trace
 
@@ -145,13 +150,17 @@ matrix_traces = st.one_of(
 
 
 def check_matrix(variants):
-    cells = distance_matrix(variants).cells
+    matrix = distance_matrix(variants)
+    cells = matrix.cells
     n = len(variants)
-    assert cells.dtype == np.int64
+    assert cells.dtype == np.int32
     assert cells.shape == (n, n)
     assert (cells == cells.T).all()
     assert not cells.diagonal().any()
-    assert (cells == distance_matrix_rows(variants)).all()
+    oracle = distance_matrix_rows(variants)
+    assert (cells == oracle).all()
+    # int32 cells dump the same text as the int64 oracle's
+    assert matrix.to_csv() == DistanceMatrix(matrix.labels, oracle).to_csv()
     for i, a in enumerate(variants):
         for j, b in enumerate(variants):
             assert cells[i, j] == edit_distance(a, b)
@@ -173,7 +182,7 @@ def test_distance_matrix_across_word_boundaries():
 @pytest.mark.parametrize("variants", [[], [()], [("a", "b")]], ids=["none", "empty", "one"])
 def test_distance_matrix_of_fewer_than_two_variants(variants):
     cells = distance_matrix(variants).cells
-    assert cells.dtype == np.int64
+    assert cells.dtype == np.int32
     assert cells.shape == (len(variants), len(variants))
     assert not cells.any()
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alignbound import proxy as proxy_module
 from alignbound.distance import distance_matrix, edit_distance
 from alignbound.errors import ProxyError
 from alignbound.log import EventLog
@@ -31,6 +32,7 @@ from conftest import (
     brute_force_epsilon,
     kcenter_optimal_radius,
     kmedoids_optimal_objective,
+    pam_build_loop,
     pam_swap_loop,
     random_trace,
 )
@@ -239,6 +241,53 @@ def test_pam_swap_tie_break_matches_loop():
             start = sorted(rng.choice(n, k, replace=False).tolist())
             expected = pam_swap_loop(cells, weights, list(start))
             assert _pam_swap(cells, weights, list(start)) == expected
+
+
+def test_pam_build_matches_clip_and_sum_loop():
+    # small symmetric int32 matrices with entries 0..3 tie many gains; the
+    # first maximum must win, as in the loop
+    rng = np.random.default_rng(127)
+    for trial in range(300):
+        n = int(rng.integers(2, 14))
+        upper = np.triu(rng.integers(0, 4, size=(n, n)), 1)
+        cells = (upper + upper.T).astype(np.int32)
+        weights = np.ones(n, dtype=np.int64) if trial % 2 else rng.integers(1, 4, size=n)
+        for k in (1, n - 1, int(rng.integers(1, n + 1))):
+            assert _pam_build(cells, weights, k) == pam_build_loop(cells, weights, k)
+    # and real distance matrices
+    rng = random.Random(131)
+    for _ in range(20):
+        log = _random_log(rng, rng.randint(2, 30), hi=8)
+        variants = log.variant_traces
+        cells = distance_matrix(variants).cells
+        weights = np.array([log.variants[t] for t in variants], dtype=np.int64)
+        for k in {1, len(variants) - 1, rng.randint(1, len(variants))} - {0}:
+            assert _pam_build(cells, weights, k) == pam_build_loop(cells, weights, k)
+
+
+def test_kmedoids_runs_one_build_and_one_swap(monkeypatch):
+    calls = Counter()
+
+    def counting(name):
+        original = getattr(proxy_module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    for name in ("_pam_build", "_pam_swap"):
+        monkeypatch.setattr(proxy_module, name, counting(name))
+    log = _random_log(random.Random(137), 30, hi=8)
+    matrix = distance_matrix(log.variant_traces)
+    found = set()
+    for seed in range(10):
+        calls.clear()
+        found.add(cluster_kmedoids(log, 4, seed, matrix=matrix).members)
+        assert calls == {"_pam_build": 1, "_pam_swap": 1}
+    # no step reads the seed
+    assert len(found) == 1
 
 
 def test_kmedoids_weights_matter():
