@@ -104,41 +104,42 @@ def _align_explicit(trace, model):
         d = edit_distance(masks, cand, cutoff=best_d)
         if best_d is None or d < best_d:
             best_d, best_t = d, cand
-    moves = _edit_moves(trace, best_t)
+    moves = _edit_moves(masks, best_t)
     return Alignment(moves=tuple(moves)), best_d, len(model.traces)
 
 
-def _edit_moves(log_trace, model_trace):
-    """Turn one longest-common-subsequence path into a move sequence."""
-    la, lb = len(log_trace), len(model_trace)
-    lcs = [[0] * (lb + 1) for _ in range(la + 1)]
-    for i in range(1, la + 1):
-        row = lcs[i]
-        prev = lcs[i - 1]
-        ai = log_trace[i - 1]
-        for j in range(1, lb + 1):
-            if ai == model_trace[j - 1]:
-                row[j] = prev[j - 1] + 1
-            else:
-                row[j] = max(prev[j], row[j - 1])
+def _edit_moves(masks, model_trace):
+    """Turn one longest-common-subsequence path into a move sequence.
+
+    ``masks`` holds the log trace a.  Scanning the model trace b against it
+    keeps the state v_j after each prefix b[:j] (see :mod:`.distance`), and
+
+        L(i, j) = lcs(a[:i], b[:j]) = i - popcount(v_j & (2**i - 1)),
+
+    so the walk back reads every L it needs from the states, with no
+    (|a| + 1) x (|b| + 1) table.  At each step it takes a sync move if the
+    labels match (matching labels always give L(i, j) = L(i - 1, j - 1) + 1),
+    else a model move if L(i, j) = L(i, j - 1), else a log move.
+    """
+    log_trace = masks.trace
+    states = [masks.full]
+    masks.scan(model_trace, states)
+    i, j = len(log_trace), len(model_trace)
+    here = i - states[j].bit_count()
     moves = []
-    i, j = la, lb
     while i > 0 or j > 0:
-        if (
-            i > 0
-            and j > 0
-            and log_trace[i - 1] == model_trace[j - 1]
-            and lcs[i][j] == lcs[i - 1][j - 1] + 1
-        ):
+        if i > 0 and j > 0 and log_trace[i - 1] == model_trace[j - 1]:
             moves.append(Move(MoveKind.SYNC, log_trace[i - 1]))
             i -= 1
             j -= 1
-        elif j > 0 and lcs[i][j] == lcs[i][j - 1]:
+            here -= 1
+        elif j > 0 and here == i - (states[j - 1] & ((1 << i) - 1)).bit_count():
             moves.append(Move(MoveKind.MODEL, model_trace[j - 1]))
             j -= 1
         else:
             moves.append(Move(MoveKind.LOG, log_trace[i - 1]))
             i -= 1
+            here = i - (states[j] & ((1 << i) - 1)).bit_count()
     moves.reverse()
     return moves
 

@@ -14,10 +14,28 @@ where it occurs.  Scanning the other trace with
     u = v & mask[c];  v = ((v + u) | (v - u)) & full
 
 starting from ``v = full`` (one set bit per event of ``a``) leaves exactly
-lcs(a, b) zero bits in ``v``.  Python ints are unbounded, so in this scalar
-form traces of any length fit and no word size is involved.  A caller whose trace meets many
-others (a matrix row, the trace being aligned or bracketed) builds its
-masks once and passes them to :func:`edit_distance` in place of the trace.
+lcs(a, b) zero bits in ``v``.  More precisely, after the first j events of
+``b`` the state v_j has lcs(a[:i], b[:j]) zero bits among its lowest i, for
+every i; the explicit aligner traces its moves back on these states.
+Python ints are unbounded, so in this scalar form traces of any length fit
+and no word size is involved.  A caller whose trace meets many others (a
+matrix row, the trace being aligned or bracketed) builds its masks once and
+passes them to :func:`edit_distance` in place of the trace.
+
+:class:`MatchMasks` also packs several traces into one int, one lane each,
+so that one scan of ``b`` gives the distance from every packed trace to
+``b`` (a column of the variant x member table).  A lane is the longest
+trace's length plus at least one guard bit, rounded up to whole bytes;
+trace ``a`` fills the low len(a) bits of its lane, and ``full`` and the
+masks leave every bit above them zero.  No lane disturbs another:
+
+- ``u = v & m`` is a subset of ``v``, so ``v - u`` never borrows.
+- Within a lane, ``v + u`` is below 2 ** (len(a) + 1), so a carry out of
+  the trace's top bit lands in that lane's guard bits, and ``& full``
+  clears it before the next event.
+
+Byte-aligned lanes let ``v.to_bytes(..., "little")`` and a 256-entry table
+popcount the lanes without shifting.
 
 With ``cutoff`` set, :func:`edit_distance` returns ``min(distance,
 cutoff)``; it may skip the scan when the length difference alone reaches
@@ -36,13 +54,15 @@ A padding event (code 0) matches only positions past the end of the row's
 trace, where ``v`` has no bit set, so ``u = 0`` and ``v`` stays unchanged.
 Rows go in blocks of at most :data:`MATRIX_BLOCK_CELLS` state words (one
 row if a row alone has more), so the temporaries stay small at any number
-of variants.  The scalar kernel still serves the one-against-many queries.
+of variants.  The scalar and packed scans still serve the one-against-many
+queries.
 
 numpy is imported inside :func:`distance_matrix`, its only user here, so a
 command that builds no matrix never loads it.
 """
 
 from dataclasses import dataclass
+from operator import add
 from typing import TYPE_CHECKING
 
 from .log import Trace
@@ -59,24 +79,42 @@ WORD_BITS = 62
 MATRIX_BLOCK_CELLS = 1 << 16
 
 
+# set bits of each byte value, to popcount packed lanes a byte at a time
+_BYTE_BITS = bytes(bin(b).count("1") for b in range(256))
+
+
 class MatchMasks:
-    """One trace prepared for many distance queries: activity -> bitmask of
-    its positions in the trace."""
+    """Traces prepared for many distance queries, one lane each: activity ->
+    bitmask of its positions in every lane.  ``MatchMasks(trace)`` is one
+    lane starting at bit 0."""
 
-    __slots__ = ("trace", "full", "masks")
+    __slots__ = ("traces", "lane_bytes", "full", "masks")
 
-    def __init__(self, trace):
-        self.trace = tuple(trace)
-        self.full = (1 << len(self.trace)) - 1
+    def __init__(self, *traces):
+        self.traces = tuple(tuple(t) for t in traces)
+        # at least one guard bit above the longest trace, in whole bytes
+        self.lane_bytes = max(map(len, self.traces), default=0) // 8 + 1
+        lane_bits = 8 * self.lane_bytes
+        full = 0
         masks = {}
-        bit = 1
-        for activity in self.trace:
-            masks[activity] = masks.get(activity, 0) | bit
-            bit <<= 1
+        for lane, trace in enumerate(self.traces):
+            bit = 1 << (lane * lane_bits)
+            full |= (bit << len(trace)) - bit
+            for activity in trace:
+                masks[activity] = masks.get(activity, 0) | bit
+                bit <<= 1
+        self.full = full
         self.masks = masks
 
-    def lcs(self, other) -> int:
-        """Length of a longest common subsequence with ``other``."""
+    @property
+    def trace(self):
+        """The trace of a one-lane instance."""
+        [trace] = self.traces
+        return trace
+
+    def scan(self, other, trail: list | None = None) -> int:
+        """The state after scanning ``other`` from ``full``; ``trail``, if
+        given, gets the state after each event of ``other``."""
         full = self.full
         mask = self.masks.get
         v = full
@@ -85,7 +123,24 @@ class MatchMasks:
             if m:
                 u = v & m
                 v = ((v + u) | (v - u)) & full
-        return len(self.trace) - v.bit_count()
+            if trail is not None:
+                trail.append(v)
+        return v
+
+    def distances(self, other) -> list[int]:
+        """The distance from every packed trace to ``other``, in lane order,
+        from one scan of ``other``."""
+        width = self.lane_bytes
+        v = self.scan(other)
+        counts = v.to_bytes(width * len(self.traces), "little").translate(_BYTE_BITS)
+        # lane sums of the byte counts: byte k of every lane is counts[k::width]
+        unmatched = counts[::width]
+        for k in range(1, width):
+            unmatched = map(add, unmatched, counts[k::width])
+        # a lane's unmatched events z give lcs = len(a) - z, so the
+        # distance len(a) + len(b) - 2 * lcs is len(b) - len(a) + 2 * z
+        lb = len(other)
+        return [lb - len(a) + 2 * z for a, z in zip(self.traces, unmatched)]
 
 
 def edit_distance(a, b, cutoff: int | None = None) -> int:
@@ -98,7 +153,7 @@ def edit_distance(a, b, cutoff: int | None = None) -> int:
     la, lb = len(masks.trace), len(b)
     if cutoff is not None and abs(la - lb) >= cutoff:
         return cutoff
-    d = la + lb - 2 * masks.lcs(b)
+    d = lb - la + 2 * masks.scan(b).bit_count()
     return d if cutoff is None or d < cutoff else cutoff
 
 

@@ -14,7 +14,7 @@ import math
 import random
 import string
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .bounds import (
@@ -32,7 +32,7 @@ from .distance import distance_matrix
 from .errors import ExperimentError
 from .log import EventLog
 from .model import ExplicitLanguageModel
-from .proxy import STRATEGIES, StrategyParams
+from .proxy import SEEDED_STRATEGIES, STRATEGIES, StrategyParams
 
 
 @dataclass(frozen=True)
@@ -254,9 +254,12 @@ def run_experiment(
     """Sweep the grid on one synthetic pair, in deterministic grid order.
 
     Cell seeds derive from the master seed as ``master * 1_000_003 + rep``.
-    The exact-alignment time is measured once per pair and shared by every
-    row, as is the variant distance matrix handed to the clustering
-    strategies.
+    Only a seeded strategy runs once per repetition; any other gives the
+    same proxy set at every seed, so it runs once per size and its row is
+    repeated under each cell seed (its timings, and so both pi columns,
+    repeat that one run).  The exact-alignment time is measured once per
+    pair and shared by every row, as is the variant distance matrix handed
+    to the clustering strategies.
     """
     model, log = generate_synthetic(spec)
     costs, t_exact = exact_costs(log, model)
@@ -265,44 +268,47 @@ def run_experiment(
     rows = []
     for strategy in strategies:
         for size in size_percents:
+            row = None
             for rep in range(repetitions):
                 cell_seed = spec.seed * 1_000_003 + rep
-                params = StrategyParams(
-                    strategy=strategy, size_percent=size, seed=cell_seed
-                )
-                report = approximate_log(
-                    log, model, params=params, estimator=estimator, matrix=matrix
-                )
-                t_with = max(
-                    1,
-                    report.timings_us[TIMING_PROXY_GENERATION]
-                    + report.timings_us[TIMING_REFERENCE_ALIGNMENT]
-                    + report.timings_us[TIMING_BOUND_COMPUTATION],
-                )
-                t_without = max(
-                    1,
-                    report.timings_us[TIMING_REFERENCE_ALIGNMENT]
-                    + report.timings_us[TIMING_BOUND_COMPUTATION],
-                )
-                pi_with, pi_without = performance_improvement(
-                    t_exact, t_with, t_without
-                )
-                pcts = lower_source_percentages(report)
-                rows.append(
-                    ExperimentRow(
-                        strategy=strategy,
-                        size_percent=params.size_percent,
-                        seed=cell_seed,
-                        epsilon_max=report.epsilon_max,
-                        realized_error=realized_error(report, costs),
-                        pi_with=pi_with,
-                        pi_without=pi_without,
-                        pct_structural=pcts[LOWER_STRUCTURAL],
-                        pct_proxy=pcts[LOWER_PROXY],
-                        pct_both=pcts[LOWER_BOTH],
+                if row is None or strategy in SEEDED_STRATEGIES:
+                    params = StrategyParams(
+                        strategy=strategy, size_percent=size, seed=cell_seed
                     )
-                )
+                    report = approximate_log(
+                        log, model, params=params, estimator=estimator, matrix=matrix
+                    )
+                    row = _experiment_row(report, params, costs, t_exact)
+                rows.append(replace(row, seed=cell_seed))
     return rows
+
+
+def _experiment_row(report, params, costs, t_exact) -> ExperimentRow:
+    t_with = max(
+        1,
+        report.timings_us[TIMING_PROXY_GENERATION]
+        + report.timings_us[TIMING_REFERENCE_ALIGNMENT]
+        + report.timings_us[TIMING_BOUND_COMPUTATION],
+    )
+    t_without = max(
+        1,
+        report.timings_us[TIMING_REFERENCE_ALIGNMENT]
+        + report.timings_us[TIMING_BOUND_COMPUTATION],
+    )
+    pi_with, pi_without = performance_improvement(t_exact, t_with, t_without)
+    pcts = lower_source_percentages(report)
+    return ExperimentRow(
+        strategy=params.strategy,
+        size_percent=params.size_percent,
+        seed=params.seed,
+        epsilon_max=report.epsilon_max,
+        realized_error=realized_error(report, costs),
+        pi_with=pi_with,
+        pi_without=pi_without,
+        pct_structural=pcts[LOWER_STRUCTURAL],
+        pct_proxy=pcts[LOWER_PROXY],
+        pct_both=pcts[LOWER_BOTH],
+    )
 
 
 def pearson_by_strategy(rows):

@@ -14,11 +14,14 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .distance import DistanceMatrix, MatchMasks, distance_matrix, edit_distance
+# edit_distance stays importable: perfbench/tracer.py wraps it here to count LCS calls
+from .distance import DistanceMatrix, MatchMasks, distance_matrix, edit_distance  # noqa: F401
 from .errors import ProxyError
 from .log import EventLog, Trace, make_trace, trace_sort_key
 
 STRATEGIES = ("random", "frequency", "kmedoids", "kcenter")
+# the strategies whose proxy set depends on ``StrategyParams.seed``
+SEEDED_STRATEGIES = ("random",)
 
 
 @dataclass
@@ -126,19 +129,24 @@ def distance_table(
     Every distance from a variant to a proxy member (bracket, epsilon,
     k-center step, brute force) is read from this table.  A member among
     the labels of ``matrix``, whose rows must be ``variants``, gets its
-    matrix column; any other member is scanned over the variants once.
+    matrix column; any other member is scanned once over the variants
+    packed into one :class:`MatchMasks`, one lane each.  ``variants`` may
+    be given as that pack, to reuse it across calls.
     """
+    pack = variants if isinstance(variants, MatchMasks) else None
+    labels = pack.traces if pack is not None else tuple(variants)
     index = {}
     if matrix is not None:
-        index = {t: j for j, t in enumerate(variant_matrix(variants, matrix).labels)}
+        index = {t: j for j, t in enumerate(variant_matrix(labels, matrix).labels)}
     columns = []
     for member in members:
         j = index.get(member)
-        if j is None:
-            masks = MatchMasks(member)
-            columns.append([edit_distance(masks, t) for t in variants])
-        else:
+        if j is not None:
             columns.append(matrix.cells[:, j].tolist())
+            continue
+        if pack is None:
+            pack = MatchMasks(*labels)
+        columns.append(pack.distances(member))
     return columns
 
 
@@ -262,13 +270,15 @@ def cluster_kcenter(
     _check_k(k, n)
     first = min(range(n), key=lambda i: _frequency_key(log)(variants[i]))
     centers = [first]
-    [min_dist] = distance_table(variants, [variants[first]], matrix)
+    # without a matrix every step scans its center over one pack
+    table = variants if matrix is not None else MatchMasks(*variants)
+    [min_dist] = distance_table(table, [variants[first]], matrix)
     while len(centers) < k:
         # variants are canonically sorted, so the first maximum is also the
         # canonical tie-break
         far = min_dist.index(max(min_dist))
         centers.append(far)
-        [column] = distance_table(variants, [variants[far]], matrix)
+        [column] = distance_table(table, [variants[far]], matrix)
         min_dist = list(map(min, min_dist, column))
     members = tuple(variants[i] for i in centers)
     return ProxySet(members=members, provenance=f"kcenter(k={k}, seed={seed})")

@@ -2,7 +2,8 @@
 
 The oracles deliberately avoid the production code paths: distances come
 from a plain recursion on the definition (delete from either side), the
-alignment oracle enumerates every edit script, the clustering optima
+alignment oracle enumerates every edit script, the explicit aligner's
+moves are traced back on a full LCS table, the clustering optima
 come from exhaustive subset scans, the distance matrix is built one row
 at a time with the scalar kernel, the PAM swap phase evaluates one
 swap at a time, and the net alignment search scans every transition with
@@ -68,6 +69,44 @@ def enumerate_alignment_cost(trace, model_traces) -> int:
         return min(options)
 
     return min(scripts(0, 0, tuple(t)) for t in model_traces)
+
+
+def edit_moves_table(log_trace, model_trace):
+    """One longest-common-subsequence path as a move sequence, traced back
+    on the full (|log| + 1) x (|model| + 1) LCS table: a sync move where
+    the labels match and the LCS grows, else a model move where the LCS
+    stays the same without the model event, else a log move."""
+    la, lb = len(log_trace), len(model_trace)
+    lcs = [[0] * (lb + 1) for _ in range(la + 1)]
+    for i in range(1, la + 1):
+        row = lcs[i]
+        prev = lcs[i - 1]
+        ai = log_trace[i - 1]
+        for j in range(1, lb + 1):
+            if ai == model_trace[j - 1]:
+                row[j] = prev[j - 1] + 1
+            else:
+                row[j] = max(prev[j], row[j - 1])
+    moves = []
+    i, j = la, lb
+    while i > 0 or j > 0:
+        if (
+            i > 0
+            and j > 0
+            and log_trace[i - 1] == model_trace[j - 1]
+            and lcs[i][j] == lcs[i - 1][j - 1] + 1
+        ):
+            moves.append(Move(MoveKind.SYNC, log_trace[i - 1]))
+            i -= 1
+            j -= 1
+        elif j > 0 and lcs[i][j] == lcs[i][j - 1]:
+            moves.append(Move(MoveKind.MODEL, model_trace[j - 1]))
+            j -= 1
+        else:
+            moves.append(Move(MoveKind.LOG, log_trace[i - 1]))
+            i -= 1
+    moves.reverse()
+    return moves
 
 
 def brute_force_nearest(trace, candidates) -> int:

@@ -353,12 +353,14 @@ def test_criterion_8_invocation_count_and_speedup(monkeypatch):
 def test_criterion_8_distance_work_count(monkeypatch):
     # the work-count twin of the wall-clock speedup above: the distances
     # evaluated by reference alignment plus bracketing (what pi_without
-    # times) against those of exact alignment, which repeat exactly; the
-    # bracket's variant x member table is built in the proxy module
+    # times) against those of exact alignment, which repeat exactly.  The
+    # bracket's variant x member table scans each member once over the
+    # packed variants, which counts one distance per lane; every scalar
+    # edit_distance call counts one.
     with criterion(8, "approximate evaluates fewer distances than exact"):
         import alignbound.aligner as aligner_module
         import alignbound.proxy as proxy_module
-        from alignbound.distance import edit_distance
+        from alignbound.distance import MatchMasks, edit_distance
 
         calls = {"n": 0}
 
@@ -366,8 +368,15 @@ def test_criterion_8_distance_work_count(monkeypatch):
             calls["n"] += 1
             return edit_distance(*args, **kwargs)
 
+        packed = MatchMasks.distances
+
+        def counting_packed(masks, other):
+            calls["n"] += len(masks.traces)
+            return packed(masks, other)
+
         for module in (aligner_module, proxy_module):
             monkeypatch.setattr(module, "edit_distance", counting_distance)
+        monkeypatch.setattr(MatchMasks, "distances", counting_packed)
         model, log = generate_synthetic(CRITERION_8_SPEC)
         exact_costs(log, model)
         exact_calls = calls["n"]

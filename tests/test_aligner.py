@@ -8,10 +8,11 @@ from alignbound.aligner import (
     Alignment,
     Move,
     MoveKind,
+    _edit_moves,
     alignment_cost,
     optimal_alignment,
 )
-from alignbound.distance import edit_distance
+from alignbound.distance import MatchMasks, edit_distance
 from alignbound.errors import StateBoundError
 from alignbound.model import (
     ExplicitLanguageModel,
@@ -22,6 +23,7 @@ from alignbound.model import (
 
 from conftest import (
     align_petri_reference,
+    edit_moves_table,
     enumerate_alignment_cost,
     naive_edit_distance,
     random_trace,
@@ -329,3 +331,19 @@ def test_naive_oracle_agreement_explicit():
         assert optimal_alignment(trace, model).cost == min(
             naive_edit_distance(trace, t) for t in model.traces
         )
+
+
+def test_edit_moves_match_the_table_traceback():
+    # the walk back on the LCS state vectors against the full LCS table:
+    # empty traces, a two-letter alphabet for long runs of repeated labels,
+    # and both sides longer than a byte
+    rng = random.Random(53)
+    pairs = [((), ()), ((), ("a",)), (("a",), ()), (("a", "a", "a"), ("a",))]
+    for alphabet, hi in ((["a", "b"], 12), (["a", "b", "c", "d", "e"], 20)):
+        for _ in range(300):
+            pairs.append(
+                (random_trace(rng, alphabet, 0, hi), random_trace(rng, alphabet, 0, hi))
+            )
+    for log_trace, model_trace in pairs:
+        expected = edit_moves_table(log_trace, model_trace)
+        assert _edit_moves(MatchMasks(log_trace), model_trace) == expected

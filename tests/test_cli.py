@@ -11,6 +11,7 @@ import pytest
 import alignbound
 import alignbound.proxy
 from alignbound.cli import main
+from alignbound.distance import MatchMasks
 from alignbound.fixtures import copy_fixture_files
 from alignbound.harness import SyntheticSpec, generate_synthetic
 from alignbound.log import parse_csv, parse_xes, write_log_xes
@@ -472,11 +473,16 @@ def test_proxy_gen_reads_epsilon_from_the_matrix(workspace, capsys, monkeypatch,
     monkeypatch.setattr(
         alignbound.proxy, "edit_distance", lambda *a: calls.append(a) or scalar(*a)
     )
+    packed = MatchMasks.distances
+    monkeypatch.setattr(
+        MatchMasks, "distances", lambda *a: calls.append(a) or packed(*a)
+    )
     argv = ["proxy-gen", "--log", str(log_path), *extra, "--size-percent", "20"]
     rc, _, err = run([*argv, "--out", str(out_path)], capsys)
     assert rc == 0
     # kmedoids and a dumped matrix build the matrix once; epsilon reads
-    # the members' columns from it instead of scanning each member
+    # the members' columns from it instead of scanning each member, packed
+    # or scalar
     assert calls == []
     members = parse_explicit_language(out_path.read_bytes()).traces
     eps = epsilon_max_error(log, ProxySet(members=members))

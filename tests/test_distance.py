@@ -196,3 +196,27 @@ def test_distance_matrix_in_several_row_blocks(monkeypatch, block_cells):
     variants = [random_trace(rng, ["a", "b", "c"], 0, 70) for _ in range(9)]
     variants.append(("a",) * 70)
     check_matrix(variants)
+
+
+# packed lanes are whole bytes with a guard bit: lengths on both sides of
+# one, two and eight bytes, plus the empty trace
+LANE_EDGE_LENGTHS = (0, 1, 7, 8, 9, 15, 16, 63, 64, 65)
+lane_traces = st.sampled_from(LANE_EDGE_LENGTHS).flatmap(
+    lambda n: st.lists(activities, min_size=n, max_size=n).map(tuple)
+)
+# members may hold labels that no packed trace has
+member_traces = st.lists(st.sampled_from(["a", "b", "z", "other"]), max_size=70).map(
+    tuple
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(lane_traces, max_size=6), st.data(), member_traces)
+def test_packed_distances_equal_scalar_distances(lanes, data, member):
+    if lanes:
+        # a repeated trace gets a lane of its own
+        lanes = lanes + data.draw(st.lists(st.sampled_from(lanes), max_size=2))
+    packed = MatchMasks(*lanes)
+    assert packed.lane_bytes * 8 > max(map(len, lanes), default=0)
+    assert packed.distances(member) == [edit_distance(t, member) for t in lanes]
+

@@ -1,6 +1,7 @@
 """Tests for the synthetic evaluation harness."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -182,6 +183,42 @@ def test_run_experiment_error_columns_deterministic():
             b.pct_proxy,
             b.pct_both,
         )
+
+
+def test_run_experiment_runs_seed_blind_strategies_once_per_size(monkeypatch):
+    import alignbound.harness as harness
+
+    seeds = []
+    real = harness.approximate_log
+
+    def counting(log, model, params, **kwargs):
+        seeds.append((params.strategy, params.size_percent, params.seed))
+        return real(log, model, params=params, **kwargs)
+
+    monkeypatch.setattr(harness, "approximate_log", counting)
+    rows = small_grid()
+    master = 13 * 1_000_003
+    # rows keep grid order, one per repetition, each with its cell seed
+    assert [(r.strategy, r.size_percent, r.seed) for r in rows] == [
+        (strategy, Fraction(size), master + rep)
+        for strategy in ("random", "frequency", "kmedoids", "kcenter")
+        for size in (10, 50)
+        for rep in range(2)
+    ]
+    # only random reads the seed; the others run once per size
+    assert seeds == [
+        ("random", 10, master),
+        ("random", 10, master + 1),
+        ("random", 50, master),
+        ("random", 50, master + 1),
+        *(
+            (strategy, size, master)
+            for strategy in ("frequency", "kmedoids", "kcenter")
+            for size in (10, 50)
+        ),
+    ]
+    for first, second in zip(rows[4::2], rows[5::2]):
+        assert replace(first, seed=second.seed) == second
 
 
 def test_rows_to_csv_shape():
