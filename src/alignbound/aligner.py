@@ -9,7 +9,7 @@ reduces to a minimum over the model traces while a Petri net needs a
 least-cost search over the synchronous product.  That search carries each
 state as one int built from the marking's id (see ``PetriNetModel``) and the
 trace position, and since every move costs 0 or 1 it keeps its frontier in
-two FIFO buckets, for the current f and for f + 1 (Dial, CACM 1969), in
+two FIFO buckets, for the current cost g and for g + 1 (Dial, CACM 1969), in
 place of a heap.
 """
 
@@ -74,21 +74,18 @@ class AlignmentResult:
     states_expanded: int
 
 
-def optimal_alignment(trace, model, heuristic: bool = False) -> AlignmentResult:
+def optimal_alignment(trace, model) -> AlignmentResult:
     """Compute one optimal alignment of ``trace`` against ``model``.
 
     The result is deterministic: at equal cost the search prefers
     synchronous moves, then silent moves, then visible model moves, then log
     moves, with stable transition order as the final tie-break.
-    ``heuristic`` switches on an admissible lower bound (the count of
-    remaining trace activities outside the model alphabet) for the net
-    backend; it never changes the returned cost.
     """
     trace = tuple(trace)
     if isinstance(model, ExplicitLanguageModel):
         alignment, cost, states = _align_explicit(trace, model)
     elif isinstance(model, PetriNetModel):
-        alignment, cost, states = _align_petri(trace, model, heuristic)
+        alignment, cost, states = _align_petri(trace, model)
     else:
         raise TypeError(f"unsupported model type {type(model).__name__}")
     return AlignmentResult(alignment=alignment, cost=cost, states_expanded=states)
@@ -144,16 +141,8 @@ def _edit_moves(masks, model_trace):
     return moves
 
 
-def _align_petri(trace, model, heuristic):
+def _align_petri(trace, model):
     n = len(trace)
-    # suffix count of activities the net can never mirror; admissible since
-    # each one forces a log move
-    remaining_outside = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        remaining_outside[i] = remaining_outside[i + 1] + (
-            0 if trace[i] in model.alphabet else 1
-        )
-    h = remaining_outside if heuristic else [0] * (n + 1)
     sync_moves = [Move(MoveKind.SYNC, t.label, t.tid) for t in model.transitions]
     silent_moves = [Move(MoveKind.SILENT, None, t.tid) for t in model.transitions]
     model_moves = [Move(MoveKind.MODEL, t.label, t.tid) for t in model.transitions]
@@ -168,25 +157,20 @@ def _align_petri(trace, model, heuristic):
     expanded = 0
     successors = model.successors
 
-    # Every move costs 0 or 1, and f = g + h grows by exactly 0 or 1 per
-    # push: sync and silent moves add 0, visible model moves add 1, and a
-    # log move adds 0 on an activity outside the alphabet (h drops by one
-    # as g rises by one) and 1 on one inside it (h = 0 throughout when the
-    # heuristic is off).  So two FIFO buckets, ``bucket`` for the current f
-    # (scanned while it grows) and ``later`` for f + 1, pop states in
-    # exactly the order of a heap keyed by (f, push order).  An entry's g
-    # is f - h[pos].  h is consistent, so a popped state's g is optimal and
-    # a state is only ever pushed again with a smaller g: an entry dearer
-    # than best is stale.
-    f = h[0]
+    # Every move costs 0 or 1: sync and silent moves add 0 to g, visible
+    # model moves and log moves add 1.  So two FIFO buckets, ``bucket`` for
+    # the current g (scanned while it grows) and ``later`` for g + 1, pop
+    # states in exactly the order of a heap keyed by (g, push order).  A
+    # popped state's g is therefore optimal, and a state is only ever pushed
+    # again with a smaller g: an entry dearer than best is stale.
+    g = 0
     bucket = [start]
     later: list[int] = []
     while bucket:
         for state in bucket:
-            mid, pos = divmod(state, stride)
-            g = f - h[pos]
             if g > best[state]:
                 continue
+            mid, pos = divmod(state, stride)
             if state == goal:
                 return _rebuild(came_from, start, state), g, expanded
             expanded += 1
@@ -213,7 +197,7 @@ def _align_petri(trace, model, heuristic):
                     (pos, g + 1, succ.visible, model_moves),
                 )
             for at, cost, steps, moves in groups:
-                queue = bucket if cost + h[at] == f else later
+                queue = bucket if cost == g else later
                 for i, reached in steps:
                     after = reached * stride + at
                     known = best.get(after)
@@ -222,7 +206,7 @@ def _align_petri(trace, model, heuristic):
                         came_from[after] = (state, moves[i])
                         queue.append(after)
         bucket, later = later, []
-        f += 1
+        g += 1
     raise StateBoundError(
         f"alignment search for {format_trace(trace)} exhausted without "
         "reaching the final marking"

@@ -161,7 +161,7 @@ def _now_us() -> int:
     return time.perf_counter_ns() // 1000
 
 
-def compute_ref_costs(proxy: ProxySet, model, heuristic: bool = False) -> int:
+def compute_ref_costs(proxy: ProxySet, model) -> int:
     """Align every member once against ``model``, filling ``ref_costs``.
 
     Always recomputes, so a proxy set carried over from another model
@@ -170,7 +170,7 @@ def compute_ref_costs(proxy: ProxySet, model, heuristic: bool = False) -> int:
     """
     invocations = 0
     for member in proxy.members:
-        result = optimal_alignment(member, model, heuristic=heuristic)
+        result = optimal_alignment(member, model)
         proxy.ref_costs[member] = result.cost
         invocations += 1
     return invocations
@@ -183,7 +183,6 @@ def approximate_log(
     proxy: ProxySet | None = None,
     estimator: str = ESTIMATOR_MIDPOINT,
     upper_weight: Fraction = Fraction(1, 2),
-    heuristic: bool = False,
     matrix: DistanceMatrix | None = None,
 ) -> ApproxReport:
     """Approximate the alignment cost of every variant in ``log``.
@@ -207,7 +206,7 @@ def approximate_log(
         proxy = generate_proxy(log, params, matrix=matrix)
     t_generated = _now_us()
 
-    invocations = compute_ref_costs(proxy, model, heuristic=heuristic)
+    invocations = compute_ref_costs(proxy, model)
     t_aligned = _now_us()
 
     rows = []

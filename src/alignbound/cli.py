@@ -11,7 +11,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -46,20 +45,6 @@ from .model import (
 from .proxy import STRATEGIES, ProxySet, StrategyParams, epsilon_max_error, generate_proxy
 from .report import join_trace, strip_timings, write_report
 
-SEED_ENV = "ALIGNBOUND_SEED"
-STATE_BOUND_ENV = "ALIGNBOUND_STATE_BOUND"
-
-
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise AlignboundError(f"environment variable {name} must be an integer") from None
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="alignbound",
@@ -86,14 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--state-bound",
             type=int,
-            default=None,
-            help=f"marking cap for net searches (default {DEFAULT_STATE_BOUND}, "
-            f"env {STATE_BOUND_ENV})",
-        )
-        p.add_argument(
-            "--heuristic",
-            action="store_true",
-            help="enable the admissible search heuristic for net alignment",
+            default=DEFAULT_STATE_BOUND,
+            help=f"marking cap for net searches (default {DEFAULT_STATE_BOUND})",
         )
 
     def add_strategy_flags(p):
@@ -106,9 +85,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--seed",
             type=int,
-            default=None,
-            help=f"seed of the random strategy, the only one that reads it "
-            f"(default 0, env {SEED_ENV})",
+            default=0,
+            help="seed of the random strategy, the only one that reads it "
+            "(default 0)",
         )
 
     p_exact = sub.add_parser("exact", help="exact alignment cost per variant")
@@ -179,18 +158,6 @@ def _echo_config(args) -> None:
     print(f"config: command={args.command} {rendered}", file=sys.stderr)
 
 
-def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    return _env_int(SEED_ENV, 0)
-
-
-def _resolve_state_bound(args) -> int:
-    if getattr(args, "state_bound", None) is not None:
-        return args.state_bound
-    return _env_int(STATE_BOUND_ENV, DEFAULT_STATE_BOUND)
-
-
 def _fraction(text: str, error: type[AlignboundError], flag: str) -> Fraction:
     try:
         return Fraction(text)
@@ -233,7 +200,7 @@ def _load_model(args):
             data,
             final_marking=marking,
             silent_label=args.silent_label,
-            state_bound=_resolve_state_bound(args),
+            state_bound=args.state_bound,
         )
     return parse_explicit_language(data)
 
@@ -266,7 +233,7 @@ def _cmd_exact(args) -> int:
     model = _load_model(args)
     _warn_dead_transitions(model)
     variants = log.variant_traces
-    results = [optimal_alignment(t, model, heuristic=args.heuristic) for t in variants]
+    results = [optimal_alignment(t, model) for t in variants]
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -289,7 +256,6 @@ def _load_proxy_file(path: str) -> ProxySet:
 
 
 def _cmd_approximate(args) -> int:
-    args.seed = _resolve_seed(args)
     _echo_config(args)
     log = _load_log(args)
     model = _load_model(args)
@@ -313,7 +279,6 @@ def _cmd_approximate(args) -> int:
         proxy=proxy,
         estimator=args.estimator,
         upper_weight=_fraction(args.upper_weight, BoundsError, "--upper-weight"),
-        heuristic=args.heuristic,
     )
     if args.proxy_out:
         Path(args.proxy_out).write_text(
@@ -326,7 +291,6 @@ def _cmd_approximate(args) -> int:
 
 
 def _cmd_proxy_gen(args) -> int:
-    args.seed = _resolve_seed(args)
     _echo_config(args)
     log = _load_log(args)
     params = StrategyParams(
@@ -385,9 +349,6 @@ def _cmd_evaluate(args) -> int:
     _echo_config(args)
     spec = _load_spec(args)
     strategies = tuple(s.strip() for s in args.strategies.split(",") if s.strip())
-    for s in strategies:
-        if s not in STRATEGIES:
-            raise AlignboundError(f"unknown strategy {s!r}; expected {STRATEGIES}")
     sizes = tuple(
         _fraction(part.strip(), ExperimentError, "--sizes")
         for part in args.sizes.split(",")

@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .bounds import (
-    ESTIMATOR_MIDPOINT,
     LOWER_BOTH,
     LOWER_PROXY,
     LOWER_STRUCTURAL,
@@ -214,12 +213,11 @@ class ExperimentRow:
         return (self.epsilon_max, self.realized_error)
 
 
-def exact_costs(log: EventLog, model, heuristic: bool = False):
+def exact_costs(log: EventLog, model):
     """Exact alignment cost per variant plus the wall time in microseconds."""
     started = time.perf_counter_ns()
     costs = {
-        trace: optimal_alignment(trace, model, heuristic=heuristic).cost
-        for trace in log.variant_traces
+        trace: optimal_alignment(trace, model).cost for trace in log.variant_traces
     }
     elapsed = max(1, (time.perf_counter_ns() - started) // 1000)
     return costs, int(elapsed)
@@ -249,7 +247,6 @@ def run_experiment(
     strategies=STRATEGIES,
     size_percents=(5, 10, 20, 30, 50),
     repetitions: int = 4,
-    estimator: str = ESTIMATOR_MIDPOINT,
 ) -> list[ExperimentRow]:
     """Sweep the grid on one synthetic pair, in deterministic grid order.
 
@@ -259,8 +256,16 @@ def run_experiment(
     repeated under each cell seed (its timings, and so both pi columns,
     repeat that one run).  The exact-alignment time is measured once per
     pair and shared by every row, as is the variant distance matrix handed
-    to the clustering strategies.
+    to the clustering strategies.  An empty or unknown grid axis, or fewer
+    than one repetition, is an ``ExperimentError``.
     """
+    for s in strategies:
+        if s not in STRATEGIES:
+            raise ExperimentError(f"unknown strategy {s!r}; expected {STRATEGIES}")
+    if not strategies or not size_percents:
+        raise ExperimentError("the grid needs at least one strategy and one size")
+    if repetitions < 1:
+        raise ExperimentError(f"repetitions must be at least 1, got {repetitions}")
     model, log = generate_synthetic(spec)
     costs, t_exact = exact_costs(log, model)
     matrix = distance_matrix(log.variant_traces)
@@ -275,9 +280,7 @@ def run_experiment(
                     params = StrategyParams(
                         strategy=strategy, size_percent=size, seed=cell_seed
                     )
-                    report = approximate_log(
-                        log, model, params=params, estimator=estimator, matrix=matrix
-                    )
+                    report = approximate_log(log, model, params=params, matrix=matrix)
                     row = _experiment_row(report, params, costs, t_exact)
                 rows.append(replace(row, seed=cell_seed))
     return rows

@@ -136,6 +136,8 @@ class PetriNetModel:
         self.initial_marking = tuple(initial_marking)
         self.final_marking = tuple(final_marking)
         self.state_bound = int(state_bound)
+        if self.state_bound < 1:
+            raise ModelError(f"state bound must be at least 1, got {self.state_bound}")
         if len(self.inputs) != len(self.transitions) or len(self.outputs) != len(
             self.transitions
         ):

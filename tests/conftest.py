@@ -213,27 +213,18 @@ def pam_swap_loop(cells, weights, medoids):
         medoids.sort()
 
 
-def align_petri_reference(trace, model, heuristic=False):
-    """A* over (trace position, marking) that finds the enabled transitions
+def align_petri_reference(trace, model):
+    """Dijkstra over (trace position, marking) that finds the enabled transitions
     of each expanded state by scanning the net three times, and keeps a
     settled set beside the cost map.  Returns ``(alignment, cost,
     states_expanded)`` with the tie-breaking ``optimal_alignment`` promises:
     sync, silent, visible model, log, each in transition order."""
     trace = tuple(trace)
     n = len(trace)
-    remaining_outside = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        remaining_outside[i] = remaining_outside[i + 1] + (
-            0 if trace[i] in model.alphabet else 1
-        )
-
-    def h(pos):
-        return remaining_outside[pos] if heuristic else 0
-
     start = (0, model.initial_marking)
     best = {start: 0}
     came_from = {}
-    heap = [(h(0), 0, 0, start)]
+    heap = [(0, 0, start)]
     seq = 0
     settled = set()
     expanded = 0
@@ -244,10 +235,10 @@ def align_petri_reference(trace, model, heuristic=False):
             best[state] = g
             came_from[state] = (parent, move)
             seq += 1
-            heapq.heappush(heap, (g + h(state[0]), seq, g, state))
+            heapq.heappush(heap, (g, seq, state))
 
     while heap:
-        _, _, g, state = heapq.heappop(heap)
+        g, _, state = heapq.heappop(heap)
         if state in settled or g > best[state]:
             continue
         pos, marking = state
@@ -289,7 +280,9 @@ def parse_xes_reference(data: bytes) -> EventLog:
 
     try:
         root = ET.fromstring(data)
-    except ET.ParseError as exc:
+    except (ET.ParseError, LookupError, ValueError) as exc:
+        # LookupError and ValueError: a declared encoding with no codec, or
+        # one expat cannot read
         raise LogParseError(f"malformed XES: {exc}") from None
     traces = []
     for elem in root.iter():

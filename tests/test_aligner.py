@@ -151,22 +151,6 @@ def test_deterministic_representative(loop_net):
         assert again.alignment == first.alignment
 
 
-def test_heuristic_never_changes_cost(loop_net):
-    rng = random.Random(43)
-    alphabet = ["a", "b", "c", "d", "e", "q", "r"]
-    for _ in range(30):
-        trace = random_trace(rng, alphabet, 0, 6)
-        plain = optimal_alignment(trace, loop_net, heuristic=False)
-        guided = optimal_alignment(trace, loop_net, heuristic=True)
-        assert plain.cost == guided.cost
-    # off-alphabet activities make the heuristic informative
-    trace = ("q", "r", "q", "r")
-    assert (
-        optimal_alignment(trace, loop_net, heuristic=True).states_expanded
-        <= optimal_alignment(trace, loop_net, heuristic=False).states_expanded
-    )
-
-
 def test_state_bound_aborts_alignment():
     # the same net with a tiny bound must refuse instead of degrading; the
     # off-alphabet trace forces the search through many costly layers
@@ -265,9 +249,8 @@ search_nets = pytest.mark.parametrize(
 )
 
 
-@pytest.mark.parametrize("heuristic", [False, True])
 @search_nets
-def test_net_search_matches_reference(make_net, alphabet, heuristic):
+def test_net_search_matches_reference(make_net, alphabet):
     # equal cost, moves, transitions and work as the three-scan search;
     # the successor memo must not change any of them, so every trace is
     # also aligned on a net whose memo every other trace has filled
@@ -275,8 +258,8 @@ def test_net_search_matches_reference(make_net, alphabet, heuristic):
     short = [(), ("x",)]
     short += [random_trace(rng, alphabet, 0, 8) for _ in range(20)]
     short += [noisy_walk(rng, make_net(), alphabet, 3) for _ in range(30)]
-    # long traces fill large buckets over many f levels; runs of the
-    # off-alphabet x are log moves that keep f under the heuristic
+    # long traces fill large buckets over many cost levels; runs of the
+    # off-alphabet x are log moves, each one level up
     long = [random_trace(rng, alphabet, 15, 25) for _ in range(6)]
     long += [
         with_x_runs(rng, noisy_walk(rng, make_net(), alphabet, 3)) for _ in range(6)
@@ -287,23 +270,22 @@ def test_net_search_matches_reference(make_net, alphabet, heuristic):
     assert any("x" in t and len(t) > 1 for t in traces)
     warmed = make_net()
     for trace in traces:
-        optimal_alignment(trace, warmed, heuristic=heuristic)
+        optimal_alignment(trace, warmed)
     for trace in traces:
-        expected = _search_outcome(*align_petri_reference(trace, make_net(), heuristic))
+        expected = _search_outcome(*align_petri_reference(trace, make_net()))
         for net in (make_net(), warmed):
-            result = optimal_alignment(trace, net, heuristic=heuristic)
+            result = optimal_alignment(trace, net)
             outcome = _search_outcome(
                 result.alignment, result.cost, result.states_expanded
             )
             assert outcome == expected, trace
 
 
-@pytest.mark.parametrize("heuristic", [False, True])
 @search_nets
-def test_min_visible_length_is_the_empty_trace_cost(make_net, alphabet, heuristic):
+def test_min_visible_length_is_the_empty_trace_cost(make_net, alphabet):
     # the model's own search and the aligner compute this number separately
     net = make_net()
-    assert net.min_visible_length == optimal_alignment((), net, heuristic).cost
+    assert net.min_visible_length == optimal_alignment((), net).cost
     assert net.min_visible_length > 0
 
 

@@ -234,24 +234,18 @@ def test_approximate_proxy_round_trip(workspace, capsys):
     assert [r for r, _ in reused.per_variant] == [r for r, _ in generated.per_variant]
 
 
-def test_approximate_seed_from_environment(workspace, capsys, monkeypatch):
-    monkeypatch.setenv("ALIGNBOUND_SEED", "5")
-    rc, _, err = run(
-        ["approximate", "--log", workspace["log"], "--model", workspace["lang"]],
-        capsys,
-    )
+def test_environment_does_not_set_the_seed(workspace, capsys, monkeypatch):
+    argv = [
+        "approximate", "--log", workspace["log"], "--model", workspace["lang"],
+        "--strategy", "random", "--no-timings",
+    ]
+    rc, plain, _ = run(argv, capsys)
     assert rc == 0
-    assert "seed=5" in err
-
-
-def test_bad_environment_seed_is_a_computation_error(workspace, capsys, monkeypatch):
-    monkeypatch.setenv("ALIGNBOUND_SEED", "not-a-number")
-    rc, _, err = run(
-        ["approximate", "--log", workspace["log"], "--model", workspace["lang"]],
-        capsys,
-    )
-    assert rc == 1
-    assert "error[internal]" in err
+    monkeypatch.setenv("ALIGNBOUND_SEED", "5")
+    rc, out, err = run(argv, capsys)
+    assert rc == 0
+    assert " seed=0 " in err
+    assert out == plain
 
 
 def test_unknown_flag_is_a_usage_error(workspace, capsys):
@@ -269,6 +263,7 @@ def test_unknown_flag_is_a_usage_error(workspace, capsys):
         ("exact", ["--jobs", "2"]),
         ("approximate", ["--jobs", "2"]),
         ("approximate", ["--strict-structural"]),
+        ("exact", ["--heuristic"]),
     ],
 )
 def test_removed_options_are_usage_errors(workspace, capsys, command, extra):
@@ -633,13 +628,23 @@ def test_evaluate_grid_csv(tmp_path, capsys):
     assert long_lines[-1].count("pearson") == 1
 
 
-def test_evaluate_unknown_strategy_fails(tmp_path, capsys):
-    rc, _, err = run(
-        ["evaluate", "--spec", spec_file(tmp_path), "--strategies", "psychic"],
-        capsys,
-    )
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--strategies", "psychic"], "unknown strategy 'psychic'"),
+        (["--strategies", "random,psychic"], "unknown strategy 'psychic'"),
+        (["--strategies", ","], "the grid needs at least one strategy and one size"),
+        (["--sizes", ""], "the grid needs at least one strategy and one size"),
+        (["--repetitions", "0"], "repetitions must be at least 1, got 0"),
+        (["--repetitions", "-2"], "repetitions must be at least 1, got -2"),
+    ],
+    ids=["unknown", "unknown-in-list", "no-strategy", "no-size", "zero-reps", "neg-reps"],
+)
+def test_evaluate_bad_grid_fails(tmp_path, capsys, extra, message):
+    rc, out, err = run(["evaluate", "--spec", spec_file(tmp_path)] + extra, capsys)
     assert rc == 1
-    assert "unknown strategy" in err
+    assert out == ""
+    assert f"error[experiment]: {message}" in err
 
 
 def generate_argv(tmp_path, spec):

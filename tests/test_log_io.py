@@ -3,7 +3,7 @@ import io
 from xml.sax.saxutils import quoteattr
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alignbound.errors import LogParseError
@@ -334,6 +334,8 @@ def test_parse_xes_matches_tree_oracle(data):
 
 @settings(max_examples=80, deadline=None)
 @given(broken(xes_documents()))
+# one byte dropped from the declaration leaves an encoding with no codec
+@example(b'<?xml version="1.0" encoding="TF-8"?>\n<log xes.version="1.0"/>')
 def test_parse_xes_matches_tree_oracle_on_broken_documents(data):
     assert outcome(parse_xes, data) == outcome(parse_xes_reference, data)
 

@@ -154,6 +154,15 @@ def test_state_bound_is_a_hard_error():
         parse_pnml(UNBOUNDED_PNML, final_marking={"p1": 0}, state_bound=50)
 
 
+@pytest.mark.parametrize("bound", [0, -5])
+def test_state_bound_below_one_is_rejected(bound):
+    # a plain model error, not the subclass that reports an exceeded bound
+    message = f"state bound must be at least 1, got {bound}"
+    with pytest.raises(ModelError, match=message) as info:
+        parse_pnml(UNBOUNDED_PNML, final_marking={"p1": 0}, state_bound=bound)
+    assert info.value.code == "model"
+
+
 # p0 -a-> p1 directly, or p0 -tau-> p2 -tau-> p1 for free, then p1 -b-> p3.
 # The silent path lowers p1's cost after the visible step already queued p1
 # for cost 1, so that entry is stale when cost 1 comes up.
