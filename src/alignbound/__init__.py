@@ -28,6 +28,7 @@ from .errors import (
     ExperimentError,
     LogParseError,
     ModelError,
+    OutputError,
     ProxyError,
     ReportError,
     StateBoundError,
@@ -80,6 +81,7 @@ __all__ = [
     "ModelError",
     "Move",
     "MoveKind",
+    "OutputError",
     "PetriNetModel",
     "ProxyError",
     "ProxySet",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .distance import MatchMasks, edit_distance
-from .errors import StateBoundError
+from .errors import ModelError, StateBoundError
 from .log import Trace, format_trace
 from .model import ExplicitLanguageModel, PetriNetModel
 
@@ -207,10 +207,9 @@ def _align_petri(trace, model):
                         queue.append(after)
         bucket, later = later, []
         g += 1
-    raise StateBoundError(
-        f"alignment search for {format_trace(trace)} exhausted without "
-        "reaching the final marking"
-    )
+    # a net whose empty trace aligns reaches the goal from every trace, so
+    # only the empty-trace search of ``PetriNetModel.__init__`` gets here
+    raise ModelError("final marking is unreachable from the initial marking")
 
 
 def _rebuild(came_from, start, goal):

@@ -75,7 +75,10 @@ def approximate_cost(
     error of either bound alone).  The ``half-distance`` estimator is only
     valid when every reference cost is zero, i.e. the proxy members fit the
     model perfectly; it reads half the nearest-member distance as the
-    estimate, clamped into the bounds.
+    estimate, clamped into the bounds.  The bracket is at most twice the
+    nearest-member distance wide, so epsilon bounds the error of these two
+    estimates only: an upper weight w errs by up to 2 * max(w, 1 - w) times
+    that distance.
 
     ``distances`` is the trace's row of the variant x member table
     (:func:`proxy.distance_table`), one distance per member of ``proxy``

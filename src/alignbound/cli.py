@@ -24,6 +24,7 @@ from .errors import (
     ExperimentError,
     LogParseError,
     ModelError,
+    OutputError,
     ProxyError,
 )
 from .harness import (
@@ -220,9 +221,20 @@ def _warn_dead_transitions(model) -> None:
         )
 
 
-def _emit(payload: bytes, out: str | None) -> None:
+def _write(path, payload: bytes | str, what: str) -> None:
+    """Write an output file; a path that cannot be written is an
+    ``OutputError``."""
+    if isinstance(payload, str):
+        payload = payload.encode("utf-8")
+    try:
+        Path(path).write_bytes(payload)
+    except OSError as exc:
+        raise OutputError(f"cannot write {what} {path}: {exc}") from None
+
+
+def _emit(payload: bytes, out: str | None, what: str) -> None:
     if out:
-        Path(out).write_bytes(payload)
+        _write(out, payload, what)
     else:
         sys.stdout.write(payload.decode("utf-8"))
 
@@ -246,7 +258,7 @@ def _cmd_exact(args) -> int:
         if args.dump_moves:
             row.append(" ".join(m.token() for m in result.alignment.moves))
         writer.writerow(row)
-    _emit(buf.getvalue().encode("utf-8"), args.out)
+    _emit(buf.getvalue().encode("utf-8"), args.out, "cost table")
     return 0
 
 
@@ -281,12 +293,11 @@ def _cmd_approximate(args) -> int:
         upper_weight=_fraction(args.upper_weight, BoundsError, "--upper-weight"),
     )
     if args.proxy_out:
-        Path(args.proxy_out).write_text(
-            serialize_explicit_language(report.proxy.members), encoding="utf-8"
-        )
+        members = serialize_explicit_language(report.proxy.members)
+        _write(args.proxy_out, members, "proxy file")
     if args.no_timings:
         report = strip_timings(report)
-    _emit(write_report(report, fmt=args.report), args.out)
+    _emit(write_report(report, fmt=args.report), args.out, "report")
     return 0
 
 
@@ -304,12 +315,10 @@ def _cmd_proxy_gen(args) -> int:
     if args.dump_distance_matrix or params.strategy == "kmedoids":
         matrix = distance_matrix(log.variant_traces)
     if args.dump_distance_matrix:
-        Path(args.dump_distance_matrix).write_text(matrix.to_csv(), encoding="utf-8")
+        _write(args.dump_distance_matrix, matrix.to_csv(), "distance matrix")
     proxy = generate_proxy(log, params, matrix=matrix)
     eps = epsilon_max_error(log, proxy, matrix=matrix)
-    Path(args.out).write_text(
-        serialize_explicit_language(proxy.members), encoding="utf-8"
-    )
+    _write(args.out, serialize_explicit_language(proxy.members), "proxy file")
     print(
         f"proxy: {len(proxy)} members, a-priori max error {eps.value}",
         file=sys.stderr,
@@ -333,10 +342,8 @@ def _cmd_generate(args) -> int:
     _echo_config(args)
     spec = _load_spec(args)
     model, log = generate_synthetic(spec)
-    Path(args.model_out).write_text(
-        serialize_explicit_language(model.traces), encoding="utf-8"
-    )
-    Path(args.log_out).write_bytes(write_log_xes(log))
+    _write(args.model_out, serialize_explicit_language(model.traces), "model")
+    _write(args.log_out, write_log_xes(log), "log")
     print(
         f"generated: {len(model.traces)} model traces, "
         f"{len(log.variants)} variants, {log.total_traces} traces",
@@ -360,9 +367,9 @@ def _cmd_evaluate(args) -> int:
         size_percents=sizes,
         repetitions=args.repetitions,
     )
-    _emit(rows_to_csv(rows).encode("utf-8"), args.out)
+    _emit(rows_to_csv(rows).encode("utf-8"), args.out, "grid")
     if args.long_out:
-        Path(args.long_out).write_text(rows_to_long_csv(rows), encoding="utf-8")
+        _write(args.long_out, rows_to_long_csv(rows), "long-format grid")
     return 0
 
 

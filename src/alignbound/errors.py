@@ -39,3 +39,9 @@ class ReportError(AlignboundError):
 
 class ExperimentError(AlignboundError):
     code = "experiment"
+
+
+class OutputError(AlignboundError):
+    """Raised when an output file cannot be written."""
+
+    code = "output"

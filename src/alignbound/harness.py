@@ -256,8 +256,9 @@ def run_experiment(
     repeated under each cell seed (its timings, and so both pi columns,
     repeat that one run).  The exact-alignment time is measured once per
     pair and shared by every row, as is the variant distance matrix handed
-    to the clustering strategies.  An empty or unknown grid axis, or fewer
-    than one repetition, is an ``ExperimentError``.
+    to the clustering strategies.  An empty or unknown grid axis, a size
+    outside (0, 100] or fewer than one repetition is an ``ExperimentError``,
+    raised before anything is generated.
     """
     for s in strategies:
         if s not in STRATEGIES:
@@ -266,6 +267,9 @@ def run_experiment(
         raise ExperimentError("the grid needs at least one strategy and one size")
     if repetitions < 1:
         raise ExperimentError(f"repetitions must be at least 1, got {repetitions}")
+    for size in size_percents:
+        if not 0 < Fraction(size) <= 100:
+            raise ExperimentError(f"size percent must be in (0, 100], got {size}")
     model, log = generate_synthetic(spec)
     costs, t_exact = exact_costs(log, model)
     matrix = distance_matrix(log.variant_traces)

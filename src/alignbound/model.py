@@ -4,9 +4,8 @@ Two backends share the same informal surface (``alphabet``,
 ``min_visible_length``): an explicitly enumerated finite language and a
 bounded labeled Petri net parsed from a PNML subset.  The minimal visible
 length of a model is the smallest number of visible activities on any
-complete model run; for a Petri net it is found by a least-cost search that
-charges 1 per visible transition and 0 per silent one, which is exactly the
-optimal alignment cost of the empty trace.
+complete model run, which is exactly the optimal alignment cost of the
+empty trace; a Petri net takes it from the aligner's search.
 """
 
 import json
@@ -14,7 +13,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import ModelError, StateBoundError
+from .errors import ModelError
 from .log import Trace, decode_text, make_trace, trace_sort_key
 
 DEFAULT_STATE_BOUND = 1_000_000
@@ -107,8 +106,10 @@ class PetriNetModel:
     """Bounded labeled Petri net with one initial and one final marking.
 
     Markings are tuples of token counts indexed like ``places``.  All arcs
-    have multiplicity one.  ``min_visible_length`` is computed eagerly so an
-    unreachable final marking fails at construction time.
+    have multiplicity one.  ``min_visible_length`` is the optimal alignment
+    cost of the empty trace, computed eagerly so that a net whose final
+    marking is unreachable, or whose search passes ``state_bound``, fails
+    at construction time.
 
     The searches carry markings as dense integer ids: a marking gets the
     next id the first time the model meets it (``initial_id`` is 0), and
@@ -153,7 +154,10 @@ class PetriNetModel:
         self._successors: list[Successors | None] = []  # id -> memo entry
         self.initial_id = self._intern(self.initial_marking)
         self.final_id = self._intern(self.final_marking)
-        self.min_visible_length = self._min_visible_length()
+        # imported here because the aligner imports this module
+        from .aligner import optimal_alignment
+
+        self.min_visible_length = optimal_alignment((), self).cost
 
     def __repr__(self):
         return (
@@ -206,41 +210,6 @@ class PetriNetModel:
             )
             self._successors[mid] = succ
         return succ
-
-    def _min_visible_length(self) -> int:
-        # least-cost search; a free silent step stays in the current cost's
-        # bucket and a visible one goes to the next.  Every push lowers a
-        # marking's cost, so an entry dearer than the best known is stale.
-        target = self.final_id
-        best = {self.initial_id: 0}
-        cost = 0
-        bucket = [self.initial_id]
-        later: list[int] = []
-        explored = 0
-        while bucket:
-            for mid in bucket:  # grows while it is scanned
-                if cost > best[mid]:
-                    continue
-                if mid == target:
-                    return cost
-                explored += 1
-                if explored > self.state_bound:
-                    raise StateBoundError(
-                        f"state bound {self.state_bound} exceeded after exploring "
-                        f"{explored} markings while searching for the final marking"
-                    )
-                succ = self.successors(mid)
-                for steps, step_cost, queue in (
-                    (succ.silent, cost, bucket),
-                    (succ.visible, cost + 1, later),
-                ):
-                    for _, after in steps:
-                        if after not in best or step_cost < best[after]:
-                            best[after] = step_cost
-                            queue.append(after)
-            bucket, later = later, []
-            cost += 1
-        raise ModelError("final marking is unreachable from the initial marking")
 
     def probe_fired(self, max_states: int = 10_000):
         """Breadth-first probe collecting transitions that fire at least once.

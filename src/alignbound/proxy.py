@@ -233,37 +233,35 @@ def _pam_swap(cells, weights, medoids):
 
 
 def cluster_kmedoids(
-    log: EventLog, k: int, seed: int, matrix: DistanceMatrix | None = None
+    log: EventLog, k: int, matrix: DistanceMatrix | None = None
 ) -> ProxySet:
     """Frequency-weighted K-Medoids over the variants.
 
     Greedy BUILD, then swap until no swap lowers the objective.  Both
-    phases are deterministic, so ``seed`` only keeps the signature uniform
-    across strategies.
+    phases are deterministic.
     """
     variants = log.variant_traces
     _check_k(k, len(variants))
     if k == len(variants):
-        return ProxySet(members=variants, provenance=f"kmedoids(k={k}, seed={seed})")
+        return ProxySet(members=variants, provenance=f"kmedoids(k={k})")
     import numpy as np
 
     cells = variant_matrix(variants, matrix).cells
     weights = np.array([log.variants[t] for t in variants], dtype=np.int64)
     medoids = _pam_swap(cells, weights, _pam_build(cells, weights, k))
     members = tuple(variants[i] for i in medoids)
-    return ProxySet(members=members, provenance=f"kmedoids(k={k}, seed={seed})")
+    return ProxySet(members=members, provenance=f"kmedoids(k={k})")
 
 
 def cluster_kcenter(
-    log: EventLog, k: int, seed: int = 0, matrix: DistanceMatrix | None = None
+    log: EventLog, k: int, matrix: DistanceMatrix | None = None
 ) -> ProxySet:
     """Greedy farthest-first K-Center over the variants.
 
     The first center is the most frequent variant (frequency tie-break);
     afterwards frequencies are ignored and each step takes the variant
     farthest from the chosen centers, ties broken canonically.  The greedy
-    covering radius is at most twice the optimal one.  ``seed`` only keeps
-    the signature uniform across strategies.
+    covering radius is at most twice the optimal one.
     """
     variants = log.variant_traces
     n = len(variants)
@@ -281,7 +279,7 @@ def cluster_kcenter(
         [column] = distance_table(table, [variants[far]], matrix)
         min_dist = list(map(min, min_dist, column))
     members = tuple(variants[i] for i in centers)
-    return ProxySet(members=members, provenance=f"kcenter(k={k}, seed={seed})")
+    return ProxySet(members=members, provenance=f"kcenter(k={k})")
 
 
 @dataclass(frozen=True)
@@ -346,5 +344,5 @@ def generate_proxy(
     if params.strategy == "frequency":
         return sample_frequency(log, k)
     if params.strategy == "kmedoids":
-        return cluster_kmedoids(log, k, params.seed, matrix=matrix)
-    return cluster_kcenter(log, k, params.seed, matrix=matrix)
+        return cluster_kmedoids(log, k, matrix=matrix)
+    return cluster_kcenter(log, k, matrix=matrix)

@@ -28,6 +28,7 @@ from alignbound.aligner import Alignment, Move, MoveKind
 from alignbound.distance import MatchMasks, edit_distance
 from alignbound.errors import LogParseError, StateBoundError
 from alignbound.log import CONCEPT_NAME, EventLog
+from alignbound.model import PetriNetModel, Transition
 
 
 def naive_edit_distance(a, b) -> int:
@@ -353,6 +354,77 @@ def parse_csv_reference(
 
 def random_trace(rng: random.Random, alphabet, lo, hi):
     return tuple(rng.choice(alphabet) for _ in range(rng.randint(lo, hi)))
+
+
+def three_branch_net():
+    """a, then an AND-split into three branches, then z.  Branch i runs
+    three activities, the middle one skippable by a silent transition, and
+    a silent redo returns it to its start.  Labels c and b occur in two
+    branches each, so one label can enable several transitions at once."""
+    branches = (("b", "c", "d"), ("e", "c", "g"), ("h", "i", "b"))
+    places = ["start", "end"]
+    transitions = [Transition("t_a", "a"), Transition("t_z", "z")]
+    inputs = [[0], []]
+    outputs = [[], [1]]
+    for i, (first, middle, last) in enumerate(branches, start=1):
+        q = list(range(len(places), len(places) + 4))
+        places.extend(f"q{i}_{s}" for s in range(4))
+        outputs[0].append(q[0])
+        inputs[1].append(q[3])
+        for tid, label, src, dst in (
+            (f"t{i}_{first}", first, q[0], q[1]),
+            (f"t{i}_{middle}", middle, q[1], q[2]),
+            (f"t{i}_skip", None, q[1], q[2]),
+            (f"t{i}_{last}", last, q[2], q[3]),
+            (f"t{i}_redo", None, q[3], q[0]),
+        ):
+            transitions.append(Transition(tid, label))
+            inputs.append([src])
+            outputs.append([dst])
+    initial = [1] + [0] * (len(places) - 1)
+    final = [0, 1] + [0] * (len(places) - 2)
+    return PetriNetModel(places, transitions, inputs, outputs, initial, final)
+
+
+def noisy_walk(rng, net, alphabet, max_ops):
+    """The visible labels of a random firing sequence from the initial to
+    the final marking, then up to ``max_ops`` random deletions and
+    insertions drawn from ``alphabet``."""
+    while True:
+        marking, trace = net.initial_marking, []
+        while marking != net.final_marking and len(trace) < 12:
+            ti = rng.choice(
+                [i for i in range(len(net.transitions)) if net.enabled(marking, i)]
+            )
+            marking = net.fire(marking, ti)
+            if not net.transitions[ti].silent:
+                trace.append(net.transitions[ti].label)
+        if marking == net.final_marking:
+            break
+    for _ in range(rng.randint(0, max_ops)):
+        if trace and rng.random() < 0.5:
+            del trace[rng.randrange(len(trace))]
+        else:
+            trace.insert(rng.randint(0, len(trace)), rng.choice(alphabet))
+    return tuple(trace)
+
+
+def with_x_runs(rng, trace):
+    """``trace`` with two runs of two to four off-alphabet ``x`` inserted."""
+    trace = list(trace)
+    for _ in range(2):
+        at = rng.randint(0, len(trace))
+        trace[at:at] = ["x"] * rng.randint(2, 4)
+    return tuple(trace)
+
+
+# the nets the search is checked on, each with the alphabet its random
+# traces are drawn from (x is outside both nets' alphabets)
+search_nets = pytest.mark.parametrize(
+    "make_net, alphabet",
+    [(fixtures.parallel_loop_petri, "abcdex"), (three_branch_net, "abcdeghizx")],
+    ids=["loop_net", "three_branch_net"],
+)
 
 
 @pytest.fixture(scope="session")

@@ -222,7 +222,7 @@ def test_criterion_6_clustering_quality():
                 return cache[key]
 
             optimal = kcenter_optimal_radius(variants, k, dist)
-            centers = cluster_kcenter(log, k, seed=case).members
+            centers = cluster_kcenter(log, k).members
             achieved = max(
                 min(naive_edit_distance(v, c) for c in centers) for v in variants
             )
@@ -242,7 +242,7 @@ def test_criterion_6_clustering_quality():
                     cache[key] = naive_edit_distance(variants[key[0]], variants[key[1]])
                 return cache[key]
 
-            result = cluster_kmedoids(log, k, seed)
+            result = cluster_kmedoids(log, k)
             achieved = brute_force_epsilon(log, result.members)
             optimal = kmedoids_optimal_objective(log, k, dist)
             assert achieved >= optimal

@@ -1,13 +1,17 @@
 """The benchmark's tracer wraps program names by their dotted paths; a
 renamed or moved name would silently drop its layer metrics.  These checks
-read ``perfbench/tracer.py`` and install nothing."""
+read ``perfbench/tracer.py`` and ``perfbench/layers.py`` and install
+nothing."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER_PATH = PERFBENCH / "tracer.py"
+LAYERS_PATH = PERFBENCH / "layers.py"
 
 
 @pytest.fixture(scope="module")
@@ -26,3 +30,23 @@ def test_every_wrapped_name_resolves(tracer):
 def test_every_edit_distance_user_resolves(tracer):
     for module in tracer.EDIT_DISTANCE_USERS:
         assert tracer._resolve(module, "edit_distance") is not None, module
+
+
+# program names the bench reads outside ``WRAPS``: the run checks and the
+# layer metrics call them directly
+BENCH_READS = (
+    ("alignbound.proxy", "epsilon_max_error"),
+    ("alignbound.harness", "realized_error"),
+    ("alignbound.report", "read_report_json"),
+)
+
+
+def test_every_name_the_bench_reads_resolves(tracer, monkeypatch):
+    # layers.py imports the tracer by its bare module name
+    monkeypatch.setitem(sys.modules, "tracer", tracer)
+    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS_PATH)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    names = [("alignbound.harness", f) for f in layers.HARNESS_FUNCTIONS]
+    for module, path in names + list(BENCH_READS):
+        assert tracer._resolve(module, path) is not None, f"{module}.{path}"

@@ -17,13 +17,13 @@ from alignbound.bounds import (
 )
 from alignbound.distance import distance_matrix
 from alignbound.errors import BoundsError
-from alignbound.harness import SyntheticSpec, generate_synthetic
+from alignbound.harness import SyntheticSpec, generate_synthetic, realized_error
 from alignbound.log import EventLog
 from alignbound.model import ExplicitLanguageModel, PetriNetModel, Transition
 from alignbound.proxy import STRATEGIES, ProxySet, StrategyParams
 from alignbound.report import strip_timings, write_report
 
-from conftest import random_trace
+from conftest import noisy_walk, random_trace, search_nets, with_x_runs
 
 
 def _ref(members, costs):
@@ -180,6 +180,39 @@ def test_off_alphabet_floor_is_sound_on_nets(loop_net):
             structural += result.lower_source == LOWER_STRUCTURAL
         # the term is live: it alone sets the floor for some traces
         assert structural > 0
+
+
+@search_nets
+def test_brackets_and_epsilon_are_sound_on_nets(make_net, alphabet):
+    # every bracket holds the exact cost; the midpoint's realized error
+    # stays within epsilon, and a weight w within 2 * max(w, 1 - w) * epsilon
+    # (each estimate lies in a bracket at most twice its nearest-member
+    # distance wide)
+    rng = random.Random(229)
+    net = make_net()
+    pool = [noisy_walk(rng, net, alphabet, 3) for _ in range(40)]
+    pool += [with_x_runs(rng, t) for t in pool[:12]]
+    exact = {t: optimal_alignment(t, net).cost for t in sorted(set(pool))}
+    weights = [Fraction(w) for w in ("0", "1/4", "1/2", "3/4", "1")]
+    brackets = 0
+    past_epsilon = set()
+    for _ in range(40):
+        variants = rng.sample(sorted(exact), rng.randint(4, 14))
+        log = EventLog({t: rng.randint(1, 4) for t in variants})
+        members = rng.sample(variants, rng.randint(0, 3))
+        members += [random_trace(rng, alphabet, 0, 8) for _ in range(rng.randint(1, 3))]
+        for w in weights:
+            report = approximate_log(log, net, proxy=ProxySet(members), upper_weight=w)
+            for result, _ in report.per_variant:
+                assert result.lower <= exact[result.trace] <= result.upper
+                brackets += 1
+            error = realized_error(report, exact)
+            assert error <= 2 * max(w, 1 - w) * report.epsilon_max
+            if error > report.epsilon_max:
+                past_epsilon.add(w)
+    assert brackets > 1500
+    # epsilon bounds the midpoint only: other weights do pass it
+    assert past_epsilon
 
 
 def test_structural_lower_bound_short_trace():

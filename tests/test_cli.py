@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import alignbound
+import alignbound.harness
 import alignbound.proxy
 from alignbound.cli import main
 from alignbound.distance import MatchMasks
@@ -637,10 +638,28 @@ def test_evaluate_grid_csv(tmp_path, capsys):
         (["--sizes", ""], "the grid needs at least one strategy and one size"),
         (["--repetitions", "0"], "repetitions must be at least 1, got 0"),
         (["--repetitions", "-2"], "repetitions must be at least 1, got -2"),
+        (["--sizes", "0"], "size percent must be in (0, 100], got 0"),
+        (["--sizes", "-5"], "size percent must be in (0, 100], got -5"),
+        (["--sizes", "101"], "size percent must be in (0, 100], got 101"),
     ],
-    ids=["unknown", "unknown-in-list", "no-strategy", "no-size", "zero-reps", "neg-reps"],
+    ids=[
+        "unknown",
+        "unknown-in-list",
+        "no-strategy",
+        "no-size",
+        "zero-reps",
+        "neg-reps",
+        "zero-size",
+        "neg-size",
+        "big-size",
+    ],
 )
-def test_evaluate_bad_grid_fails(tmp_path, capsys, extra, message):
+def test_evaluate_bad_grid_fails(tmp_path, capsys, monkeypatch, extra, message):
+    # the grid is checked before the synthetic pair is generated
+    def no_generation(spec):
+        raise AssertionError("the synthetic pair was generated")
+
+    monkeypatch.setattr(alignbound.harness, "generate_synthetic", no_generation)
     rc, out, err = run(["evaluate", "--spec", spec_file(tmp_path)] + extra, capsys)
     assert rc == 1
     assert out == ""
@@ -719,4 +738,47 @@ def test_zero_denominator_is_a_stable_error(workspace, capsys, command, flag, va
     assert rc == 1
     assert out == ""
     assert f"error[{code}]: {flag} must be a number or a fraction, got '1/0'" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, flag, what",
+    [
+        ("exact", "--out", "cost table"),
+        ("approximate", "--out", "report"),
+        ("approximate", "--proxy-out", "proxy file"),
+        ("proxy-gen", "--out", "proxy file"),
+        ("proxy-gen", "--dump-distance-matrix", "distance matrix"),
+        ("generate", "--model-out", "model"),
+        ("generate", "--log-out", "log"),
+        ("evaluate", "--out", "grid"),
+        ("evaluate", "--long-out", "long-format grid"),
+    ],
+)
+def test_unwritable_output_is_a_stable_error(workspace, capsys, command, flag, what):
+    tmp_path = workspace["dir"]
+    log_and_model = ["--log", workspace["log"], "--model", workspace["lang"]]
+    argv = {
+        "exact": ["exact", *log_and_model],
+        "approximate": ["approximate", *log_and_model],
+        "proxy-gen": ["proxy-gen", "--log", workspace["log"]],
+        "generate": generate_argv(tmp_path, spec_file(tmp_path)),
+        "evaluate": [
+            "evaluate",
+            "--spec",
+            spec_file(tmp_path),
+            "--strategies",
+            "random",
+            "--sizes",
+            "20",
+            "--repetitions",
+            "1",
+        ],
+    }[command]
+    if command == "proxy-gen" and flag != "--out":
+        argv += ["--out", str(tmp_path / "proxy.lang")]
+    bad = tmp_path / "missing" / "out.txt"
+    rc, _, err = run(argv + [flag, str(bad)], capsys)
+    assert rc == 1
+    assert f"error[output]: cannot write {what} {bad}: " in err
     assert "Traceback" not in err

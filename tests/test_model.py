@@ -118,8 +118,12 @@ def test_parse_pnml_needs_final_marking():
 
 
 def test_parse_pnml_unreachable_final_marking():
-    with pytest.raises(ModelError, match="unreachable"):
+    # the empty-trace search runs out of markings: a model error, not a
+    # state-bound one, as no bound was hit
+    message = "^final marking is unreachable from the initial marking$"
+    with pytest.raises(ModelError, match=message) as info:
         parse_pnml(PNML_SEQUENCE, final_marking={"p0": 2})
+    assert info.value.code == "model"
 
 
 def test_final_marking_json():
@@ -148,8 +152,8 @@ UNBOUNDED_PNML = """<?xml version="1.0"?>
 def test_state_bound_is_a_hard_error():
     with pytest.raises(
         StateBoundError,
-        match=r"state bound 50 exceeded after exploring 51 markings while "
-        r"searching for the final marking",
+        match=r"state bound 50 exceeded after expanding 51 states while "
+        r"aligning <>",
     ):
         parse_pnml(UNBOUNDED_PNML, final_marking={"p1": 0}, state_bound=50)
 
@@ -186,7 +190,7 @@ def test_min_visible_length_skips_stale_entries():
     # would count a fourth marking and exceed the bound
     net = parse_pnml(STALE_ENTRY_PNML, final_marking={"p3": 1}, state_bound=3)
     assert net.min_visible_length == 1
-    with pytest.raises(StateBoundError, match="after exploring 3 markings"):
+    with pytest.raises(StateBoundError, match="after expanding 3 states"):
         parse_pnml(STALE_ENTRY_PNML, final_marking={"p3": 1}, state_bound=2)
 
 

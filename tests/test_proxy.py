@@ -145,7 +145,7 @@ def test_sample_frequency_order_and_ties():
 
 def test_kcenter_picks_outlier():
     log = EventLog({("a",): 1, ("a", "b"): 1, ("x", "y", "z", "w"): 1})
-    proxy = cluster_kcenter(log, 2, seed=0)
+    proxy = cluster_kcenter(log, 2)
     assert ("x", "y", "z", "w") in proxy.members
     # seed center: all frequencies tie, shortest wins
     assert ("a",) in proxy.members
@@ -162,7 +162,7 @@ def test_kcenter_radius_within_twice_optimal():
             return int(matrix.cells[i, j])
 
         for k in (2, 3):
-            proxy = cluster_kcenter(log, k, seed=0, matrix=matrix)
+            proxy = cluster_kcenter(log, k, matrix=matrix)
             centers = [variants.index(m) for m in proxy.members]
             radius = max(
                 min(dist(i, c) for c in centers) for i in range(len(variants))
@@ -184,12 +184,11 @@ def test_kmedoids_matches_exhaustive_on_small_instances():
 
         for k in (2, 3):
             optimum = kmedoids_optimal_objective(log, k, dist)
-            for seed in range(5):
-                runs += 1
-                proxy = cluster_kmedoids(log, k, seed=seed, matrix=matrix)
-                got = epsilon_max_error(log, proxy).value
-                assert got >= optimum
-                hits += got == optimum
+            runs += 1
+            proxy = cluster_kmedoids(log, k, matrix=matrix)
+            got = epsilon_max_error(log, proxy).value
+            assert got >= optimum
+            hits += got == optimum
     assert hits / runs >= 0.95
 
 
@@ -281,19 +280,14 @@ def test_kmedoids_runs_one_build_and_one_swap(monkeypatch):
         monkeypatch.setattr(proxy_module, name, counting(name))
     log = _random_log(random.Random(137), 30, hi=8)
     matrix = distance_matrix(log.variant_traces)
-    found = set()
-    for seed in range(10):
-        calls.clear()
-        found.add(cluster_kmedoids(log, 4, seed, matrix=matrix).members)
-        assert calls == {"_pam_build": 1, "_pam_swap": 1}
-    # no step reads the seed
-    assert len(found) == 1
+    cluster_kmedoids(log, 4, matrix=matrix)
+    assert calls == {"_pam_build": 1, "_pam_swap": 1}
 
 
 def test_kmedoids_weights_matter():
     # a heavy variant pulls the single medoid toward itself
     log = EventLog({("a", "a", "a", "a"): 50, ("b",): 1, ("b", "c"): 1})
-    proxy = cluster_kmedoids(log, 1, seed=0)
+    proxy = cluster_kmedoids(log, 1)
     assert proxy.members == (("a", "a", "a", "a"),)
 
 
@@ -301,9 +295,9 @@ def test_kmedoids_not_worse_than_random():
     rng = random.Random(107)
     log = _random_log(rng, 12)
     matrix = distance_matrix(log.variant_traces)
+    med = epsilon_max_error(log, cluster_kmedoids(log, 3, matrix=matrix))
     wins = 0
     for seed in range(100):
-        med = epsilon_max_error(log, cluster_kmedoids(log, 3, seed, matrix=matrix))
         rnd = epsilon_max_error(log, sample_random(log, 3, seed))
         wins += med.value <= rnd.value
     assert wins >= 90
@@ -400,8 +394,8 @@ def test_generate_proxy_dispatch():
 
 def test_cluster_k_equals_variant_count():
     log = _random_log(random.Random(139), 5)
-    assert cluster_kmedoids(log, 5, seed=0).members == log.variant_traces
-    assert set(cluster_kcenter(log, 5, seed=0).members) == set(log.variant_traces)
+    assert cluster_kmedoids(log, 5).members == log.variant_traces
+    assert set(cluster_kcenter(log, 5).members) == set(log.variant_traces)
 
 
 def test_k_out_of_range():
@@ -412,6 +406,6 @@ def test_k_out_of_range():
         with pytest.raises(ProxyError):
             sample_frequency(log, bad)
         with pytest.raises(ProxyError):
-            cluster_kmedoids(log, bad, seed=0)
+            cluster_kmedoids(log, bad)
         with pytest.raises(ProxyError):
-            cluster_kcenter(log, bad, seed=0)
+            cluster_kcenter(log, bad)
