@@ -141,11 +141,19 @@ def _edit_moves(masks, model_trace):
     return moves
 
 
+def transition_moves(transitions):
+    """The sync, silent and model moves of each transition, as three tuples
+    indexed like ``transitions``."""
+    return (
+        tuple(Move(MoveKind.SYNC, t.label, t.tid) for t in transitions),
+        tuple(Move(MoveKind.SILENT, None, t.tid) for t in transitions),
+        tuple(Move(MoveKind.MODEL, t.label, t.tid) for t in transitions),
+    )
+
+
 def _align_petri(trace, model):
     n = len(trace)
-    sync_moves = [Move(MoveKind.SYNC, t.label, t.tid) for t in model.transitions]
-    silent_moves = [Move(MoveKind.SILENT, None, t.tid) for t in model.transitions]
-    model_moves = [Move(MoveKind.MODEL, t.label, t.tid) for t in model.transitions]
+    sync_moves, silent_moves, model_moves = model.moves
     log_moves = [Move(MoveKind.LOG, a) for a in trace]
 
     # a search state is the int mid * (n + 1) + pos for marking id mid

@@ -32,6 +32,16 @@ LOWER_BOTH = "both"
 ESTIMATOR_MIDPOINT = "midpoint"
 ESTIMATOR_HALF_DISTANCE = "half-distance"
 ESTIMATORS = (ESTIMATOR_MIDPOINT, ESTIMATOR_HALF_DISTANCE)
+DEFAULT_UPPER_WEIGHT = Fraction(1, 2)
+
+TIMING_PROXY_GENERATION = "proxy_generation"
+TIMING_REFERENCE_ALIGNMENT = "reference_alignment"
+TIMING_BOUND_COMPUTATION = "bound_computation"
+TIMING_KEYS = (
+    TIMING_PROXY_GENERATION,
+    TIMING_REFERENCE_ALIGNMENT,
+    TIMING_BOUND_COMPUTATION,
+)
 
 
 @dataclass(frozen=True)
@@ -54,12 +64,23 @@ def _ref_cost(proxy: ProxySet, member: Trace) -> int:
         ) from None
 
 
+def check_estimate(estimator: str, upper_weight) -> Fraction:
+    """The upper weight as a Fraction, once ``estimator`` is known and the
+    weight lies within [0, 1]; a ``BoundsError`` otherwise."""
+    if estimator not in ESTIMATORS:
+        raise BoundsError(f"unknown estimator {estimator!r}; expected {ESTIMATORS}")
+    weight = Fraction(upper_weight)
+    if not 0 <= weight.numerator <= weight.denominator:
+        raise BoundsError(f"upper weight must be within [0, 1], got {weight}")
+    return weight
+
+
 def approximate_cost(
     trace,
     proxy: ProxySet,
     model,
     estimator: str = ESTIMATOR_MIDPOINT,
-    upper_weight: Fraction = Fraction(1, 2),
+    upper_weight: Fraction = DEFAULT_UPPER_WEIGHT,
     distances=None,
 ) -> BoundsResult:
     """Certified bracket plus a point estimate for one trace.
@@ -85,12 +106,8 @@ def approximate_cost(
     in its order; it is computed here when omitted.
     """
     trace = tuple(trace)
-    if estimator not in ESTIMATORS:
-        raise BoundsError(f"unknown estimator {estimator!r}; expected {ESTIMATORS}")
-    weight = Fraction(upper_weight)
+    weight = check_estimate(estimator, upper_weight)
     p, q = weight.numerator, weight.denominator
-    if not 0 <= p <= q:
-        raise BoundsError(f"upper weight must be within [0, 1], got {weight}")
 
     if distances is None:
         [distances] = zip(*distance_table((trace,), proxy.members))
@@ -134,11 +151,6 @@ def approximate_cost(
         proxy_distance=proxy_distance,
         lower_source=source,
     )
-
-
-TIMING_PROXY_GENERATION = "proxy_generation"
-TIMING_REFERENCE_ALIGNMENT = "reference_alignment"
-TIMING_BOUND_COMPUTATION = "bound_computation"
 
 
 @dataclass
@@ -185,7 +197,7 @@ def approximate_log(
     params: StrategyParams | None = None,
     proxy: ProxySet | None = None,
     estimator: str = ESTIMATOR_MIDPOINT,
-    upper_weight: Fraction = Fraction(1, 2),
+    upper_weight: Fraction = DEFAULT_UPPER_WEIGHT,
     matrix: DistanceMatrix | None = None,
 ) -> ApproxReport:
     """Approximate the alignment cost of every variant in ``log``.
@@ -194,8 +206,10 @@ def approximate_log(
     ready-made set (its reference costs are recomputed here either way).
     The member distances come from one table, which reads the columns of
     ``matrix`` (built here for kmedoids, which clusters on it) where the
-    members are among its labels.
+    members are among its labels.  The estimate setting is checked before
+    any proxy is generated or member aligned.
     """
+    upper_weight = check_estimate(estimator, upper_weight)
     if (params is None) == (proxy is None):
         raise BoundsError("provide exactly one of params or proxy")
     if log.total_traces == 0:
@@ -217,7 +231,7 @@ def approximate_log(
     # every estimate is a multiple of 1/(2q) for an upper weight p/q (the
     # half-distance estimator gives halves), so the total sums integer
     # numerators over that one denominator
-    scale = 2 * Fraction(upper_weight).denominator
+    scale = 2 * upper_weight.denominator
     numerator = 0
     columns = distance_table(variants, proxy.members, matrix)
     for trace, distances in zip(variants, zip(*columns)):

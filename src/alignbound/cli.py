@@ -16,7 +16,13 @@ from fractions import Fraction
 from pathlib import Path
 
 from .aligner import optimal_alignment
-from .bounds import ESTIMATOR_HALF_DISTANCE, ESTIMATOR_MIDPOINT, approximate_log
+from .bounds import (
+    DEFAULT_UPPER_WEIGHT,
+    ESTIMATORS,
+    ESTIMATOR_MIDPOINT,
+    approximate_log,
+    check_estimate,
+)
 from .distance import distance_matrix
 from .errors import (
     AlignboundError,
@@ -28,6 +34,8 @@ from .errors import (
     ProxyError,
 )
 from .harness import (
+    DEFAULT_REPETITIONS,
+    DEFAULT_SIZE_PERCENTS,
     SyntheticSpec,
     generate_synthetic,
     rows_to_csv,
@@ -36,6 +44,7 @@ from .harness import (
 )
 from .log import EventLog, decode_text, parse_csv, parse_xes, write_log_xes
 from .model import (
+    DEFAULT_PROBE_BOUND,
     DEFAULT_STATE_BOUND,
     PetriNetModel,
     parse_explicit_language,
@@ -105,14 +114,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_log_flags(p_approx)
     add_model_flags(p_approx)
     add_strategy_flags(p_approx)
-    p_approx.add_argument(
-        "--estimator",
-        choices=[ESTIMATOR_MIDPOINT, ESTIMATOR_HALF_DISTANCE],
-        default=ESTIMATOR_MIDPOINT,
-    )
+    p_approx.add_argument("--estimator", choices=ESTIMATORS, default=ESTIMATOR_MIDPOINT)
     p_approx.add_argument(
         "--upper-weight",
-        default="1/2",
+        default=str(DEFAULT_UPPER_WEIGHT),
         help="weight of the upper bound in the midpoint estimator",
     )
     p_approx.add_argument("--report", choices=["json", "csv"], default="json")
@@ -145,8 +150,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument(
         "--strategies", default=",".join(STRATEGIES), help="comma-separated subset"
     )
-    p_eval.add_argument("--sizes", default="5,10,20,30,50", help="percent list")
-    p_eval.add_argument("--repetitions", type=int, default=4)
+    p_eval.add_argument(
+        "--sizes", default=",".join(map(str, DEFAULT_SIZE_PERCENTS)), help="percent list"
+    )
+    p_eval.add_argument("--repetitions", type=int, default=DEFAULT_REPETITIONS)
     p_eval.add_argument("--out", help="grid CSV (default stdout)")
     p_eval.add_argument("--long-out", help="also write the long-format CSV here")
 
@@ -209,7 +216,7 @@ def _load_model(args):
 def _warn_dead_transitions(model) -> None:
     if not isinstance(model, PetriNetModel):
         return
-    probe_cap = min(model.state_bound, 10_000)
+    probe_cap = min(model.state_bound, DEFAULT_PROBE_BOUND)
     fired, complete = model.probe_fired(probe_cap)
     dead = sorted(t.tid for t in model.transitions if t.tid not in fired)
     if dead:
@@ -230,6 +237,16 @@ def _write(path, payload: bytes | str, what: str) -> None:
         Path(path).write_bytes(payload)
     except OSError as exc:
         raise OutputError(f"cannot write {what} {path}: {exc}") from None
+
+
+def _write_traces(path, traces, what: str) -> None:
+    """Write traces in the language text format; a label the format cannot
+    carry is an ``OutputError``."""
+    try:
+        text = serialize_explicit_language(traces)
+    except ValueError as exc:
+        raise OutputError(f"cannot write {what} {path}: {exc}") from None
+    _write(path, text, what)
 
 
 def _emit(payload: bytes, out: str | None, what: str) -> None:
@@ -267,22 +284,24 @@ def _load_proxy_file(path: str) -> ProxySet:
     return ProxySet(members=language.traces, provenance=f"file:{path}")
 
 
+def _strategy_params(args) -> StrategyParams:
+    return StrategyParams(
+        strategy=args.strategy,
+        size_percent=_fraction(args.size_percent, ProxyError, "--size-percent"),
+        seed=args.seed,
+    )
+
+
 def _cmd_approximate(args) -> int:
     _echo_config(args)
+    params = None if args.proxy_in else _strategy_params(args)
+    upper_weight = check_estimate(
+        args.estimator, _fraction(args.upper_weight, BoundsError, "--upper-weight")
+    )
     log = _load_log(args)
     model = _load_model(args)
     _warn_dead_transitions(model)
-
-    proxy = None
-    params = None
-    if args.proxy_in:
-        proxy = _load_proxy_file(args.proxy_in)
-    else:
-        params = StrategyParams(
-            strategy=args.strategy,
-            size_percent=_fraction(args.size_percent, ProxyError, "--size-percent"),
-            seed=args.seed,
-        )
+    proxy = _load_proxy_file(args.proxy_in) if args.proxy_in else None
 
     report = approximate_log(
         log,
@@ -290,11 +309,10 @@ def _cmd_approximate(args) -> int:
         params=params,
         proxy=proxy,
         estimator=args.estimator,
-        upper_weight=_fraction(args.upper_weight, BoundsError, "--upper-weight"),
+        upper_weight=upper_weight,
     )
     if args.proxy_out:
-        members = serialize_explicit_language(report.proxy.members)
-        _write(args.proxy_out, members, "proxy file")
+        _write_traces(args.proxy_out, report.proxy.members, "proxy file")
     if args.no_timings:
         report = strip_timings(report)
     _emit(write_report(report, fmt=args.report), args.out, "report")
@@ -303,12 +321,8 @@ def _cmd_approximate(args) -> int:
 
 def _cmd_proxy_gen(args) -> int:
     _echo_config(args)
+    params = _strategy_params(args)
     log = _load_log(args)
-    params = StrategyParams(
-        strategy=args.strategy,
-        size_percent=_fraction(args.size_percent, ProxyError, "--size-percent"),
-        seed=args.seed,
-    )
     # kmedoids clusters on the matrix, so it is built once and epsilon
     # reads the members' columns from it
     matrix = None
@@ -318,7 +332,7 @@ def _cmd_proxy_gen(args) -> int:
         _write(args.dump_distance_matrix, matrix.to_csv(), "distance matrix")
     proxy = generate_proxy(log, params, matrix=matrix)
     eps = epsilon_max_error(log, proxy, matrix=matrix)
-    _write(args.out, serialize_explicit_language(proxy.members), "proxy file")
+    _write_traces(args.out, proxy.members, "proxy file")
     print(
         f"proxy: {len(proxy)} members, a-priori max error {eps.value}",
         file=sys.stderr,
@@ -342,7 +356,7 @@ def _cmd_generate(args) -> int:
     _echo_config(args)
     spec = _load_spec(args)
     model, log = generate_synthetic(spec)
-    _write(args.model_out, serialize_explicit_language(model.traces), "model")
+    _write_traces(args.model_out, model.traces, "model")
     _write(args.log_out, write_log_xes(log), "log")
     print(
         f"generated: {len(model.traces)} model traces, "

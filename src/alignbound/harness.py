@@ -14,24 +14,26 @@ import math
 import random
 import string
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 from .bounds import (
     LOWER_BOTH,
     LOWER_PROXY,
     LOWER_STRUCTURAL,
-    TIMING_BOUND_COMPUTATION,
+    TIMING_KEYS,
     TIMING_PROXY_GENERATION,
-    TIMING_REFERENCE_ALIGNMENT,
     approximate_log,
 )
 from .aligner import optimal_alignment
 from .distance import distance_matrix
-from .errors import ExperimentError
+from .errors import ExperimentError, ProxyError
 from .log import EventLog
 from .model import ExplicitLanguageModel
 from .proxy import SEEDED_STRATEGIES, STRATEGIES, StrategyParams
+
+DEFAULT_SIZE_PERCENTS = (5, 10, 20, 30, 50)
+DEFAULT_REPETITIONS = 4
 
 
 @dataclass(frozen=True)
@@ -245,8 +247,8 @@ def lower_source_percentages(report):
 def run_experiment(
     spec: SyntheticSpec,
     strategies=STRATEGIES,
-    size_percents=(5, 10, 20, 30, 50),
-    repetitions: int = 4,
+    size_percents=DEFAULT_SIZE_PERCENTS,
+    repetitions: int = DEFAULT_REPETITIONS,
 ) -> list[ExperimentRow]:
     """Sweep the grid on one synthetic pair, in deterministic grid order.
 
@@ -256,52 +258,43 @@ def run_experiment(
     repeated under each cell seed (its timings, and so both pi columns,
     repeat that one run).  The exact-alignment time is measured once per
     pair and shared by every row, as is the variant distance matrix handed
-    to the clustering strategies.  An empty or unknown grid axis, a size
-    outside (0, 100] or fewer than one repetition is an ``ExperimentError``,
-    raised before anything is generated.
+    to the clustering strategies.  An empty grid axis, a cell that
+    ``StrategyParams`` rejects or fewer than one repetition is an
+    ``ExperimentError``, raised before anything is generated.
     """
-    for s in strategies:
-        if s not in STRATEGIES:
-            raise ExperimentError(f"unknown strategy {s!r}; expected {STRATEGIES}")
     if not strategies or not size_percents:
         raise ExperimentError("the grid needs at least one strategy and one size")
     if repetitions < 1:
         raise ExperimentError(f"repetitions must be at least 1, got {repetitions}")
-    for size in size_percents:
-        if not 0 < Fraction(size) <= 100:
-            raise ExperimentError(f"size percent must be in (0, 100], got {size}")
+    master = spec.seed * 1_000_003
+    try:
+        grid = [
+            StrategyParams(strategy=strategy, size_percent=size, seed=master)
+            for strategy in strategies
+            for size in size_percents
+        ]
+    except ProxyError as exc:
+        raise ExperimentError(str(exc)) from None
     model, log = generate_synthetic(spec)
     costs, t_exact = exact_costs(log, model)
     matrix = distance_matrix(log.variant_traces)
 
     rows = []
-    for strategy in strategies:
-        for size in size_percents:
-            row = None
-            for rep in range(repetitions):
-                cell_seed = spec.seed * 1_000_003 + rep
-                if row is None or strategy in SEEDED_STRATEGIES:
-                    params = StrategyParams(
-                        strategy=strategy, size_percent=size, seed=cell_seed
-                    )
-                    report = approximate_log(log, model, params=params, matrix=matrix)
-                    row = _experiment_row(report, params, costs, t_exact)
-                rows.append(replace(row, seed=cell_seed))
+    for params in grid:
+        row = None
+        for rep in range(repetitions):
+            if row is None or params.strategy in SEEDED_STRATEGIES:
+                cell = replace(params, seed=master + rep)
+                report = approximate_log(log, model, params=cell, matrix=matrix)
+                row = _experiment_row(report, cell, costs, t_exact)
+            rows.append(replace(row, seed=master + rep))
     return rows
 
 
 def _experiment_row(report, params, costs, t_exact) -> ExperimentRow:
-    t_with = max(
-        1,
-        report.timings_us[TIMING_PROXY_GENERATION]
-        + report.timings_us[TIMING_REFERENCE_ALIGNMENT]
-        + report.timings_us[TIMING_BOUND_COMPUTATION],
-    )
-    t_without = max(
-        1,
-        report.timings_us[TIMING_REFERENCE_ALIGNMENT]
-        + report.timings_us[TIMING_BOUND_COMPUTATION],
-    )
+    total = sum(report.timings_us[key] for key in TIMING_KEYS)
+    t_with = max(1, total)
+    t_without = max(1, total - report.timings_us[TIMING_PROXY_GENERATION])
     pi_with, pi_without = performance_improvement(t_exact, t_with, t_without)
     pcts = lower_source_percentages(report)
     return ExperimentRow(
@@ -335,18 +328,7 @@ def pearson_by_strategy(rows):
     return out
 
 
-ROW_HEADER = (
-    "strategy",
-    "size_percent",
-    "seed",
-    "epsilon_max",
-    "realized_error",
-    "pi_with",
-    "pi_without",
-    "pct_structural",
-    "pct_proxy",
-    "pct_both",
-)
+ROW_HEADER = tuple(f.name for f in fields(ExperimentRow))
 
 
 def rows_to_csv(rows) -> str:
@@ -354,20 +336,7 @@ def rows_to_csv(rows) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(ROW_HEADER)
     for row in rows:
-        writer.writerow(
-            [
-                row.strategy,
-                str(row.size_percent),
-                row.seed,
-                row.epsilon_max,
-                str(row.realized_error),
-                str(row.pi_with),
-                str(row.pi_without),
-                str(row.pct_structural),
-                str(row.pct_proxy),
-                str(row.pct_both),
-            ]
-        )
+        writer.writerow([str(getattr(row, name)) for name in ROW_HEADER])
     return buf.getvalue()
 
 

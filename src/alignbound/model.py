@@ -17,6 +17,8 @@ from .errors import ModelError
 from .log import Trace, decode_text, make_trace, trace_sort_key
 
 DEFAULT_STATE_BOUND = 1_000_000
+# markings the reachability probe of ``PetriNetModel.probe_fired`` visits
+DEFAULT_PROBE_BOUND = 10_000
 
 
 class ExplicitLanguageModel:
@@ -117,7 +119,8 @@ class PetriNetModel:
     returns ids and memoises its answer per id on the model, so the memo
     holds the part of the reachability graph that searches on this model
     have expanded.  On a bounded net it is finite; each search adds at most
-    ``state_bound`` markings to it.
+    ``state_bound`` markings to it.  ``moves`` holds the aligner's sync,
+    silent and model moves of every transition, built once per net.
     """
 
     def __init__(
@@ -155,8 +158,9 @@ class PetriNetModel:
         self.initial_id = self._intern(self.initial_marking)
         self.final_id = self._intern(self.final_marking)
         # imported here because the aligner imports this module
-        from .aligner import optimal_alignment
+        from .aligner import optimal_alignment, transition_moves
 
+        self.moves = transition_moves(self.transitions)
         self.min_visible_length = optimal_alignment((), self).cost
 
     def __repr__(self):
@@ -211,7 +215,7 @@ class PetriNetModel:
             self._successors[mid] = succ
         return succ
 
-    def probe_fired(self, max_states: int = 10_000):
+    def probe_fired(self, max_states: int = DEFAULT_PROBE_BOUND):
         """Breadth-first probe collecting transitions that fire at least once.
 
         Returns ``(fired_ids, complete)`` where ``complete`` is False when the

@@ -12,22 +12,11 @@ import json
 from dataclasses import replace
 from fractions import Fraction
 
-from .bounds import (
-    ApproxReport,
-    BoundsResult,
-    TIMING_BOUND_COMPUTATION,
-    TIMING_PROXY_GENERATION,
-    TIMING_REFERENCE_ALIGNMENT,
-)
+from .bounds import TIMING_KEYS, ApproxReport, BoundsResult
 from .errors import ReportError
 from .proxy import ProxySet
 
-TIMING_KEYS = (
-    TIMING_PROXY_GENERATION,
-    TIMING_REFERENCE_ALIGNMENT,
-    TIMING_BOUND_COMPUTATION,
-)
-
+# one variant row, of the JSON report and the CSV report alike
 CSV_HEADER = (
     "trace",
     "multiplicity",
@@ -45,16 +34,29 @@ def strip_timings(report: ApproxReport) -> ApproxReport:
     return replace(report, timings_us={key: 0 for key in TIMING_KEYS})
 
 
-def _variant_dict(result: BoundsResult, mult: int) -> dict:
+def _variant_cells(result: BoundsResult, mult: int, trace_cell) -> tuple:
+    """One variant's cells in ``CSV_HEADER`` order, each trace through
+    ``trace_cell``."""
+    return (
+        trace_cell(result.trace),
+        mult,
+        result.lower,
+        result.upper,
+        str(result.estimate),
+        trace_cell(result.nearest_proxy),
+        result.proxy_distance,
+        result.lower_source,
+    )
+
+
+def _aggregates(report: ApproxReport) -> dict:
+    """The aggregate block, in report order."""
     return {
-        "trace": list(result.trace),
-        "multiplicity": mult,
-        "lower": result.lower,
-        "upper": result.upper,
-        "estimate": str(result.estimate),
-        "nearest_proxy": list(result.nearest_proxy),
-        "proxy_distance": result.proxy_distance,
-        "lower_source": result.lower_source,
+        "epsilon_max": report.epsilon_max,
+        "total_estimate": str(report.total_estimate),
+        "total_traces": report.total_traces,
+        "aligner_invocations": report.aligner_invocations,
+        "timings_us": {key: report.timings_us.get(key, 0) for key in TIMING_KEYS},
     }
 
 
@@ -69,7 +71,8 @@ def write_report(report: ApproxReport, fmt: str = "json") -> bytes:
 def _write_json(report: ApproxReport) -> bytes:
     doc = {
         "variants": [
-            _variant_dict(result, mult) for result, mult in report.per_variant
+            dict(zip(CSV_HEADER, _variant_cells(result, mult, list)))
+            for result, mult in report.per_variant
         ],
         "proxy": {
             "members": [list(t) for t in report.proxy.members],
@@ -80,13 +83,7 @@ def _write_json(report: ApproxReport) -> bytes:
             ],
             "provenance": report.proxy.provenance,
         },
-        "aggregates": {
-            "epsilon_max": report.epsilon_max,
-            "total_estimate": str(report.total_estimate),
-            "total_traces": report.total_traces,
-            "aligner_invocations": report.aligner_invocations,
-            "timings_us": {key: report.timings_us.get(key, 0) for key in TIMING_KEYS},
-        },
+        "aggregates": _aggregates(report),
     }
     return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
 
@@ -149,25 +146,13 @@ def _write_csv(report: ApproxReport) -> bytes:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for result, mult in report.per_variant:
-        writer.writerow(
-            [
-                join_trace(result.trace),
-                mult,
-                result.lower,
-                result.upper,
-                str(result.estimate),
-                join_trace(result.nearest_proxy),
-                result.proxy_distance,
-                result.lower_source,
-            ]
-        )
+    writer.writerows(
+        _variant_cells(result, mult, join_trace) for result, mult in report.per_variant
+    )
     writer.writerow([])
     writer.writerow(["aggregate", "value"])
-    writer.writerow(["epsilon_max", report.epsilon_max])
-    writer.writerow(["total_estimate", str(report.total_estimate)])
-    writer.writerow(["total_traces", report.total_traces])
-    writer.writerow(["aligner_invocations", report.aligner_invocations])
-    for key in TIMING_KEYS:
-        writer.writerow([f"timing_{key}_us", report.timings_us.get(key, 0)])
+    aggregates = _aggregates(report)
+    timings = aggregates.pop("timings_us")
+    writer.writerows(aggregates.items())
+    writer.writerows((f"timing_{key}_us", us) for key, us in timings.items())
     return buf.getvalue().encode("utf-8")

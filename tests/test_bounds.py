@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -278,6 +279,36 @@ def test_weighted_estimator_moves_inside_bracket():
     assert mid.estimate == Fraction(low.lower + high.upper, 2)
     with pytest.raises(BoundsError):
         approximate_cost(trace, proxy, model, upper_weight=Fraction(3, 2))
+
+
+@pytest.mark.parametrize(
+    "estimator, weight, message",
+    [
+        ("psychic", Fraction(1, 2), "unknown estimator 'psychic'"),
+        ("midpoint", Fraction(3, 2), "upper weight must be within [0, 1], got 3/2"),
+        ("midpoint", Fraction(-1, 3), "upper weight must be within [0, 1], got -1/3"),
+    ],
+)
+def test_approximate_log_checks_the_estimate_before_any_work(
+    monkeypatch, estimator, weight, message
+):
+    import alignbound.bounds as bounds
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a proxy was generated or a member aligned")
+
+    monkeypatch.setattr(bounds, "generate_proxy", no_work)
+    monkeypatch.setattr(bounds, "optimal_alignment", no_work)
+    model = ExplicitLanguageModel([("a", "b")])
+    log = EventLog.from_traces([("a", "b"), ("a",)])
+    with pytest.raises(BoundsError, match=re.escape(message)):
+        approximate_log(
+            log,
+            model,
+            params=StrategyParams("frequency", 50),
+            estimator=estimator,
+            upper_weight=weight,
+        )
 
 
 short_traces = st.lists(st.sampled_from("abcd"), max_size=6).map(tuple)

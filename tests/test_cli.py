@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 import alignbound
+import alignbound.bounds
+import alignbound.cli
 import alignbound.harness
 import alignbound.proxy
 from alignbound.cli import main
@@ -739,6 +741,68 @@ def test_zero_denominator_is_a_stable_error(workspace, capsys, command, flag, va
     assert out == ""
     assert f"error[{code}]: {flag} must be a number or a fraction, got '1/0'" in err
     assert "Traceback" not in err
+
+
+def test_upper_weight_is_checked_before_any_work(workspace, capsys, monkeypatch):
+    calls = []
+    for name in ("generate_proxy", "optimal_alignment"):
+        real = getattr(alignbound.bounds, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(alignbound.bounds, name, counted)
+    net = ["--model", workspace["pnml"], "--final-marking", workspace["marking"]]
+    argv = ["approximate", "--log", workspace["log"], *net, "--upper-weight"]
+    rc, out, err = run([*argv, "3/2"], capsys)
+    assert rc == 1
+    assert out == ""
+    assert "error[bounds]: upper weight must be within [0, 1], got 3/2" in err
+    assert calls == []
+    # the same command with a valid weight does both
+    assert run([*argv, "1/3"], capsys)[0] == 0
+    assert "generate_proxy" in calls and "optimal_alignment" in calls
+
+
+@pytest.mark.parametrize("command", ["approximate", "proxy-gen"])
+def test_size_percent_is_checked_before_the_log_is_read(
+    workspace, capsys, monkeypatch, command
+):
+    def no_parse(*args, **kwargs):
+        raise AssertionError("the log was parsed")
+
+    monkeypatch.setattr(alignbound.cli, "parse_csv", no_parse)
+    argv = [command, "--log", workspace["log"], "--size-percent", "0"]
+    if command == "approximate":
+        argv += ["--model", workspace["lang"]]
+    else:
+        argv += ["--out", str(workspace["dir"] / "proxy.lang")]
+    rc, out, err = run(argv, capsys)
+    assert rc == 1
+    assert out == ""
+    assert "error[proxy]: size percent must be in (0, 100], got 0" in err
+
+
+@pytest.mark.parametrize(
+    "command, flag", [("approximate", "--proxy-out"), ("proxy-gen", "--out")]
+)
+def test_label_the_language_format_cannot_carry_is_an_output_error(
+    workspace, capsys, command, flag
+):
+    log_path = workspace["dir"] / "comma.csv"
+    log_path.write_text('case,activity,order\nc1,"a,b",1\nc1,c,2\n', encoding="utf-8")
+    argv = [command, "--log", str(log_path), "--size-percent", "100"]
+    if command == "approximate":
+        argv += ["--model", workspace["lang"]]
+    out_path = workspace["dir"] / "proxy.lang"
+    rc, _, err = run([*argv, flag, str(out_path)], capsys)
+    assert rc == 1
+    assert (
+        f"error[output]: cannot write proxy file {out_path}: "
+        "label 'a,b' cannot be carried by the language text format"
+    ) in err
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize(

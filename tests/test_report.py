@@ -1,5 +1,6 @@
 """Round-trip and shape tests for report serialization."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -68,6 +69,13 @@ def test_csv_shape():
         "total_traces",
         "aligner_invocations",
     ] + [f"timing_{key}_us" for key in TIMING_KEYS]
+
+
+def test_csv_header_is_the_json_variant_layout():
+    report = small_report()
+    header = write_report(report, fmt="csv").decode("utf-8").splitlines()[0]
+    rows = json.loads(write_report(report))["variants"]
+    assert {tuple(row) for row in rows} == {tuple(header.split(","))}
 
 
 def test_strip_timings_zeroes_every_key():
