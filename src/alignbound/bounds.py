@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .aligner import optimal_alignment
 # edit_distance stays importable: perfbench/tracer.py wraps it here to count LCS calls
-from .distance import DistanceMatrix, edit_distance  # noqa: F401
+from .distance import edit_distance  # noqa: F401
 from .errors import BoundsError
 from .log import EventLog, Trace, format_trace
 from .proxy import ProxySet, StrategyParams, distance_table, generate_proxy, variant_matrix
@@ -198,16 +198,16 @@ def approximate_log(
     proxy: ProxySet | None = None,
     estimator: str = ESTIMATOR_MIDPOINT,
     upper_weight: Fraction = DEFAULT_UPPER_WEIGHT,
-    matrix: DistanceMatrix | None = None,
 ) -> ApproxReport:
     """Approximate the alignment cost of every variant in ``log``.
 
     Either ``params`` selects a generation strategy or ``proxy`` supplies a
     ready-made set (its reference costs are recomputed here either way).
-    The member distances come from one table, which reads the columns of
-    ``matrix`` (built here for kmedoids, which clusters on it) where the
-    members are among its labels.  The estimate setting is checked before
-    any proxy is generated or member aligned.
+    The member distances come from one table.  For kmedoids, which
+    clusters on the variant distance matrix, the matrix is built inside the
+    generation time and the table reads the members' columns from it.  The
+    estimate setting is checked before any proxy is generated or member
+    aligned.
     """
     upper_weight = check_estimate(estimator, upper_weight)
     if (params is None) == (proxy is None):
@@ -216,10 +216,11 @@ def approximate_log(
         raise BoundsError("cannot approximate an empty log")
 
     variants = log.variant_traces
+    matrix = None
     t0 = _now_us()
     if proxy is None:
         if params.strategy == "kmedoids":
-            matrix = variant_matrix(variants, matrix)
+            matrix = variant_matrix(variants)
         proxy = generate_proxy(log, params, matrix=matrix)
     t_generated = _now_us()
 

@@ -280,7 +280,10 @@ def _cmd_exact(args) -> int:
 
 
 def _load_proxy_file(path: str) -> ProxySet:
-    language = parse_explicit_language(_read_input(path, ProxyError, "proxy file"))
+    try:
+        language = parse_explicit_language(_read_input(path, ProxyError, "proxy file"))
+    except ModelError as exc:
+        raise ProxyError(f"proxy file {path}: {exc}") from None
     return ProxySet(members=language.traces, provenance=f"file:{path}")
 
 
@@ -406,9 +409,6 @@ def main(argv=None) -> int:
         return COMMANDS[args.command](args)
     except AlignboundError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error[value]: {exc}", file=sys.stderr)
         return 1
 
 

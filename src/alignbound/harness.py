@@ -26,7 +26,6 @@ from .bounds import (
     approximate_log,
 )
 from .aligner import optimal_alignment
-from .distance import distance_matrix
 from .errors import ExperimentError, ProxyError
 from .log import EventLog
 from .model import ExplicitLanguageModel
@@ -257,10 +256,12 @@ def run_experiment(
     same proxy set at every seed, so it runs once per size and its row is
     repeated under each cell seed (its timings, and so both pi columns,
     repeat that one run).  The exact-alignment time is measured once per
-    pair and shared by every row, as is the variant distance matrix handed
-    to the clustering strategies.  An empty grid axis, a cell that
-    ``StrategyParams`` rejects or fewer than one repetition is an
-    ``ExperimentError``, raised before anything is generated.
+    pair and shared by every row.  Each cell runs ``approximate_log`` as the
+    ``approximate`` command does, so its timings cover the same stages,
+    including the distance matrix kmedoids clusters on.  An empty grid
+    axis, a cell that ``StrategyParams`` rejects or fewer than one
+    repetition is an ``ExperimentError``, raised before anything is
+    generated.
     """
     if not strategies or not size_percents:
         raise ExperimentError("the grid needs at least one strategy and one size")
@@ -275,9 +276,12 @@ def run_experiment(
         ]
     except ProxyError as exc:
         raise ExperimentError(str(exc)) from None
+    if any(params.strategy == "kmedoids" for params in grid):
+        # kmedoids imports numpy on first use; importing it here keeps that
+        # one-off cost out of the first kmedoids cell's generation time
+        import numpy  # noqa: F401
     model, log = generate_synthetic(spec)
     costs, t_exact = exact_costs(log, model)
-    matrix = distance_matrix(log.variant_traces)
 
     rows = []
     for params in grid:
@@ -285,7 +289,7 @@ def run_experiment(
         for rep in range(repetitions):
             if row is None or params.strategy in SEEDED_STRATEGIES:
                 cell = replace(params, seed=master + rep)
-                report = approximate_log(log, model, params=cell, matrix=matrix)
+                report = approximate_log(log, model, params=cell)
                 row = _experiment_row(report, cell, costs, t_exact)
             rows.append(replace(row, seed=master + rep))
     return rows

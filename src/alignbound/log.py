@@ -178,6 +178,16 @@ def parse_xes(data: bytes) -> EventLog:
     return EventLog(dict(counts))
 
 
+def _csv_rows(text: str):
+    """The rows of ``csv.reader`` over ``text``; a row the reader rejects
+    raises ``LogParseError`` naming its line."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise LogParseError(f"malformed CSV at line {reader.line_num}: {exc}") from None
+
+
 def parse_csv(
     data: bytes,
     case_column: str = "case",
@@ -195,10 +205,12 @@ def parse_csv(
 
     :raises LogParseError: input that is not UTF-8 (a leading byte-order
         mark is dropped), missing header or column (named in the message),
-        or a row with missing cells (reported with its line number, counting
-        non-blank rows).
+        a row with missing cells (reported with its line number, counting
+        non-blank rows), or a row the csv module rejects, such as one with a
+        field over its size limit (reported with its line number in the
+        file).
     """
-    reader = csv.reader(io.StringIO(decode_text(data, LogParseError, "CSV log")))
+    reader = _csv_rows(decode_text(data, LogParseError, "CSV log"))
     header = next(reader, None)
     if not header:
         raise LogParseError("CSV input has no header row")
@@ -230,20 +242,17 @@ def parse_csv(
     return EventLog(dict(counts))
 
 
-def write_log_csv(
-    log: EventLog,
-    case_column: str = "case",
-    activity_column: str = "activity",
-    order_column: str = "order",
-) -> bytes:
-    """Serialize a log to the CSV interchange format, one case per trace
-    instance (variants are repeated according to their multiplicity).
+def write_log_csv(log: EventLog) -> bytes:
+    """Serialize a log to the CSV interchange format (columns ``case``,
+    ``activity`` and ``order``, the defaults of :func:`parse_csv`), one case
+    per trace instance (variants are repeated according to their
+    multiplicity).
 
     Empty traces cannot be carried by CSV; use the XES writer for those.
     """
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow([case_column, activity_column, order_column])
+    writer.writerow(["case", "activity", "order"])
     case_no = 0
     for trace in sorted(log.variants, key=trace_sort_key):
         if not trace:

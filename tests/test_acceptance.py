@@ -28,7 +28,6 @@ from alignbound.bounds import (
     compute_ref_costs,
 )
 from alignbound.cli import main
-from alignbound.distance import distance_matrix
 from alignbound.fixtures import copy_fixture_files
 from alignbound.harness import (
     SyntheticSpec,
@@ -178,14 +177,11 @@ def test_criterion_4_realized_error_within_budget():
             )
             model, log = generate_synthetic(spec)
             costs, _ = exact_costs(log, model)
-            matrix = distance_matrix(log.variant_traces)
             for strategy in STRATEGIES:
                 params = StrategyParams(
                     strategy=strategy, size_percent=20, seed=seed
                 )
-                report = approximate_log(
-                    log, model, params=params, matrix=matrix
-                )
+                report = approximate_log(log, model, params=params)
                 assert realized_error(report, costs) <= report.epsilon_max
 
 

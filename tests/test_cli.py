@@ -356,7 +356,6 @@ def test_byte_order_marks_in_inputs_are_dropped(workspace, capsys):
     [
         ("log", "parse", "CSV log"),
         ("model", "model", "language file"),
-        ("proxy", "model", "language file"),
         ("marking", "model", "final marking JSON"),
     ],
 )
@@ -387,6 +386,49 @@ def test_invalid_utf8_input_fails_cleanly(workspace, capsys, kind, code, what):
     assert rc == 1
     assert out == ""
     assert f"error[{code}]: {what} is not valid UTF-8: " in err
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"", "language file contains no traces"),
+        (b"a,b\na,,b\n", "empty activity label on line 2"),
+        (b"a,\xff\n", "language file is not valid UTF-8: "),
+    ],
+    ids=["empty-file", "empty-label", "not-utf8"],
+)
+def test_malformed_proxy_file_is_a_proxy_error(workspace, capsys, data, message):
+    proxy = workspace["dir"] / "bad.lang"
+    proxy.write_bytes(data)
+    argv = ["approximate", "--log", workspace["log"], "--model", workspace["lang"]]
+    rc, out, err = run([*argv, "--proxy-in", str(proxy)], capsys)
+    assert rc == 1
+    assert out == ""
+    assert f"error[proxy]: proxy file {proxy}: {message}" in err
+
+
+EMPTY_LOG_ERRORS = {
+    "approximate": "error[bounds]: cannot approximate an empty log",
+    "proxy-gen": "error[proxy]: cannot size a proxy set for an empty log",
+}
+
+
+@pytest.mark.parametrize("command", ["exact", "approximate", "proxy-gen"])
+def test_empty_log(workspace, capsys, command):
+    log = workspace["dir"] / "empty.csv"
+    log.write_text("case,activity,order\n", encoding="utf-8")
+    argv = [command, "--log", str(log)]
+    if command == "proxy-gen":
+        argv += ["--out", str(workspace["dir"] / "proxy.lang")]
+    else:
+        argv += ["--model", workspace["lang"]]
+    rc, out, err = run(argv, capsys)
+    if command == "exact":
+        # no variants, so only the header row
+        assert (rc, out) == (0, "trace,multiplicity,cost\n")
+    else:
+        assert (rc, out) == (1, "")
+        assert EMPTY_LOG_ERRORS[command] in err
 
 
 # Runs each argv through cli.main in this fresh process and prints, per
@@ -427,6 +469,7 @@ def test_only_distance_matrix_commands_load_numpy(workspace):
     lang = ["--model", workspace["lang"]]
     log = ["--log", workspace["log"]]
     size = ["--size-percent", "50"]
+    grid = ["evaluate", "--spec", spec_file(workspace["dir"]), "--sizes", "50"]
     lean = [
         ["exact", *log, *lang],
         ["exact", "--log", str(xes), *lang],
@@ -441,10 +484,14 @@ def test_only_distance_matrix_commands_load_numpy(workspace):
             for strategy in ("random", "frequency", "kcenter")
         ),
         ["approximate", *log, *lang, "--proxy-in", proxy],
+        [*grid, "--strategies", "random,frequency,kcenter", "--repetitions", "1"],
     ]
     assert loaded_modules(lean) == [[0, False, False]] * len(lean)
-    kmedoids = ["approximate", *log, *lang, "--strategy", "kmedoids", *size]
-    assert loaded_modules([kmedoids]) == [[0, True, False]]
+    for kmedoids in (
+        ["approximate", *log, *lang, "--strategy", "kmedoids", *size],
+        [*grid, "--strategies", "kmedoids", "--repetitions", "1"],
+    ):
+        assert loaded_modules([kmedoids]) == [[0, True, False]]
 
 
 @pytest.mark.parametrize(
@@ -510,6 +557,46 @@ def test_dead_transition_warning(workspace, capsys):
     assert "warning: transitions never fired" in err
     assert "t_never" in err
     assert "a,1,0" in out
+
+
+# t_grow keeps p0 marked and adds a token to p_count each time it fires,
+# so the reachability probe never runs out of markings
+UNBOUNDED_DEAD_TRANSITION_PNML = """<pnml><net id="n"><page id="p">
+  <place id="p0"><initialMarking><text>1</text></initialMarking></place>
+  <place id="p_count"/>
+  <place id="p_orphan"/>
+  <place id="p_end"/>
+  <transition id="t_grow"><name><text>g</text></name></transition>
+  <transition id="t_end"><name><text>e</text></name></transition>
+  <transition id="t_never"><name><text>b</text></name></transition>
+  <arc id="a1" source="p0" target="t_grow"/>
+  <arc id="a2" source="t_grow" target="p0"/>
+  <arc id="a3" source="t_grow" target="p_count"/>
+  <arc id="a4" source="p0" target="t_end"/>
+  <arc id="a5" source="t_end" target="p_end"/>
+  <arc id="a6" source="p_orphan" target="t_never"/>
+  <arc id="a7" source="t_never" target="p_end"/>
+</page></net></pnml>
+"""
+
+
+def test_dead_transition_warning_says_where_the_probe_stopped(workspace, capsys):
+    pnml_path = workspace["dir"] / "unbounded.pnml"
+    pnml_path.write_text(UNBOUNDED_DEAD_TRANSITION_PNML, encoding="utf-8")
+    marking_path = workspace["dir"] / "end.json"
+    marking_path.write_text(json.dumps({"p_end": 1}), encoding="utf-8")
+    log_path = workspace["dir"] / "e.csv"
+    log_path.write_text("case,activity,order\nc1,e,1\n", encoding="utf-8")
+    argv = ["exact", "--log", str(log_path), "--model", str(pnml_path)]
+    argv += ["--final-marking", str(marking_path), "--state-bound", "4"]
+    rc, out, err = run(argv, capsys)
+    assert rc == 0
+    assert out == "trace,multiplicity,cost\ne,1,0\n"
+    # the probe visits at most min(--state-bound, DEFAULT_PROBE_BOUND) markings
+    assert (
+        "warning: transitions never fired in reachability probe: t_never "
+        "(probe stopped at 4 states)\n"
+    ) in err
 
 
 def test_proxy_gen_writes_language_file(workspace, capsys):

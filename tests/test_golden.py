@@ -1,8 +1,9 @@
 """Golden-bytes oracle: SHA-256 digests of command outputs that must not
 change under a refactor.
 
-``approximate`` runs with ``--no-timings`` and ``exact`` has no timing
-field, so their bytes are reproducible.  The evaluation grid carries two
+``approximate`` runs with ``--no-timings``, and ``exact`` and the proxy
+file ``proxy-gen`` writes have no timing field, so their bytes are
+reproducible.  The evaluation grid carries two
 wall-clock ratios (``pi_with``, ``pi_without``); those two columns are
 dropped before hashing.  A change that alters any digest in
 ``golden_digests.json`` must say why it changed the output.
@@ -90,6 +91,7 @@ def build_inputs(root: Path) -> dict:
                 str(paths["parallel_loop_final_marking.json"]),
             ],
             "synthetic": ["--log", str(synth_log), "--model", str(synth_model)],
+            "synthetic-log": ["--log", str(synth_log)],
         },
     }
 
@@ -121,6 +123,12 @@ def _cases():
                 )
         cases[f"exact-{source}"] = ("exact", source, [])
         cases[f"exact-{source}-moves"] = ("exact", source, ["--dump-moves"])
+    for strategy in STRATEGIES:
+        cases[f"proxy-gen-synthetic-{strategy}"] = (
+            "proxy-gen",
+            "synthetic-log",
+            ["--strategy", strategy, "--size-percent", "30", "--seed", "3"],
+        )
     return cases
 
 

@@ -221,6 +221,39 @@ def test_run_experiment_runs_seed_blind_strategies_once_per_size(monkeypatch):
         assert replace(first, seed=second.seed) == second
 
 
+def test_run_experiment_builds_a_matrix_only_in_kmedoids_cells(monkeypatch):
+    import sys
+
+    import alignbound.harness as harness
+
+    # the grid runs each cell as the approximate command does: the one
+    # matrix of a kmedoids cell is built inside it, and no other cell and
+    # no step of the grid itself builds one
+    current = [None]
+    built = []
+    real_approximate = harness.approximate_log
+
+    def tracking(log, model, params, **kwargs):
+        current[0] = params.strategy
+        try:
+            return real_approximate(log, model, params=params, **kwargs)
+        finally:
+            current[0] = None
+
+    monkeypatch.setattr(harness, "approximate_log", tracking)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("alignbound") and hasattr(module, "distance_matrix"):
+            real = module.distance_matrix
+            monkeypatch.setattr(
+                module,
+                "distance_matrix",
+                lambda *a, real=real: built.append(current[0]) or real(*a),
+            )
+    small_grid()
+    # kmedoids ignores the seed, so it runs once per size
+    assert built == ["kmedoids", "kmedoids"]
+
+
 def test_rows_to_csv_shape():
     rows = small_grid()
     lines = rows_to_csv(rows).splitlines()

@@ -160,6 +160,20 @@ def test_parse_csv_invalid_utf8_is_a_parse_error():
         parse_csv(b"case,activity,order\nc1,\xff,1\n")
 
 
+@pytest.mark.parametrize("where", ["header", "row"])
+def test_parse_csv_field_over_the_csv_limit_is_a_parse_error(where):
+    # the csv module rejects a field over 131,072 characters; the error
+    # names the file line, blank lines included
+    huge = "x" * (csv.field_size_limit() + 1)
+    if where == "header":
+        text, line = f"case,activity,{huge}\n", 1
+    else:
+        text, line = f"case,activity,order\nc1,a,1\n\nc1,{huge},2\n", 4
+    message = f"^malformed CSV at line {line}: field larger than field limit"
+    with pytest.raises(LogParseError, match=message):
+        parse_csv(text.encode())
+
+
 def test_event_log_canonical_variant_order():
     log = EventLog.from_traces([("b",), ("a", "x"), ("a",), ("a", "b")])
     assert log.variant_traces == (("a",), ("b",), ("a", "b"), ("a", "x"))

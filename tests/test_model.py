@@ -110,6 +110,40 @@ def test_parse_pnml_unreadable_encoding(encoding, message):
         parse_pnml(data, final_marking={"p3": 1})
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ('<place id="p3"/>', "<place/>", "^place without an id$"),
+        ('<place id="p3"/>', '<place id="p2"/>', "^duplicate place id 'p2'$"),
+        ("<text>1</text>", "<text>one</text>", "^place 'p0' has a non-integer initial marking$"),
+        ('<transition id="t_skip"/>', "<transition/>", "^transition without an id$"),
+        ('<transition id="t_skip"/>', '<transition id="t_b"/>', "^duplicate transition ids$"),
+        (
+            '<arc id="a8" source="t_c" target="p3"/>',
+            '<arc id="a8" source="p0" target="t_a"/>',
+            r"^duplicate arc 'a8' \(p0 -> t_a\)$",
+        ),
+    ],
+)
+def test_parse_pnml_rejects_a_malformed_element(old, new, message):
+    assert old in PNML_SEQUENCE
+    with pytest.raises(ModelError, match=message):
+        parse_pnml(PNML_SEQUENCE.replace(old, new, 1), final_marking={"p3": 1})
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ('<transition id="t"/>', "^net has no places$"),
+        ('<place id="p"/>', "^net has no transitions$"),
+    ],
+)
+def test_parse_pnml_rejects_a_net_without_places_or_transitions(body, message):
+    data = f'<pnml><net id="n"><page id="p">{body}</page></net></pnml>'
+    with pytest.raises(ModelError, match=message):
+        parse_pnml(data, final_marking={})
+
+
 def test_parse_pnml_needs_final_marking():
     with pytest.raises(ModelError, match="final marking"):
         parse_pnml(PNML_SEQUENCE)
@@ -135,6 +169,12 @@ def test_final_marking_json():
     assert parse_final_marking_json(b'\xef\xbb\xbf{"p": 1}') == {"p": 1}
     with pytest.raises(ModelError, match="^final marking JSON is not valid UTF-8: "):
         parse_final_marking_json(b'{"\xff": 1}')
+
+
+@pytest.mark.parametrize("data", [b'{"p": ', b"", b"{'p': 1}"])
+def test_final_marking_json_that_does_not_parse(data):
+    with pytest.raises(ModelError, match="^malformed final marking JSON: "):
+        parse_final_marking_json(data)
 
 
 UNBOUNDED_PNML = """<?xml version="1.0"?>
