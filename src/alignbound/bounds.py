@@ -75,6 +75,12 @@ def check_estimate(estimator: str, upper_weight) -> Fraction:
     return weight
 
 
+def check_log(log: EventLog) -> None:
+    """A ``BoundsError`` when ``log`` holds no trace to approximate."""
+    if log.total_traces == 0:
+        raise BoundsError("cannot approximate an empty log")
+
+
 def approximate_cost(
     trace,
     proxy: ProxySet,
@@ -206,14 +212,13 @@ def approximate_log(
     The member distances come from one table.  For kmedoids, which
     clusters on the variant distance matrix, the matrix is built inside the
     generation time and the table reads the members' columns from it.  The
-    estimate setting is checked before any proxy is generated or member
-    aligned.
+    estimate setting and the log (:func:`check_log`) are checked before any
+    proxy is generated or member aligned.
     """
     upper_weight = check_estimate(estimator, upper_weight)
     if (params is None) == (proxy is None):
         raise BoundsError("provide exactly one of params or proxy")
-    if log.total_traces == 0:
-        raise BoundsError("cannot approximate an empty log")
+    check_log(log)
 
     variants = log.variant_traces
     matrix = None

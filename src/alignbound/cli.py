@@ -22,6 +22,7 @@ from .bounds import (
     ESTIMATOR_MIDPOINT,
     approximate_log,
     check_estimate,
+    check_log,
 )
 from .distance import distance_matrix
 from .errors import (
@@ -302,6 +303,7 @@ def _cmd_approximate(args) -> int:
         args.estimator, _fraction(args.upper_weight, BoundsError, "--upper-weight")
     )
     log = _load_log(args)
+    check_log(log)
     model = _load_model(args)
     _warn_dead_transitions(model)
     proxy = _load_proxy_file(args.proxy_in) if args.proxy_in else None

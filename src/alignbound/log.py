@@ -8,7 +8,9 @@ iterates variants in a canonical order (length first, then lexicographic).
 Both parsers stream their input straight into variant counts: XES goes
 through an expat handler that counts each trace as it closes, without
 building an element tree, and CSV through one ``csv.reader`` pass that
-keeps only each case's (order, activity) pairs.
+keeps only each case's (order, activity) pairs.  The two writers work per
+variant: a variant's text is built once and repeated for each of its
+cases, with only the case name changed.
 """
 
 import csv
@@ -17,6 +19,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
+from types import SimpleNamespace
 from xml.parsers import expat
 
 from .errors import LogParseError
@@ -248,43 +251,54 @@ def write_log_csv(log: EventLog) -> bytes:
     per trace instance (variants are repeated according to their
     multiplicity).
 
+    Each variant's rows go through one ``csv.writer`` once, without their
+    case cell; every case of the variant then repeats those rows behind its
+    own ``case-N`` cell, which never needs quoting.
+
     Empty traces cannot be carried by CSV; use the XES writer for those.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["case", "activity", "order"])
+    rows: list[str] = []
+    # csv.writer calls write once per row, so rows holds one entry per row
+    writer = csv.writer(SimpleNamespace(write=rows.append))
+    out = ["case,activity,order\r\n"]
     case_no = 0
     for trace in sorted(log.variants, key=trace_sort_key):
         if not trace:
             raise ValueError("CSV interchange cannot represent an empty trace")
+        rows.clear()
+        writer.writerows(("", activity, pos) for pos, activity in enumerate(trace, 1))
         for _ in range(log.variants[trace]):
             case_no += 1
-            for pos, activity in enumerate(trace, start=1):
-                writer.writerow([f"case-{case_no}", activity, pos])
-    return buf.getvalue().encode("utf-8")
+            case = f"case-{case_no}"
+            out.append(case + case.join(rows))
+    return "".join(out).encode("utf-8")
 
 
 def write_log_xes(log: EventLog) -> bytes:
-    """Serialize a log to the XES subset understood by :func:`parse_xes`."""
+    """Serialize a log to the XES subset understood by :func:`parse_xes`.
+
+    ``concept:name`` and each distinct label are quoted once; each variant's
+    event lines are built once and repeated for every case of the variant,
+    which changes only the case's name line.
+    """
     # imported here: xml.sax.saxutils loads urllib.request, which no parser
     # or command but this writer needs
     from xml.sax.saxutils import quoteattr
 
-    out = ['<?xml version="1.0" encoding="UTF-8"?>', '<log xes.version="1.0">']
+    event = "\n    <event><string key=%s value=%%s/></event>" % quoteattr(CONCEPT_NAME)
+    events: dict[str, str] = {}  # label -> its event line
+    out = ['<?xml version="1.0" encoding="UTF-8"?>\n<log xes.version="1.0">\n']
     case_no = 0
     for trace in sorted(log.variants, key=trace_sort_key):
+        for activity in trace:
+            if activity not in events:
+                events[activity] = event % quoteattr(activity)
+        body = "".join([events[a] for a in trace]) + "\n  </trace>\n"
         for _ in range(log.variants[trace]):
             case_no += 1
-            out.append("  <trace>")
             out.append(
-                f'    <string key="{CONCEPT_NAME}" value="case-{case_no}"/>'
+                f'  <trace>\n    <string key="{CONCEPT_NAME}" value="case-{case_no}"/>'
             )
-            for activity in trace:
-                out.append(
-                    "    <event><string key=%s value=%s/></event>"
-                    % (quoteattr(CONCEPT_NAME), quoteattr(activity))
-                )
-            out.append("  </trace>")
-    out.append("</log>")
-    out.append("")
-    return "\n".join(out).encode("utf-8")
+            out.append(body)
+    out.append("</log>\n")
+    return "".join(out).encode("utf-8")

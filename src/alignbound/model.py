@@ -119,8 +119,11 @@ class PetriNetModel:
     returns ids and memoises its answer per id on the model, so the memo
     holds the part of the reachability graph that searches on this model
     have expanded.  On a bounded net it is finite; each search adds at most
-    ``state_bound`` markings to it.  ``moves`` holds the aligner's sync,
-    silent and model moves of every transition, built once per net.
+    ``state_bound`` markings to it.  Each transition's preset is one
+    bitmask over the places, built once per net, so a new marking's enabled
+    transitions are found by testing each mask against the marking's
+    marked places.  ``moves`` holds the aligner's sync, silent and model
+    moves of every transition, built once per net.
     """
 
     def __init__(
@@ -151,6 +154,11 @@ class PetriNetModel:
                 raise ModelError("markings must be non-negative and cover all places")
         self.alphabet = frozenset(
             t.label for t in self.transitions if t.label is not None
+        )
+        # (transition index, preset bitmask, label) of every transition
+        self._presets = tuple(
+            (ti, sum(1 << p for p in set(places)), trans.label)
+            for ti, (trans, places) in enumerate(zip(self.transitions, self.inputs))
         )
         self._ids: dict[tuple, int] = {}
         self._markings: list[tuple] = []  # id -> marking
@@ -191,22 +199,27 @@ class PetriNetModel:
     def successors(self, mid: int) -> Successors:
         """The transitions enabled in the marking with id ``mid`` with the
         ids of their successor markings, memoised per model (see the class
-        docstring)."""
+        docstring).  A transition is enabled when its preset bitmask lies
+        inside the mask of the marking's marked places."""
         succ = self._successors[mid]
         if succ is None:
             marking = self._markings[mid]
+            marked = 0
+            for p, count in enumerate(marking):
+                if count > 0:
+                    marked |= 1 << p
             silent = []
             visible = []
             by_label: dict[str, list] = {}
-            for ti, trans in enumerate(self.transitions):
-                if not self.enabled(marking, ti):
+            for ti, preset, label in self._presets:
+                if preset & marked != preset:
                     continue
                 step = (ti, self._intern(self.fire(marking, ti)))
-                if trans.silent:
+                if label is None:
                     silent.append(step)
                 else:
                     visible.append(step)
-                    by_label.setdefault(trans.label, []).append(step)
+                    by_label.setdefault(label, []).append(step)
             succ = Successors(
                 tuple(silent),
                 tuple(visible),

@@ -4,6 +4,9 @@ JSON is the lossless interchange format (exact rationals travel as
 strings like ``"7/2"`` and round-trip bit for bit); CSV is a flat view
 with one row per variant and an aggregate footer block.  Field order is
 fixed so identical runs produce identical bytes once timings are zeroed.
+The JSON bytes are those of ``json.dumps(doc, indent=2)``; the variant rows
+are filled into a template of that layout rather than encoded one value
+at a time.
 """
 
 import csv
@@ -11,6 +14,7 @@ import io
 import json
 from dataclasses import replace
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .bounds import TIMING_KEYS, ApproxReport, BoundsResult
 from .errors import ReportError
@@ -34,21 +38,6 @@ def strip_timings(report: ApproxReport) -> ApproxReport:
     return replace(report, timings_us={key: 0 for key in TIMING_KEYS})
 
 
-def _variant_cells(result: BoundsResult, mult: int, trace_cell) -> tuple:
-    """One variant's cells in ``CSV_HEADER`` order, each trace through
-    ``trace_cell``."""
-    return (
-        trace_cell(result.trace),
-        mult,
-        result.lower,
-        result.upper,
-        str(result.estimate),
-        trace_cell(result.nearest_proxy),
-        result.proxy_distance,
-        result.lower_source,
-    )
-
-
 def _aggregates(report: ApproxReport) -> dict:
     """The aggregate block, in report order."""
     return {
@@ -68,24 +57,68 @@ def write_report(report: ApproxReport, fmt: str = "json") -> bytes:
     raise ReportError(f"unknown report format {fmt!r}; expected json or csv")
 
 
+# one variant object of the JSON report in json.dumps(indent=2)'s layout
+# at its depth inside the "variants" list; the keys are CSV_HEADER's
+_JSON_VARIANT = (
+    "\n    {\n"
+    + ",\n".join(f"      {encode_basestring_ascii(key)}: %s" for key in CSV_HEADER)
+    + "\n    }"
+)
+
+
+def _json_trace(trace, texts: dict) -> str:
+    """A trace as json.dumps(indent=2) lays out a list of strings whose
+    items sit eight spaces deep; ``texts`` memoises each trace's text."""
+    text = texts.get(trace)
+    if text is None:
+        items = ",\n        ".join(map(encode_basestring_ascii, trace))
+        text = texts[trace] = "[\n        " + items + "\n      ]" if trace else "[]"
+    return text
+
+
 def _write_json(report: ApproxReport) -> bytes:
-    doc = {
-        "variants": [
-            dict(zip(CSV_HEADER, _variant_cells(result, mult, list)))
-            for result, mult in report.per_variant
-        ],
-        "proxy": {
-            "members": [list(t) for t in report.proxy.members],
-            "ref_costs": [
-                {"trace": list(t), "cost": report.proxy.ref_costs[t]}
-                for t in report.proxy.members
-                if t in report.proxy.ref_costs
-            ],
-            "provenance": report.proxy.provenance,
+    """The JSON report, byte for byte ``json.dumps(doc, indent=2) + "\\n"``.
+
+    Each variant row fills one fixed template, with strings escaped by the
+    C escaper ``json.dumps`` itself uses, so the stdlib's pure-Python
+    indenting encoder only lays out the proxy and aggregate blocks.  The
+    template holds only while the stdlib keeps its ``indent=2`` layout,
+    which the tests compare against on every supported Python.
+    """
+    texts: dict = {}
+    rows = [
+        _JSON_VARIANT
+        % (
+            _json_trace(result.trace, texts),
+            mult,
+            result.lower,
+            result.upper,
+            # a Fraction's str holds only digits, "-" and "/"
+            f'"{result.estimate}"',
+            _json_trace(result.nearest_proxy, texts),
+            result.proxy_distance,
+            encode_basestring_ascii(result.lower_source),
+        )
+        for result, mult in report.per_variant
+    ]
+    variants = "[" + ",".join(rows) + "\n  ]" if rows else "[]"
+    rest = json.dumps(
+        {
+            "proxy": {
+                "members": [list(t) for t in report.proxy.members],
+                "ref_costs": [
+                    {"trace": list(t), "cost": report.proxy.ref_costs[t]}
+                    for t in report.proxy.members
+                    if t in report.proxy.ref_costs
+                ],
+                "provenance": report.proxy.provenance,
+            },
+            "aggregates": _aggregates(report),
         },
-        "aggregates": _aggregates(report),
-    }
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+        indent=2,
+    )
+    # rest opens with "{\n"; the variants block goes in as the first key
+    return ('{\n  "variants": ' + variants + ",\n" + rest[2:] + "\n").encode("utf-8")
 
 
 def read_report_json(data) -> ApproxReport:
@@ -147,7 +180,17 @@ def _write_csv(report: ApproxReport) -> bytes:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     writer.writerows(
-        _variant_cells(result, mult, join_trace) for result, mult in report.per_variant
+        (
+            join_trace(result.trace),
+            mult,
+            result.lower,
+            result.upper,
+            str(result.estimate),
+            join_trace(result.nearest_proxy),
+            result.proxy_distance,
+            result.lower_source,
+        )
+        for result, mult in report.per_variant
     )
     writer.writerow([])
     writer.writerow(["aggregate", "value"])

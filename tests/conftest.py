@@ -8,14 +8,17 @@ come from exhaustive subset scans, the distance matrix is built one row
 at a time with the scalar kernel, the PAM swap phase evaluates one
 swap at a time, and the net alignment search scans every transition with
 ``enabled``/``fire`` for each expanded state, and the log parsers build
-a whole ElementTree or a ``DictReader`` row list.  Tests compare the fast
-implementations against these.
+a whole ElementTree or a ``DictReader`` row list.  The text writers
+escape and format every event and every report cell on its own, and
+the net's successor lists come from ``enabled``/``fire`` on every
+transition.  Tests compare the fast implementations against these.
 """
 
 import csv
 import heapq
 import io
 import itertools
+import json
 import random
 import xml.etree.ElementTree as ET
 from functools import lru_cache
@@ -25,9 +28,10 @@ import pytest
 
 from alignbound import fixtures
 from alignbound.aligner import Alignment, Move, MoveKind
+from alignbound.bounds import TIMING_KEYS
 from alignbound.distance import MatchMasks, edit_distance
 from alignbound.errors import LogParseError, StateBoundError
-from alignbound.log import CONCEPT_NAME, EventLog
+from alignbound.log import CONCEPT_NAME, EventLog, trace_sort_key
 from alignbound.model import PetriNetModel, Transition
 
 
@@ -350,6 +354,97 @@ def parse_csv_reference(
         events = sorted(cases[case], key=lambda e: e[0])
         traces.append([a for _, _, a in events])
     return EventLog.from_traces(traces)
+
+
+def write_log_csv_reference(log: EventLog) -> bytes:
+    """The CSV interchange bytes, one ``csv.writer`` row per event."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["case", "activity", "order"])
+    case_no = 0
+    for trace in sorted(log.variants, key=trace_sort_key):
+        if not trace:
+            raise ValueError("CSV interchange cannot represent an empty trace")
+        for _ in range(log.variants[trace]):
+            case_no += 1
+            for pos, activity in enumerate(trace, start=1):
+                writer.writerow([f"case-{case_no}", activity, pos])
+    return buf.getvalue().encode("utf-8")
+
+
+def write_log_xes_reference(log: EventLog) -> bytes:
+    """The XES bytes, quoting both attributes of every event."""
+    from xml.sax.saxutils import quoteattr
+
+    out = ['<?xml version="1.0" encoding="UTF-8"?>', '<log xes.version="1.0">']
+    case_no = 0
+    for trace in sorted(log.variants, key=trace_sort_key):
+        for _ in range(log.variants[trace]):
+            case_no += 1
+            out.append("  <trace>")
+            out.append(f'    <string key="{CONCEPT_NAME}" value="case-{case_no}"/>')
+            for activity in trace:
+                out.append(
+                    "    <event><string key=%s value=%s/></event>"
+                    % (quoteattr(CONCEPT_NAME), quoteattr(activity))
+                )
+            out.append("  </trace>")
+    out.append("</log>")
+    out.append("")
+    return "\n".join(out).encode("utf-8")
+
+
+def write_report_json_reference(report) -> bytes:
+    """The JSON report as one ``json.dumps(doc, indent=2)`` document."""
+    doc = {
+        "variants": [
+            {
+                "trace": list(result.trace),
+                "multiplicity": mult,
+                "lower": result.lower,
+                "upper": result.upper,
+                "estimate": str(result.estimate),
+                "nearest_proxy": list(result.nearest_proxy),
+                "proxy_distance": result.proxy_distance,
+                "lower_source": result.lower_source,
+            }
+            for result, mult in report.per_variant
+        ],
+        "proxy": {
+            "members": [list(t) for t in report.proxy.members],
+            "ref_costs": [
+                {"trace": list(t), "cost": report.proxy.ref_costs[t]}
+                for t in report.proxy.members
+                if t in report.proxy.ref_costs
+            ],
+            "provenance": report.proxy.provenance,
+        },
+        "aggregates": {
+            "epsilon_max": report.epsilon_max,
+            "total_estimate": str(report.total_estimate),
+            "total_traces": report.total_traces,
+            "aligner_invocations": report.aligner_invocations,
+            "timings_us": {key: report.timings_us.get(key, 0) for key in TIMING_KEYS},
+        },
+    }
+    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+
+
+def successors_reference(model: PetriNetModel, marking):
+    """The enabled transitions of ``marking`` as ``(silent, visible,
+    by_label)``, each entry a ``(transition index, successor marking)``
+    pair, found by calling ``enabled`` and ``fire`` on every transition."""
+    silent, visible, by_label = [], [], {}
+    for ti, trans in enumerate(model.transitions):
+        if not model.enabled(marking, ti):
+            continue
+        step = (ti, model.fire(marking, ti))
+        if trans.silent:
+            silent.append(step)
+        else:
+            visible.append(step)
+            by_label.setdefault(trans.label, []).append(step)
+    return silent, visible, by_label
 
 
 def random_trace(rng: random.Random, alphabet, lo, hi):

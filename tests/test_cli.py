@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import alignbound
+import alignbound.aligner
 import alignbound.bounds
 import alignbound.cli
 import alignbound.harness
@@ -828,6 +829,31 @@ def test_zero_denominator_is_a_stable_error(workspace, capsys, command, flag, va
     assert out == ""
     assert f"error[{code}]: {flag} must be a number or a fraction, got '1/0'" in err
     assert "Traceback" not in err
+
+
+def test_empty_log_is_checked_before_the_model_is_built(workspace, capsys, monkeypatch):
+    # with t_grow silent, the empty trace's search would expand zero-cost
+    # markings up to the default state bound of a million
+    pnml_path = workspace["dir"] / "unbounded.pnml"
+    pnml_path.write_text(UNBOUNDED_DEAD_TRANSITION_PNML, encoding="utf-8")
+    marking_path = workspace["dir"] / "end.json"
+    marking_path.write_text(json.dumps({"p_end": 1}), encoding="utf-8")
+    log_path = workspace["dir"] / "empty.csv"
+    log_path.write_text("case,activity,order\n", encoding="utf-8")
+    calls = []
+
+    def no_alignment(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("an alignment ran")
+
+    for module in (alignbound.aligner, alignbound.bounds, alignbound.cli):
+        monkeypatch.setattr(module, "optimal_alignment", no_alignment)
+    argv = ["approximate", "--log", str(log_path), "--model", str(pnml_path)]
+    argv += ["--final-marking", str(marking_path), "--silent-label", "g"]
+    rc, out, err = run(argv, capsys)
+    assert (rc, out) == (1, "")
+    assert "error[bounds]: cannot approximate an empty log" in err
+    assert calls == []
 
 
 def test_upper_weight_is_checked_before_any_work(workspace, capsys, monkeypatch):

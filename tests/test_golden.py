@@ -3,7 +3,8 @@ change under a refactor.
 
 ``approximate`` runs with ``--no-timings``, and ``exact`` and the proxy
 file ``proxy-gen`` writes have no timing field, so their bytes are
-reproducible.  The evaluation grid carries two
+reproducible.  ``generate`` is pinned by its model and XES log files, and
+by the CSV interchange bytes of the same log.  The evaluation grid carries two
 wall-clock ratios (``pi_with``, ``pi_without``); those two columns are
 dropped before hashing.  A change that alters any digest in
 ``golden_digests.json`` must say why it changed the output.
@@ -19,6 +20,7 @@ import pytest
 
 from alignbound.cli import main
 from alignbound.fixtures import copy_fixture_files
+from alignbound.log import parse_xes, write_log_csv
 from alignbound.proxy import STRATEGIES
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
@@ -81,6 +83,11 @@ def build_inputs(root: Path) -> dict:
     return {
         "root": root,
         "spec": str(spec_path),
+        "generated": {
+            "generate-model": synth_model.read_bytes(),
+            "generate-log-xes": synth_log.read_bytes(),
+            "generate-log-csv": write_log_csv(parse_xes(synth_log.read_bytes())),
+        },
         "inputs": {
             "loop-lang": loop_log + ["--model", str(paths["parallel_loop.lang"])],
             "loop-pnml": loop_log
@@ -133,6 +140,7 @@ def _cases():
 
 
 CASES = _cases()
+GENERATED = ("generate-model", "generate-log-xes", "generate-log-csv")
 
 
 def _output(inputs, name) -> bytes:
@@ -176,6 +184,7 @@ def _digest(data: bytes) -> str:
 def current_digests(inputs) -> dict[str, str]:
     """Digests of this checkout's outputs, in the layout of the digest file."""
     digests = {name: _digest(_output(inputs, name)) for name in CASES}
+    digests.update((name, _digest(inputs["generated"][name])) for name in GENERATED)
     digests["evaluate-grid"] = _digest(_grid_without_timings(inputs))
     return digests
 
@@ -186,12 +195,17 @@ def golden():
 
 
 def test_golden_cases_cover_the_digest_file(golden):
-    assert sorted(golden) == sorted([*CASES, "evaluate-grid"])
+    assert sorted(golden) == sorted([*CASES, *GENERATED, "evaluate-grid"])
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output(inputs, golden, name):
     assert _digest(_output(inputs, name)) == golden[name]
+
+
+@pytest.mark.parametrize("name", GENERATED)
+def test_golden_generated_files(inputs, golden, name):
+    assert _digest(inputs["generated"][name]) == golden[name]
 
 
 def test_golden_evaluation_grid(inputs, golden):

@@ -16,7 +16,12 @@ from alignbound.log import (
     write_log_csv,
     write_log_xes,
 )
-from conftest import parse_csv_reference, parse_xes_reference
+from conftest import (
+    parse_csv_reference,
+    parse_xes_reference,
+    write_log_csv_reference,
+    write_log_xes_reference,
+)
 
 XES_SAMPLE = b"""<?xml version="1.0" encoding="UTF-8"?>
 <log xes.version="1.0">
@@ -203,6 +208,39 @@ def test_xes_round_trip_with_empty_trace():
     log = EventLog({(): 2, ("a", "b"): 1})
     again = parse_xes(write_log_xes(log))
     assert again.variants == log.variants
+
+
+# The writers against the per-event oracles in conftest: labels that XML
+# and CSV must escape or quote, and variants repeated over many cases.
+WRITER_LABEL = st.one_of(
+    st.sampled_from(["a", "b", "&", "<", ">", '"', "'", ",", "x,y", '"q"', "\n", "\r\n"]),
+    # csv.writer rejects a NUL before Python 3.11, in either writer
+    st.text(max_size=4).map(lambda label: label.replace("\x00", "")),
+)
+WRITER_LOG = st.dictionaries(
+    st.lists(WRITER_LABEL, max_size=5).map(tuple), st.integers(1, 4), max_size=6
+).map(EventLog)
+
+
+@settings(max_examples=150, deadline=None)
+@given(WRITER_LOG)
+@example(EventLog({(): 2, ("a", "&<>\"'"): 3}))
+def test_write_log_xes_matches_the_per_event_writer(log):
+    assert write_log_xes(log) == write_log_xes_reference(log)
+
+
+@settings(max_examples=150, deadline=None)
+@given(WRITER_LOG)
+@example(EventLog({("a,b", '"q"', "\n"): 3, ("a",): 1}))
+@example(EventLog({(): 1, ("a",): 2}))
+def test_write_log_csv_matches_the_per_event_writer(log):
+    if () in log.variants:
+        with pytest.raises(ValueError):
+            write_log_csv_reference(log)
+        with pytest.raises(ValueError):
+            write_log_csv(log)
+    else:
+        assert write_log_csv(log) == write_log_csv_reference(log)
 
 
 # Differential tests: the streaming parsers against the tree- and

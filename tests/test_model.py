@@ -1,13 +1,17 @@
 import pytest
 
+from alignbound import fixtures
 from alignbound.errors import ModelError, StateBoundError
 from alignbound.model import (
     ExplicitLanguageModel,
+    PetriNetModel,
+    Transition,
     parse_explicit_language,
     parse_final_marking_json,
     parse_pnml,
     serialize_explicit_language,
 )
+from conftest import successors_reference, three_branch_net
 
 
 def test_parse_explicit_language_basics():
@@ -253,3 +257,42 @@ def test_probe_fired_finds_dead_transition(loop_net):
 def test_loop_net_matches_unrolled_language(loop_language, loop_net):
     assert loop_net.alphabet == loop_language.alphabet
     assert loop_net.min_visible_length == loop_language.min_visible_length == 3
+
+
+def counting_net():
+    """Three tokens move from p0 to p2, through p1 by a then b or directly
+    by a silent step, so places hold up to three tokens."""
+    transitions = [Transition("t_a", "a"), Transition("t_b", "b"), Transition("t_s", None)]
+    inputs, outputs = [[0], [1], [0]], [[1], [2], [2]]
+    return PetriNetModel(["p0", "p1", "p2"], transitions, inputs, outputs, [3, 0, 0], [0, 0, 3])
+
+
+@pytest.mark.parametrize(
+    "make_net",
+    [fixtures.parallel_loop_petri, three_branch_net, counting_net],
+    ids=["loop_net", "three_branch_net", "counting_net"],
+)
+def test_successors_match_enabled_and_fire(make_net):
+    net = make_net()
+    markings = net._markings
+    seen = {net.initial_id}
+    queue = [net.initial_id]
+    while queue:
+        mid = queue.pop()
+        succ = net.successors(mid)
+
+        def steps(pairs):
+            return [(ti, markings[after]) for ti, after in pairs]
+
+        silent, visible, by_label = successors_reference(net, markings[mid])
+        assert steps(succ.silent) == silent
+        assert steps(succ.visible) == visible
+        assert list(succ.by_label) == list(by_label)
+        assert {label: steps(p) for label, p in succ.by_label.items()} == by_label
+        for _, after in succ.silent + succ.visible:
+            if after not in seen:
+                seen.add(after)
+                queue.append(after)
+    if make_net is counting_net:
+        # every split of three tokens over three places
+        assert len(seen) == 10

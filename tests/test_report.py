@@ -4,8 +4,17 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from alignbound.bounds import approximate_log
+from alignbound.bounds import (
+    LOWER_BOTH,
+    LOWER_PROXY,
+    LOWER_STRUCTURAL,
+    ApproxReport,
+    BoundsResult,
+    approximate_log,
+)
 from alignbound.errors import ReportError
 from alignbound.log import EventLog
 from alignbound.model import ExplicitLanguageModel
@@ -17,6 +26,7 @@ from alignbound.report import (
     strip_timings,
     write_report,
 )
+from conftest import write_report_json_reference
 
 
 def small_report():
@@ -120,3 +130,50 @@ def test_round_trip_preserves_provenance_and_ref_costs():
     restored = read_report_json(write_report(report, fmt="json"))
     assert restored.proxy.provenance == "pinned"
     assert restored.proxy.ref_costs == report.proxy.ref_costs
+
+
+# Reports built field by field: labels with every kind of character JSON
+# escapes, empty traces, and counts far past any real log.
+TRACE = st.lists(st.text(), max_size=4).map(tuple)
+COUNT = st.integers(0, 10**12)
+ROW = st.tuples(
+    st.builds(
+        BoundsResult,
+        trace=TRACE,
+        lower=COUNT,
+        upper=COUNT,
+        estimate=st.fractions(min_value=0, max_value=10**12),
+        nearest_proxy=TRACE,
+        proxy_distance=COUNT,
+        lower_source=st.one_of(
+            st.sampled_from([LOWER_STRUCTURAL, LOWER_PROXY, LOWER_BOTH]), st.text()
+        ),
+    ),
+    st.integers(1, 10**12),
+)
+
+
+@st.composite
+def reports(draw):
+    members = draw(st.lists(TRACE, min_size=1, max_size=4, unique=True))
+    costed = draw(st.lists(st.sampled_from(members), unique=True))
+    return ApproxReport(
+        per_variant=draw(st.lists(ROW, max_size=6)),
+        epsilon_max=draw(COUNT),
+        total_estimate=draw(st.fractions(min_value=0, max_value=10**12)),
+        total_traces=draw(COUNT),
+        aligner_invocations=draw(COUNT),
+        timings_us={key: draw(COUNT) for key in TIMING_KEYS},
+        proxy=ProxySet(
+            members=tuple(members),
+            ref_costs={member: draw(COUNT) for member in costed},
+            provenance=draw(st.text()),
+        ),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(reports())
+@example(small_report())
+def test_json_report_is_json_dumps_indent_2(report):
+    assert write_report(report, fmt="json") == write_report_json_reference(report)
