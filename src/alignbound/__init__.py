@@ -49,12 +49,12 @@ from .model import (
     parse_pnml,
 )
 from .proxy import (
+    DistanceTable,
     ProxySet,
     StrategyParams,
     brute_force_k_primal,
     cluster_kcenter,
     cluster_kmedoids,
-    distance_table,
     dominates,
     epsilon_max_error,
     generate_proxy,
@@ -73,6 +73,7 @@ __all__ = [
     "BoundsError",
     "BoundsResult",
     "DistanceMatrix",
+    "DistanceTable",
     "EventLog",
     "ExperimentError",
     "ExperimentRow",
@@ -97,7 +98,6 @@ __all__ = [
     "cluster_kcenter",
     "cluster_kmedoids",
     "distance_matrix",
-    "distance_table",
     "dominates",
     "edit_distance",
     "epsilon_max_error",

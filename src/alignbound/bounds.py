@@ -23,7 +23,7 @@ from .aligner import optimal_alignment
 from .distance import edit_distance  # noqa: F401
 from .errors import BoundsError
 from .log import EventLog, Trace, format_trace
-from .proxy import ProxySet, StrategyParams, distance_table, generate_proxy, variant_matrix
+from .proxy import DistanceTable, ProxySet, StrategyParams, generate_proxy
 
 LOWER_STRUCTURAL = "structural"
 LOWER_PROXY = "proxy"
@@ -107,16 +107,16 @@ def approximate_cost(
     estimates only: an upper weight w errs by up to 2 * max(w, 1 - w) times
     that distance.
 
-    ``distances`` is the trace's row of the variant x member table
-    (:func:`proxy.distance_table`), one distance per member of ``proxy``
-    in its order; it is computed here when omitted.
+    ``distances`` is the trace's row of the run's variant x member table
+    (:class:`proxy.DistanceTable`), one distance per member of ``proxy``
+    in its order.  When omitted, a table over this one trace computes it.
     """
     trace = tuple(trace)
     weight = check_estimate(estimator, upper_weight)
     p, q = weight.numerator, weight.denominator
 
     if distances is None:
-        [distances] = zip(*distance_table((trace,), proxy.members))
+        [distances] = zip(*DistanceTable((trace,)).columns(proxy.members))
     costs = [_ref_cost(proxy, member) for member in proxy.members]
     proxy_distance = min(distances)
     # members are in canonical order, so the first minimum is the canonical
@@ -209,9 +209,8 @@ def approximate_log(
 
     Either ``params`` selects a generation strategy or ``proxy`` supplies a
     ready-made set (its reference costs are recomputed here either way).
-    The member distances come from one table.  For kmedoids, which
-    clusters on the variant distance matrix, the matrix is built inside the
-    generation time and the table reads the members' columns from it.  The
+    The member distances come from one :class:`proxy.DistanceTable`, so
+    the bracket reuses what generation computed, inside its time.  The
     estimate setting and the log (:func:`check_log`) are checked before any
     proxy is generated or member aligned.
     """
@@ -220,13 +219,10 @@ def approximate_log(
         raise BoundsError("provide exactly one of params or proxy")
     check_log(log)
 
-    variants = log.variant_traces
-    matrix = None
+    table = DistanceTable(log.variant_traces)
     t0 = _now_us()
     if proxy is None:
-        if params.strategy == "kmedoids":
-            matrix = variant_matrix(variants)
-        proxy = generate_proxy(log, params, matrix=matrix)
+        proxy = generate_proxy(log, params, table)
     t_generated = _now_us()
 
     invocations = compute_ref_costs(proxy, model)
@@ -239,8 +235,8 @@ def approximate_log(
     # numerators over that one denominator
     scale = 2 * upper_weight.denominator
     numerator = 0
-    columns = distance_table(variants, proxy.members, matrix)
-    for trace, distances in zip(variants, zip(*columns)):
+    columns = table.columns(proxy.members)
+    for trace, distances in zip(table.variants, zip(*columns)):
         result = approximate_cost(
             trace,
             proxy,

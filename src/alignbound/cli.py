@@ -24,7 +24,6 @@ from .bounds import (
     check_estimate,
     check_log,
 )
-from .distance import distance_matrix
 from .errors import (
     AlignboundError,
     BoundsError,
@@ -53,7 +52,14 @@ from .model import (
     parse_pnml,
     serialize_explicit_language,
 )
-from .proxy import STRATEGIES, ProxySet, StrategyParams, epsilon_max_error, generate_proxy
+from .proxy import (
+    STRATEGIES,
+    DistanceTable,
+    ProxySet,
+    StrategyParams,
+    epsilon_max_error,
+    generate_proxy,
+)
 from .report import join_trace, strip_timings, write_report
 
 def build_parser() -> argparse.ArgumentParser:
@@ -328,15 +334,11 @@ def _cmd_proxy_gen(args) -> int:
     _echo_config(args)
     params = _strategy_params(args)
     log = _load_log(args)
-    # kmedoids clusters on the matrix, so it is built once and epsilon
-    # reads the members' columns from it
-    matrix = None
-    if args.dump_distance_matrix or params.strategy == "kmedoids":
-        matrix = distance_matrix(log.variant_traces)
+    table = DistanceTable(log.variant_traces)
     if args.dump_distance_matrix:
-        _write(args.dump_distance_matrix, matrix.to_csv(), "distance matrix")
-    proxy = generate_proxy(log, params, matrix=matrix)
-    eps = epsilon_max_error(log, proxy, matrix=matrix)
+        _write(args.dump_distance_matrix, table.matrix().to_csv(), "distance matrix")
+    proxy = generate_proxy(log, params, table)
+    eps = epsilon_max_error(log, proxy, table)
     _write_traces(args.out, proxy.members, "proxy file")
     print(
         f"proxy: {len(proxy)} members, a-priori max error {eps.value}",

@@ -255,7 +255,8 @@ def write_log_csv(log: EventLog) -> bytes:
     case cell; every case of the variant then repeats those rows behind its
     own ``case-N`` cell, which never needs quoting.
 
-    Empty traces cannot be carried by CSV; use the XES writer for those.
+    Empty traces cannot be carried by CSV; use the XES writer for those.  A
+    label the ``csv`` module cannot write raises ``ValueError``.
     """
     rows: list[str] = []
     # csv.writer calls write once per row, so rows holds one entry per row
@@ -266,7 +267,14 @@ def write_log_csv(log: EventLog) -> bytes:
         if not trace:
             raise ValueError("CSV interchange cannot represent an empty trace")
         rows.clear()
-        writer.writerows(("", activity, pos) for pos, activity in enumerate(trace, 1))
+        for pos, activity in enumerate(trace, 1):
+            try:
+                writer.writerow(("", activity, pos))
+            except csv.Error as exc:
+                # Python 3.10's writer cannot quote a NUL; 3.11 and later can
+                raise ValueError(
+                    f"CSV cannot carry the label {activity!r}: {exc}"
+                ) from None
         for _ in range(log.variants[trace]):
             case_no += 1
             case = f"case-{case_no}"

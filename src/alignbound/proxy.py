@@ -112,42 +112,48 @@ def sample_frequency(log: EventLog, k: int) -> ProxySet:
     return ProxySet(members=tuple(variants[:k]), provenance=f"frequency(k={k})")
 
 
-def variant_matrix(variants, matrix: DistanceMatrix | None = None) -> DistanceMatrix:
-    """``matrix`` checked against ``variants``, or built over them if None."""
-    if matrix is None:
-        return distance_matrix(variants)
-    if matrix.labels != variants:
-        raise ValueError("distance matrix labels do not match the log variants")
-    return matrix
+class DistanceTable:
+    """The variant x member distance table of one run: every distance from
+    a variant to a proxy member (bracket, epsilon, k-center step, brute
+    force) is read from one table over ``variants``."""
+
+    def __init__(self, variants):
+        self.variants = tuple(variants)
+        self._index = {t: j for j, t in enumerate(self.variants)}
+        self._matrix = self._pack = None
+        self._columns = {}
+
+    def matrix(self) -> DistanceMatrix:
+        """The all-pairs matrix over the variants, built on the first call."""
+        if self._matrix is None:
+            self._matrix = distance_matrix(self.variants)
+        return self._matrix
+
+    def columns(self, members) -> list[list[int]]:
+        """Each member's distances to the variants, computed once per table:
+        a matrix slice once the matrix exists, else one scan of the member
+        over the variants packed into one :class:`MatchMasks`, one lane
+        each.  Columns are shared lists, which callers must not mutate."""
+        out = []
+        for member in members:
+            if member not in self._columns:
+                if self._matrix is not None and member in self._index:
+                    column = self._matrix.cells[:, self._index[member]].tolist()
+                else:
+                    self._pack = self._pack or MatchMasks(*self.variants)
+                    column = self._pack.distances(member)
+                self._columns[member] = column
+            out.append(self._columns[member])
+        return out
 
 
-def distance_table(
-    variants, members, matrix: DistanceMatrix | None = None
-) -> list[list[int]]:
-    """The variant x member distance table, one column per member.
-
-    Every distance from a variant to a proxy member (bracket, epsilon,
-    k-center step, brute force) is read from this table.  A member among
-    the labels of ``matrix``, whose rows must be ``variants``, gets its
-    matrix column; any other member is scanned once over the variants
-    packed into one :class:`MatchMasks`, one lane each.  ``variants`` may
-    be given as that pack, to reuse it across calls.
-    """
-    pack = variants if isinstance(variants, MatchMasks) else None
-    labels = pack.traces if pack is not None else tuple(variants)
-    index = {}
-    if matrix is not None:
-        index = {t: j for j, t in enumerate(variant_matrix(labels, matrix).labels)}
-    columns = []
-    for member in members:
-        j = index.get(member)
-        if j is not None:
-            columns.append(matrix.cells[:, j].tolist())
-            continue
-        if pack is None:
-            pack = MatchMasks(*labels)
-        columns.append(pack.distances(member))
-    return columns
+def _log_table(log: EventLog, table: DistanceTable | None) -> DistanceTable:
+    """``table`` checked against the variants of ``log``, or a new one."""
+    if table is None:
+        return DistanceTable(log.variant_traces)
+    if table.variants != log.variant_traces:
+        raise ValueError("distance table variants do not match the log variants")
+    return table
 
 
 def _pam_build(cells, weights, k):
@@ -233,20 +239,21 @@ def _pam_swap(cells, weights, medoids):
 
 
 def cluster_kmedoids(
-    log: EventLog, k: int, matrix: DistanceMatrix | None = None
+    log: EventLog, k: int, table: DistanceTable | None = None
 ) -> ProxySet:
     """Frequency-weighted K-Medoids over the variants.
 
     Greedy BUILD, then swap until no swap lowers the objective.  Both
     phases are deterministic.
     """
-    variants = log.variant_traces
+    table = _log_table(log, table)
+    variants = table.variants
     _check_k(k, len(variants))
     if k == len(variants):
         return ProxySet(members=variants, provenance=f"kmedoids(k={k})")
     import numpy as np
 
-    cells = variant_matrix(variants, matrix).cells
+    cells = table.matrix().cells
     weights = np.array([log.variants[t] for t in variants], dtype=np.int64)
     medoids = _pam_swap(cells, weights, _pam_build(cells, weights, k))
     members = tuple(variants[i] for i in medoids)
@@ -254,7 +261,7 @@ def cluster_kmedoids(
 
 
 def cluster_kcenter(
-    log: EventLog, k: int, matrix: DistanceMatrix | None = None
+    log: EventLog, k: int, table: DistanceTable | None = None
 ) -> ProxySet:
     """Greedy farthest-first K-Center over the variants.
 
@@ -263,20 +270,19 @@ def cluster_kcenter(
     farthest from the chosen centers, ties broken canonically.  The greedy
     covering radius is at most twice the optimal one.
     """
-    variants = log.variant_traces
+    table = _log_table(log, table)
+    variants = table.variants
     n = len(variants)
     _check_k(k, n)
     first = min(range(n), key=lambda i: _frequency_key(log)(variants[i]))
     centers = [first]
-    # without a matrix every step scans its center over one pack
-    table = variants if matrix is not None else MatchMasks(*variants)
-    [min_dist] = distance_table(table, [variants[first]], matrix)
+    [min_dist] = table.columns([variants[first]])
     while len(centers) < k:
         # variants are canonically sorted, so the first maximum is also the
         # canonical tie-break
         far = min_dist.index(max(min_dist))
         centers.append(far)
-        [column] = distance_table(table, [variants[far]], matrix)
+        [column] = table.columns([variants[far]])
         min_dist = list(map(min, min_dist, column))
     members = tuple(variants[i] for i in centers)
     return ProxySet(members=members, provenance=f"kcenter(k={k})")
@@ -289,15 +295,14 @@ class EpsilonResult:
 
 
 def epsilon_max_error(
-    log: EventLog, proxy: ProxySet, matrix: DistanceMatrix | None = None
+    log: EventLog, proxy: ProxySet, table: DistanceTable | None = None
 ) -> EpsilonResult:
     """A-priori maximal absolute error of ``proxy`` on ``log``: the
-    multiplicity-weighted sum of nearest-member distances.  Zero exactly
-    when the members cover every variant.  ``matrix`` is handed to
-    :func:`distance_table`."""
-    variants = log.variant_traces
-    rows = zip(*distance_table(variants, proxy.members, matrix))
-    per_variant = {t: min(row) for t, row in zip(variants, rows)}
+    multiplicity-weighted sum of nearest-member distances, read from
+    ``table``.  Zero exactly when the members cover every variant."""
+    table = _log_table(log, table)
+    rows = zip(*table.columns(proxy.members))
+    per_variant = {t: min(row) for t, row in zip(table.variants, rows)}
     total = sum(log.variants[t] * d for t, d in per_variant.items())
     return EpsilonResult(value=total, per_variant=per_variant)
 
@@ -323,7 +328,7 @@ def brute_force_k_primal(log: EventLog, k: int, candidate_universe) -> ProxySet:
     _check_k(k, len(universe))
     variants = log.variant_traces
     weights = [log.variants[t] for t in variants]
-    columns = distance_table(variants, universe)
+    columns = DistanceTable(variants).columns(universe)
     best = None
     for combo in itertools.combinations(range(len(universe)), k):
         rows = zip(*(columns[j] for j in combo))
@@ -335,14 +340,15 @@ def brute_force_k_primal(log: EventLog, k: int, candidate_universe) -> ProxySet:
 
 
 def generate_proxy(
-    log: EventLog, params: StrategyParams, matrix: DistanceMatrix | None = None
+    log: EventLog, params: StrategyParams, table: DistanceTable | None = None
 ) -> ProxySet:
     """Dispatch to the configured strategy with the derived member count."""
+    table = _log_table(log, table)
     k = params.k_for(len(log.variants))
     if params.strategy == "random":
         return sample_random(log, k, params.seed)
     if params.strategy == "frequency":
         return sample_frequency(log, k)
     if params.strategy == "kmedoids":
-        return cluster_kmedoids(log, k, matrix=matrix)
-    return cluster_kcenter(log, k, matrix=matrix)
+        return cluster_kmedoids(log, k, table)
+    return cluster_kcenter(log, k, table)

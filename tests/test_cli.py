@@ -19,7 +19,7 @@ from alignbound.distance import MatchMasks
 from alignbound.fixtures import copy_fixture_files
 from alignbound.harness import SyntheticSpec, generate_synthetic
 from alignbound.log import parse_csv, parse_xes, write_log_xes
-from alignbound.model import parse_explicit_language
+from alignbound.model import parse_explicit_language, serialize_explicit_language
 from alignbound.proxy import ProxySet, epsilon_max_error
 from alignbound.report import read_report_json
 
@@ -495,25 +495,20 @@ def test_only_distance_matrix_commands_load_numpy(workspace):
         assert loaded_modules([kmedoids]) == [[0, True, False]]
 
 
-@pytest.mark.parametrize(
-    "extra",
-    [["--strategy", "kmedoids"], ["--strategy", "kcenter", "--dump-distance-matrix"]],
+SCAN_SPEC = SyntheticSpec(
+    alphabet_size=6,
+    model_trace_count=6,
+    model_trace_length=(3, 8),
+    log_variant_count=40,
+    noise_ops=(0, 3),
+    seed=17,
 )
-def test_proxy_gen_reads_epsilon_from_the_matrix(workspace, capsys, monkeypatch, extra):
-    spec = SyntheticSpec(
-        alphabet_size=6,
-        model_trace_count=6,
-        model_trace_length=(3, 8),
-        log_variant_count=40,
-        noise_ops=(0, 3),
-        seed=17,
-    )
-    _, log = generate_synthetic(spec)
-    log_path = workspace["dir"] / "synth.xes"
-    log_path.write_bytes(write_log_xes(log))
-    out_path = workspace["dir"] / "proxy.lang"
-    if extra[-1] == "--dump-distance-matrix":
-        extra = [*extra, str(workspace["dir"] / "matrix.csv")]
+
+
+def _count_scans(monkeypatch):
+    """Record every member distance computed outside the matrix: scalar
+    ``edit_distance`` calls through ``alignbound.proxy`` and packed
+    ``MatchMasks.distances`` scans."""
     calls = []
     scalar = alignbound.proxy.edit_distance
     monkeypatch.setattr(
@@ -523,16 +518,56 @@ def test_proxy_gen_reads_epsilon_from_the_matrix(workspace, capsys, monkeypatch,
     monkeypatch.setattr(
         MatchMasks, "distances", lambda *a: calls.append(a) or packed(*a)
     )
+    return calls
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--strategy", "kmedoids"],
+        ["--strategy", "kcenter", "--dump-distance-matrix"],
+        ["--strategy", "kcenter"],
+    ],
+)
+def test_proxy_gen_reads_epsilon_from_the_matrix(workspace, capsys, monkeypatch, extra):
+    _, log = generate_synthetic(SCAN_SPEC)
+    log_path = workspace["dir"] / "synth.xes"
+    log_path.write_bytes(write_log_xes(log))
+    out_path = workspace["dir"] / "proxy.lang"
+    if extra[-1] == "--dump-distance-matrix":
+        extra = [*extra, str(workspace["dir"] / "matrix.csv")]
+    calls = _count_scans(monkeypatch)
     argv = ["proxy-gen", "--log", str(log_path), *extra, "--size-percent", "20"]
     rc, _, err = run([*argv, "--out", str(out_path)], capsys)
     assert rc == 0
-    # kmedoids and a dumped matrix build the matrix once; epsilon reads
-    # the members' columns from it instead of scanning each member, packed
-    # or scalar
-    assert calls == []
     members = parse_explicit_language(out_path.read_bytes()).traces
+    # kmedoids and a dumped matrix build the matrix once; epsilon reads the
+    # members' columns from it instead of scanning each member, packed or
+    # scalar.  Without a matrix kcenter scans each member once, and epsilon
+    # reads those columns.
+    matrix = "kmedoids" in extra or "--dump-distance-matrix" in extra
+    assert len(calls) == (0 if matrix else len(members))
     eps = epsilon_max_error(log, ProxySet(members=members))
     assert f"a-priori max error {eps.value}" in err
+
+
+@pytest.mark.parametrize("strategy", ["kcenter", "kmedoids"])
+def test_approximate_computes_each_member_column_once(
+    workspace, capsys, monkeypatch, strategy
+):
+    model, log = generate_synthetic(SCAN_SPEC)
+    log_path = workspace["dir"] / "synth.xes"
+    log_path.write_bytes(write_log_xes(log))
+    model_path = workspace["dir"] / "model.lang"
+    model_path.write_text(serialize_explicit_language(model.traces), encoding="utf-8")
+    calls = _count_scans(monkeypatch)
+    argv = ["approximate", "--log", str(log_path), "--model", str(model_path)]
+    rc, out, _ = run([*argv, "--strategy", strategy, "--size-percent", "20"], capsys)
+    assert rc == 0
+    k = len(json.loads(out)["proxy"]["members"])
+    # kcenter scans each center once, and the bracket reads those columns;
+    # kmedoids slices every column from its matrix
+    assert len(calls) == (k if strategy == "kcenter" else 0)
 
 
 def test_dead_transition_warning(workspace, capsys):

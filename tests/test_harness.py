@@ -254,6 +254,53 @@ def test_run_experiment_builds_a_matrix_only_in_kmedoids_cells(monkeypatch):
     assert built == ["kmedoids", "kmedoids"]
 
 
+def test_run_experiment_builds_one_table_per_cell(monkeypatch):
+    # every cell does its own distance work, as the approximate command
+    # does: kcenter's first centers are the same at both sizes and kmedoids
+    # clusters on the same matrix, so a table kept across cells would make
+    # the second cell cheaper and the pi columns would time a cheaper path
+    import alignbound.harness as harness
+    import alignbound.proxy as proxy_module
+    from alignbound.distance import MatchMasks
+
+    work = {"scans": 0, "matrices": 0}
+    cells = []
+    real_approximate = harness.approximate_log
+    real_matrix = proxy_module.distance_matrix
+    real_scan = MatchMasks.distances
+
+    def tracking(log, model, params, **kwargs):
+        work.update(scans=0, matrices=0)
+        report = real_approximate(log, model, params=params, **kwargs)
+        cells.append((params.strategy, len(report.proxy), dict(work)))
+        return report
+
+    def matrix(*args):
+        work["matrices"] += 1
+        return real_matrix(*args)
+
+    def scan(*args):
+        work["scans"] += 1
+        return real_scan(*args)
+
+    monkeypatch.setattr(harness, "approximate_log", tracking)
+    monkeypatch.setattr(proxy_module, "distance_matrix", matrix)
+    monkeypatch.setattr(MatchMasks, "distances", scan)
+    spec = SyntheticSpec(log_variant_count=30, seed=13)
+    rows = run_experiment(
+        spec, strategies=("kcenter", "kmedoids"), size_percents=(10, 20), repetitions=2
+    )
+    assert len(rows) == 8
+    # kcenter scans each of its centers once; kmedoids builds one matrix
+    # and slices every column from it
+    assert [(strategy, work) for strategy, _, work in cells] == [
+        ("kcenter", {"scans": cells[0][1], "matrices": 0}),
+        ("kcenter", {"scans": cells[1][1], "matrices": 0}),
+        ("kmedoids", {"scans": 0, "matrices": 1}),
+        ("kmedoids", {"scans": 0, "matrices": 1}),
+    ]
+
+
 def test_rows_to_csv_shape():
     rows = small_grid()
     lines = rows_to_csv(rows).splitlines()

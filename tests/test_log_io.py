@@ -1,5 +1,6 @@
 import csv
 import io
+import sys
 from xml.sax.saxutils import quoteattr
 
 import pytest
@@ -202,6 +203,15 @@ def test_csv_round_trip_preserves_variants():
 def test_csv_write_rejects_empty_trace():
     with pytest.raises(ValueError):
         write_log_csv(EventLog({(): 1}))
+
+
+def test_csv_write_of_a_nul_label():
+    log = EventLog({("a\x00b", "c"): 2, ("c",): 1})
+    if sys.version_info < (3, 11):
+        with pytest.raises(ValueError, match=r"'a\\x00b'"):
+            write_log_csv(log)
+    else:
+        assert parse_csv(write_log_csv(log)).variants == log.variants
 
 
 def test_xes_round_trip_with_empty_trace():

@@ -13,6 +13,8 @@ from alignbound.distance import distance_matrix, edit_distance
 from alignbound.errors import ProxyError
 from alignbound.log import EventLog
 from alignbound.proxy import (
+    STRATEGIES,
+    DistanceTable,
     ProxySet,
     StrategyParams,
     _pam_build,
@@ -20,7 +22,6 @@ from alignbound.proxy import (
     brute_force_k_primal,
     cluster_kcenter,
     cluster_kmedoids,
-    distance_table,
     dominates,
     epsilon_max_error,
     generate_proxy,
@@ -65,25 +66,45 @@ small_traces = st.lists(st.sampled_from("abc"), max_size=6).map(tuple)
 @settings(max_examples=80, deadline=None)
 @given(
     st.lists(small_traces, min_size=1, max_size=8, unique=True),
-    st.lists(small_traces, min_size=1, max_size=5),
+    st.lists(small_traces, max_size=5),
+    st.integers(1, 4),
     st.randoms(use_true_random=False),
 )
-def test_distance_table_matrix_columns_equal_scanned_columns(variants, extra, rng):
+def test_distance_table_matrix_columns_equal_scanned_columns(
+    variants, extra, calls, rng
+):
+    # members: variants (matrix slices once the matrix exists) and traces
+    # that may lie outside them (scanned), in any order and repeated; the
+    # matrix is built before one of the calls or never
     variants = tuple(variants)
-    # members: some variants (matrix columns) and some traces that may lie
-    # outside the labels (scanned), in any order
-    members = rng.sample(variants, rng.randint(0, len(variants))) + extra
-    rng.shuffle(members)
-    matrix = distance_matrix(variants)
-    scanned = distance_table(variants, members)
-    assert distance_table(variants, members, matrix) == scanned
-    assert scanned == [[edit_distance(t, m) for t in variants] for m in members]
+    pool = list(variants) + extra
+    table = DistanceTable(variants)
+    matrix_at = rng.randint(0, calls)
+    for call in range(calls):
+        if call == matrix_at:
+            assert table.matrix() is table.matrix()
+        members = [rng.choice(pool) for _ in range(rng.randint(0, 2 * len(pool)))]
+        columns = table.columns(members)
+        assert columns == [[edit_distance(t, m) for t in variants] for m in members]
+        # a second call hands out the same columns
+        assert all(a is b for a, b in zip(table.columns(members), columns))
 
 
-def test_distance_table_rejects_a_matrix_over_other_variants():
-    matrix = distance_matrix([("a",), ("b",)])
-    with pytest.raises(ValueError, match="labels"):
-        distance_table((("b",), ("a",)), [("a",)], matrix)
+def test_a_table_over_other_variants_is_rejected_at_each_entry_point():
+    log = EventLog({("a",): 2, ("b",): 1})
+    calls = [
+        lambda table: cluster_kmedoids(log, 1, table),
+        lambda table: cluster_kcenter(log, 1, table),
+        lambda table: epsilon_max_error(log, ProxySet(members=(("a",),)), table),
+        *(
+            lambda table, s=strategy: generate_proxy(log, StrategyParams(s, 50), table)
+            for strategy in STRATEGIES
+        ),
+    ]
+    for call in calls:
+        # the log's variants in another order
+        with pytest.raises(ValueError, match="variants"):
+            call(DistanceTable((("b",), ("a",))))
 
 
 def test_strategy_params_k_rounding():
@@ -156,13 +177,13 @@ def test_kcenter_radius_within_twice_optimal():
     for _ in range(15):
         log = _random_log(rng, rng.randint(4, 7))
         variants = log.variant_traces
-        matrix = distance_matrix(variants)
+        table = DistanceTable(variants)
 
         def dist(i, j):
-            return int(matrix.cells[i, j])
+            return int(table.matrix().cells[i, j])
 
         for k in (2, 3):
-            proxy = cluster_kcenter(log, k, matrix=matrix)
+            proxy = cluster_kcenter(log, k, table)
             centers = [variants.index(m) for m in proxy.members]
             radius = max(
                 min(dist(i, c) for c in centers) for i in range(len(variants))
@@ -177,15 +198,15 @@ def test_kmedoids_matches_exhaustive_on_small_instances():
     for _ in range(10):
         log = _random_log(rng, rng.randint(4, 6))
         variants = log.variant_traces
-        matrix = distance_matrix(variants)
+        table = DistanceTable(variants)
 
         def dist(i, j):
-            return int(matrix.cells[i, j])
+            return int(table.matrix().cells[i, j])
 
         for k in (2, 3):
             optimum = kmedoids_optimal_objective(log, k, dist)
             runs += 1
-            proxy = cluster_kmedoids(log, k, matrix=matrix)
+            proxy = cluster_kmedoids(log, k, table)
             got = epsilon_max_error(log, proxy).value
             assert got >= optimum
             hits += got == optimum
@@ -279,8 +300,7 @@ def test_kmedoids_runs_one_build_and_one_swap(monkeypatch):
     for name in ("_pam_build", "_pam_swap"):
         monkeypatch.setattr(proxy_module, name, counting(name))
     log = _random_log(random.Random(137), 30, hi=8)
-    matrix = distance_matrix(log.variant_traces)
-    cluster_kmedoids(log, 4, matrix=matrix)
+    cluster_kmedoids(log, 4, DistanceTable(log.variant_traces))
     assert calls == {"_pam_build": 1, "_pam_swap": 1}
 
 
@@ -294,8 +314,7 @@ def test_kmedoids_weights_matter():
 def test_kmedoids_not_worse_than_random():
     rng = random.Random(107)
     log = _random_log(rng, 12)
-    matrix = distance_matrix(log.variant_traces)
-    med = epsilon_max_error(log, cluster_kmedoids(log, 3, matrix=matrix))
+    med = epsilon_max_error(log, cluster_kmedoids(log, 3))
     wins = 0
     for seed in range(100):
         rnd = epsilon_max_error(log, sample_random(log, 3, seed))
