@@ -9,18 +9,15 @@ Every distance in the package comes from one bit-parallel LCS kernel
 (Allison & Dix, IPL 1986; Crochemore et al., IPL 2001; Hyyrö, "Bit-parallel
 LCS-length computation revisited", 2004).  :class:`MatchMasks` turns one
 trace ``a`` into a dict holding, per activity, the bitmask of the positions
-where it occurs.  Scanning the other trace with
-
-    u = v & mask[c];  v = ((v + u) | (v - u)) & full
-
-starting from ``v = full`` (one set bit per event of ``a``) leaves exactly
-lcs(a, b) zero bits in ``v``.  More precisely, after the first j events of
-``b`` the state v_j has lcs(a[:i], b[:j]) zero bits among its lowest i, for
-every i; the explicit aligner traces its moves back on these states.
-Python ints are unbounded, so in this scalar form traces of any length fit
-and no word size is involved.  A caller whose trace meets many others (a
-matrix row, the trace being aligned or bracketed) builds its masks once and
-passes them to :func:`edit_distance` in place of the trace.
+where it occurs.  Scanning the other trace with the update of
+:meth:`MatchMasks.scan`, starting from ``v = full`` (one set bit per event
+of ``a``), leaves exactly lcs(a, b) zero bits in ``v``.  More precisely,
+after the first j events of ``b`` the state v_j has lcs(a[:i], b[:j]) zero
+bits among its lowest i, for every i; the explicit aligner traces its moves
+back on these states.  Python ints are unbounded, so traces of any length
+fit and no word size is involved.  A caller whose trace meets many others
+(the trace being aligned or bracketed) builds its masks once and passes
+them to :func:`edit_distance` in place of the trace.
 
 :class:`MatchMasks` also packs several traces into one int, one lane each,
 so that one scan of ``b`` gives the distance from every packed trace to
@@ -29,7 +26,7 @@ trace's length plus at least one guard bit, rounded up to whole bytes;
 trace ``a`` fills the low len(a) bits of its lane, and ``full`` and the
 masks leave every bit above them zero.  No lane disturbs another:
 
-- ``u = v & m`` is a subset of ``v``, so ``v - u`` never borrows.
+- ``u`` is a subset of ``v``, so ``v - u`` never borrows.
 - Within a lane, ``v + u`` is below 2 ** (len(a) + 1), so a carry out of
   the trace's top bit lands in that lane's guard bits, and ``& full``
   clears it before the next event.
@@ -41,26 +38,16 @@ With ``cutoff`` set, :func:`edit_distance` returns ``min(distance,
 cutoff)``; it may skip the scan when the length difference alone reaches
 the cutoff.
 
-:func:`distance_matrix` runs the same recurrence for every pair at once in
-numpy.  Activities become small ints (0 is "no activity", the padding of
-shorter traces), and each trace's masks are cut into 62-bit words of an
-int64 table.  Because ``u = v & m`` is a subset of ``v``, ``v - u`` equals
-``v ^ u`` (that is, ``v & ~m``) and never borrows; only the addition
-carries, and its carry passes from each word into the next:
-
-    u = v & m;  s = v + u + carry;  v = (s | (v ^ u)) & full
-
-A padding event (code 0) matches only positions past the end of the row's
-trace, where ``v`` has no bit set, so ``u = 0`` and ``v`` stays unchanged.
-Rows go in blocks of at most :data:`MATRIX_BLOCK_CELLS` state words (one
-row if a row alone has more), so the temporaries stay small at any number
-of variants.  The scalar and packed scans still serve the one-against-many
-queries.
-
-numpy is imported inside :func:`distance_matrix`, its only user here, so a
-command that builds no matrix never loads it.
+:func:`distance_matrix` packs every variant once and scans each variant
+over the lanes from its own on, so each pair is scanned once and the lower
+half is mirrored.  Rows go in blocks of about :data:`MATRIX_BLOCK_BYTES`
+bytes of states, popcounted with the same table and summed per lane in
+numpy.  numpy is imported inside :func:`distance_matrix`, its only user
+here, so a command that builds no matrix never loads it.
 """
 
+import csv
+import io
 from dataclasses import dataclass
 from operator import add
 from typing import TYPE_CHECKING
@@ -70,13 +57,10 @@ from .log import Trace
 if TYPE_CHECKING:
     import numpy as np
 
-# bits per int64 word of the all-pairs kernel: a word plus an addend of at
-# most the same size plus a carry stays below 2**63
-WORD_BITS = 62
-# state words of one row block (rows x columns x words); each temporary of
-# the kernel holds at most this many int64 cells, 512 KiB, unless a single
+# bytes of row states in one block of the matrix (rows x columns x lane
+# bytes); each temporary of a block stays near this size unless a single
 # row is larger
-MATRIX_BLOCK_CELLS = 1 << 16
+MATRIX_BLOCK_BYTES = 1 << 16
 
 
 # set bits of each byte value, to popcount packed lanes a byte at a time
@@ -112,9 +96,21 @@ class MatchMasks:
         [trace] = self.traces
         return trace
 
+    def lanes_from(self, first: int) -> "MatchMasks":
+        """The lanes from ``first`` on as a pack of their own: ``full`` and
+        every mask shifted down by ``first`` lanes, without packing again."""
+        shift = 8 * self.lane_bytes * first
+        lanes = MatchMasks.__new__(MatchMasks)
+        lanes.traces = self.traces[first:]
+        lanes.lane_bytes = self.lane_bytes
+        lanes.full = self.full >> shift
+        lanes.masks = {a: m >> shift for a, m in self.masks.items()}
+        return lanes
+
     def scan(self, other, trail: list | None = None) -> int:
-        """The state after scanning ``other`` from ``full``; ``trail``, if
-        given, gets the state after each event of ``other``."""
+        """The state after scanning ``other`` from ``full`` with
+        ``u = v & mask[c];  v = ((v + u) | (v - u)) & full`` per event c;
+        ``trail``, if given, gets the state after each event of ``other``."""
         full = self.full
         mask = self.masks.get
         v = full
@@ -173,72 +169,38 @@ class DistanceMatrix:
         def fmt(t):
             return " ".join(t) if t else "-"
 
-        lines = ["trace," + ",".join(fmt(t) for t in self.labels)]
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["trace", *map(fmt, self.labels)])
         for t, row in zip(self.labels, self.cells.tolist()):
-            lines.append(fmt(t) + "," + ",".join(map(str, row)))
-        return "\n".join(lines) + "\n"
+            writer.writerow([fmt(t), *row])
+        return out.getvalue()
 
 
 def distance_matrix(variants) -> DistanceMatrix:
-    """Pairwise distances over ``variants``, all pairs in one vectorised
-    pass of the bit-parallel recurrence (see the module docstring)."""
+    """Pairwise distances over ``variants``, one packed scan per variant
+    (see the module docstring)."""
     import numpy as np
 
-    labels = tuple(tuple(v) for v in variants)
-    n = len(labels)
+    pack = MatchMasks(*variants)
+    labels = pack.traces
+    n, width = len(labels), pack.lane_bytes
     lengths = np.array([len(t) for t in labels], dtype=np.int64)
-    longest = int(lengths.max()) if n else 0
-    words = max(1, -(-longest // WORD_BITS))
-    codes: dict = {}
-    seq = np.zeros((n, longest), dtype=np.intp)
-    for i, t in enumerate(labels):
-        seq[i, : len(t)] = [codes.setdefault(a, len(codes) + 1) for a in t]
-    # mask[w, i, c]: positions 62w..62w+61 of trace i holding activity c;
-    # the padding code 0 only gets positions past the end of trace i
-    mask = np.zeros((words, n, len(codes) + 1), dtype=np.int64)
-    rows = np.arange(n)
-    for p in range(longest):
-        mask[p // WORD_BITS, rows, seq[:, p]] |= 1 << (p % WORD_BITS)
-    bits = np.clip(lengths - WORD_BITS * np.arange(words)[:, None], 0, WORD_BITS)
-    full = (np.left_shift(1, bits) - 1)[:, :, None]
-
     cells = np.zeros((n, n), dtype=np.int32)
-    block = max(1, MATRIX_BLOCK_CELLS // (words * max(n, 1)))
-    for r0 in range(0, n, block):
-        r1 = min(n, r0 + block)
-        # row i against every column j >= r0; the lower half is mirrored
-        row_mask = mask[:, r0:r1]
-        row_full = full[:, r0:r1]
-        v = np.broadcast_to(row_full, (words, r1 - r0, n - r0)).copy()
-        m = np.empty_like(v)
-        u = np.empty_like(v)
-        s = np.empty_like(v)
-        for t in range(int(lengths[r0:].max())):
-            np.take(row_mask, seq[r0:, t], axis=2, out=m)
-            np.bitwise_and(v, m, out=u)
-            np.add(v, u, out=s)
-            for w in range(1, words):
-                s[w] += s[w - 1] >> WORD_BITS
-            np.bitwise_xor(v, u, out=u)
-            np.bitwise_or(s, u, out=s)
-            np.bitwise_and(s, row_full, out=v)
-        unmatched = _popcount(v).sum(axis=0)
-        lcs = lengths[r0:r1, None] - unmatched
-        cells[r0:r1, r0:] = lengths[r0:r1, None] + lengths[None, r0:] - 2 * lcs
+    r0 = 0
+    while r0 < n:
+        # rows r0..r1 against every column j >= r0; the lower half is mirrored
+        lanes = pack.lanes_from(r0)
+        row_bytes = width * (n - r0)
+        r1 = min(n, r0 + max(1, MATRIX_BLOCK_BYTES // row_bytes))
+        states = b"".join(
+            lanes.scan(t).to_bytes(row_bytes, "little") for t in labels[r0:r1]
+        )
+        counts = np.frombuffer(states.translate(_BYTE_BITS), dtype=np.uint8)
+        unmatched = counts.reshape(r1 - r0, n - r0, width).sum(axis=2, dtype=np.int64)
+        # as in MatchMasks.distances: len(row) - len(column) + 2 * unmatched
+        cells[r0:r1, r0:] = lengths[r0:r1, None] - lengths[None, r0:] + 2 * unmatched
+        r0 = r1
     cells = np.triu(cells, 1)
     cells += cells.T
     return DistanceMatrix(labels=labels, cells=cells)
-
-
-def _popcount(words: "np.ndarray") -> "np.ndarray":
-    """Set bits per non-negative int64 cell (SWAR; ``np.bitwise_count``
-    needs numpy 2)."""
-    import numpy as np
-
-    x = words.view(np.uint64)
-    x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
-    x = (x & np.uint64(0x3333333333333333)) + (
-        (x >> np.uint64(2)) & np.uint64(0x3333333333333333)
-    )
-    x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-    return ((x * np.uint64(0x0101010101010101)) >> np.uint64(56)).astype(np.int64)

@@ -259,9 +259,9 @@ def run_experiment(
     pair and shared by every row.  Each cell runs ``approximate_log`` as the
     ``approximate`` command does, so its timings cover the same stages,
     including the distance matrix kmedoids clusters on.  An empty grid
-    axis, a cell that ``StrategyParams`` rejects or fewer than one
-    repetition is an ``ExperimentError``, raised before anything is
-    generated.
+    axis, a cell that ``StrategyParams`` rejects, a cell given twice (such
+    as sizes 20 and 40/2) or fewer than one repetition is an
+    ``ExperimentError``, raised before anything is generated.
     """
     if not strategies or not size_percents:
         raise ExperimentError("the grid needs at least one strategy and one size")
@@ -276,6 +276,11 @@ def run_experiment(
         ]
     except ProxyError as exc:
         raise ExperimentError(str(exc)) from None
+    for i, params in enumerate(grid):
+        if params in grid[:i]:
+            raise ExperimentError(
+                f"the grid repeats {params.strategy} at size {params.size_percent}"
+            )
     if any(params.strategy == "kmedoids" for params in grid):
         # kmedoids imports numpy on first use; importing it here keeps that
         # one-off cost out of the first kmedoids cell's generation time

@@ -766,6 +766,8 @@ def test_evaluate_grid_csv(tmp_path, capsys):
         (["--sizes", "0"], "size percent must be in (0, 100], got 0"),
         (["--sizes", "-5"], "size percent must be in (0, 100], got -5"),
         (["--sizes", "101"], "size percent must be in (0, 100], got 101"),
+        (["--sizes", "20,40/2"], "the grid repeats random at size 20"),
+        (["--strategies", "kcenter,kcenter"], "the grid repeats kcenter at size 5"),
     ],
     ids=[
         "unknown",
@@ -777,6 +779,8 @@ def test_evaluate_grid_csv(tmp_path, capsys):
         "zero-size",
         "neg-size",
         "big-size",
+        "repeated-size",
+        "repeated-strategy",
     ],
 )
 def test_evaluate_bad_grid_fails(tmp_path, capsys, monkeypatch, extra, message):

@@ -1,3 +1,4 @@
+import csv
 import random
 
 import numpy as np
@@ -99,13 +100,29 @@ def test_distance_matrix_csv_dump():
     assert lines[0] == "trace,a,a b"
     assert lines[1] == "a,0,1"
     assert lines[2] == "a b,1,0"
+    # a label holding the delimiter or the quote character is quoted, so
+    # every row keeps one cell per variant
+    labels = [("a,b",), ('say "hi"', "c"), ()]
+    dump = distance_matrix(labels).to_csv()
+    rows = list(csv.reader(dump.splitlines()))
+    assert rows[0] == ["trace", "a,b", 'say "hi" c', "-"]
+    assert [row[0] for row in rows[1:]] == ["a,b", 'say "hi" c', "-"]
+    assert all(len(row) == 4 for row in rows)
+    assert [list(map(int, row[1:])) for row in rows[1:]] == [
+        [0, 3, 1],
+        [3, 0, 2],
+        [1, 2, 0],
+    ]
 
 
 # small alphabet for heavy repeats, multi-character names, and traces long
-# enough to span several machine words in the bit-parallel kernel
+# enough to span several 64-bit machine words of the bit-parallel state
 activities = st.sampled_from(["a", "b", "c", "Register request", "check ticket"])
 traces = st.lists(activities, max_size=130).map(tuple)
 long_traces = st.lists(activities, min_size=65, max_size=130).map(tuple)
+# packed lanes are whole bytes with a guard bit: lengths on both sides of
+# one, two and eight bytes, plus the empty trace
+LANE_EDGE_LENGTHS = (0, 1, 7, 8, 9, 15, 16, 63, 64, 65)
 
 
 @settings(max_examples=150, deadline=None)
@@ -141,11 +158,13 @@ def test_distance_matrix_matches_pairwise_distances():
             assert cells[i, j] == naive_edit_distance(a, b)
 
 
-# the all-pairs kernel packs 62 positions per int64 word: lengths on both
-# sides of one and two word boundaries, plus the empty trace
+# lengths on both sides of the edges of one and two 62-bit words, where a
+# fixed-width kernel would split a trace, plus the empty trace
 WORD_EDGE_LENGTHS = (0, 1, 61, 62, 63, 124, 125)
 matrix_traces = st.one_of(
-    st.sampled_from(WORD_EDGE_LENGTHS), st.integers(min_value=0, max_value=130)
+    st.sampled_from(WORD_EDGE_LENGTHS),
+    st.sampled_from(LANE_EDGE_LENGTHS),
+    st.integers(min_value=0, max_value=130),
 ).flatmap(lambda n: st.lists(activities, min_size=n, max_size=n).map(tuple))
 
 
@@ -187,20 +206,66 @@ def test_distance_matrix_of_fewer_than_two_variants(variants):
     assert not cells.any()
 
 
-# 10 variants of up to 70 events take two words per row, so these budgets
-# give row blocks of 1, 3 and 7 rows, the last block shorter than the rest
-@pytest.mark.parametrize("block_cells", [1, 60, 140])
-def test_distance_matrix_in_several_row_blocks(monkeypatch, block_cells):
-    monkeypatch.setattr(distance, "MATRIX_BLOCK_CELLS", block_cells)
-    rng = random.Random(block_cells)
+# 10 variants of up to 70 events take 9-byte lanes, so a block starting at
+# row r holds 9 * (10 - r) state bytes per row; these budgets give blocks of
+# one row, then longer blocks as the rows shorten, the last one cut short by
+# the last row
+@pytest.mark.parametrize(
+    "block_bytes, starts",
+    [
+        (1, list(range(10))),
+        (60, [0, 1, 2, 3, 4, 5, 6, 7, 9]),
+        (140, [0, 1, 2, 3, 5, 8]),
+    ],
+    ids=["1", "60", "140"],
+)
+def test_distance_matrix_in_several_row_blocks(monkeypatch, block_bytes, starts):
+    monkeypatch.setattr(distance, "MATRIX_BLOCK_BYTES", block_bytes)
+    firsts = []
+    lanes_from = MatchMasks.lanes_from
+
+    def record(self, first):
+        firsts.append(first)
+        return lanes_from(self, first)
+
+    monkeypatch.setattr(MatchMasks, "lanes_from", record)
+    rng = random.Random(block_bytes)
     variants = [random_trace(rng, ["a", "b", "c"], 0, 70) for _ in range(9)]
     variants.append(("a",) * 70)
     check_matrix(variants)
+    assert firsts == starts
 
 
-# packed lanes are whole bytes with a guard bit: lengths on both sides of
-# one, two and eight bytes, plus the empty trace
-LANE_EDGE_LENGTHS = (0, 1, 7, 8, 9, 15, 16, 63, 64, 65)
+@pytest.mark.parametrize("block_bytes", [1, distance.MATRIX_BLOCK_BYTES])
+@pytest.mark.parametrize("n", [0, 1, 12])
+def test_distance_matrix_scans_each_variant_once(monkeypatch, block_bytes, n):
+    # a deterministic work count: one pack, one packed scan per row and no
+    # scalar distance
+    monkeypatch.setattr(distance, "MATRIX_BLOCK_BYTES", block_bytes)
+    packs, scans = [], []
+    init, scan = MatchMasks.__init__, MatchMasks.scan
+
+    def count_pack(self, *traces):
+        packs.append(traces)
+        init(self, *traces)
+
+    def count_scan(self, other, trail=None):
+        scans.append(other)
+        return scan(self, other, trail)
+
+    def no_edit_distance(*args, **kwargs):
+        raise AssertionError("distance_matrix called edit_distance")
+
+    monkeypatch.setattr(MatchMasks, "__init__", count_pack)
+    monkeypatch.setattr(MatchMasks, "scan", count_scan)
+    monkeypatch.setattr(distance, "edit_distance", no_edit_distance)
+    rng = random.Random(n)
+    variants = [random_trace(rng, ["a", "b", "c"], 0, 20) for _ in range(n)]
+    distance_matrix(variants)
+    assert packs == [tuple(variants)]
+    assert scans == variants
+
+
 lane_traces = st.sampled_from(LANE_EDGE_LENGTHS).flatmap(
     lambda n: st.lists(activities, min_size=n, max_size=n).map(tuple)
 )
@@ -219,4 +284,7 @@ def test_packed_distances_equal_scalar_distances(lanes, data, member):
     packed = MatchMasks(*lanes)
     assert packed.lane_bytes * 8 > max(map(len, lanes), default=0)
     assert packed.distances(member) == [edit_distance(t, member) for t in lanes]
+    # dropping the first r lanes shifts the rest down without packing again
+    for r in range(len(lanes) + 1):
+        assert packed.lanes_from(r).distances(member) == packed.distances(member)[r:]
 
