@@ -10,7 +10,9 @@ least-cost search over the synchronous product.  That search carries each
 state as one int built from the marking's id (see ``PetriNetModel``) and the
 trace position, and since every move costs 0 or 1 it keeps its frontier in
 two FIFO buckets, for the current cost g and for g + 1 (Dial, CACM 1969), in
-place of a heap.
+place of a heap.  Expanding a state runs four plain push loops in preference
+order: sync moves and silent moves into the current bucket, then visible
+model moves and the log move into the next.
 """
 
 from dataclasses import dataclass
@@ -164,6 +166,7 @@ def _align_petri(trace, model):
     came_from = {}
     expanded = 0
     successors = model.successors
+    state_bound = model.state_bound
 
     # Every move costs 0 or 1: sync and silent moves add 0 to g, visible
     # model moves and log moves add 1.  So two FIFO buckets, ``bucket`` for
@@ -175,6 +178,7 @@ def _align_petri(trace, model):
     bucket = [start]
     later: list[int] = []
     while bucket:
+        g1 = g + 1
         for state in bucket:
             if g > best[state]:
                 continue
@@ -182,37 +186,46 @@ def _align_petri(trace, model):
             if state == goal:
                 return _rebuild(came_from, start, state), g, expanded
             expanded += 1
-            if expanded > model.state_bound:
+            if expanded > state_bound:
                 raise StateBoundError(
-                    f"state bound {model.state_bound} exceeded after expanding "
+                    f"state bound {state_bound} exceeded after expanding "
                     f"{expanded} states while aligning {format_trace(trace)}"
                 )
-            succ = successors(mid)
-            # push order encodes the preference among equally cheap moves:
-            # sync, then silent, then visible model moves, then the log move.
-            # Each group pairs (index into its moves, marking id) for a position;
-            # a log move's index is the trace position it consumes.
+            silent, visible, by_label = successors(mid)
+            # four push loops, one per move kind, in the preference among
+            # equally cheap moves: sync, silent, visible model, log; each
+            # walks its (transition index, marking id) pairs in index order
             if pos < n:
-                groups = (
-                    (pos + 1, g, succ.by_label.get(trace[pos], ()), sync_moves),
-                    (pos, g, succ.silent, silent_moves),
-                    (pos, g + 1, succ.visible, model_moves),
-                    (pos + 1, g + 1, ((pos, mid),), log_moves),
-                )
-            else:
-                groups = (
-                    (pos, g, succ.silent, silent_moves),
-                    (pos, g + 1, succ.visible, model_moves),
-                )
-            for at, cost, steps, moves in groups:
-                queue = bucket if cost == g else later
-                for i, reached in steps:
+                at = pos + 1
+                for i, reached in by_label.get(trace[pos], ()):
                     after = reached * stride + at
                     known = best.get(after)
-                    if known is None or cost < known:
-                        best[after] = cost
-                        came_from[after] = (state, moves[i])
-                        queue.append(after)
+                    if known is None or g < known:
+                        best[after] = g
+                        came_from[after] = (state, sync_moves[i])
+                        bucket.append(after)
+            for i, reached in silent:
+                after = reached * stride + pos
+                known = best.get(after)
+                if known is None or g < known:
+                    best[after] = g
+                    came_from[after] = (state, silent_moves[i])
+                    bucket.append(after)
+            for i, reached in visible:
+                after = reached * stride + pos
+                known = best.get(after)
+                if known is None or g1 < known:
+                    best[after] = g1
+                    came_from[after] = (state, model_moves[i])
+                    later.append(after)
+            if pos < n:
+                # the log move keeps the marking: its state is the next int
+                after = state + 1
+                known = best.get(after)
+                if known is None or g1 < known:
+                    best[after] = g1
+                    came_from[after] = (state, log_moves[pos])
+                    later.append(after)
         bucket, later = later, []
         g += 1
     # a net whose empty trace aligns reaches the goal from every trace, so

@@ -414,6 +414,9 @@ def main(argv=None) -> int:
     except AlignboundError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print(f"error[memory]: {args.command} ran out of memory", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -66,6 +66,10 @@ _JSON_VARIANT = (
 )
 
 
+# how json.dumps(indent=2) opens a document whose first key is "proxy"
+_PROXY_HEAD = '{\n  "proxy": {\n'
+
+
 def _json_trace(trace, texts: dict) -> str:
     """A trace as json.dumps(indent=2) lays out a list of strings whose
     items sit eight spaces deep; ``texts`` memoises each trace's text."""
@@ -80,8 +84,9 @@ def _write_json(report: ApproxReport) -> bytes:
     """The JSON report, byte for byte ``json.dumps(doc, indent=2) + "\\n"``.
 
     Each variant row fills one fixed template, with strings escaped by the
-    C escaper ``json.dumps`` itself uses, so the stdlib's pure-Python
-    indenting encoder only lays out the proxy and aggregate blocks.  The
+    C escaper ``json.dumps`` itself uses, and the proxy members are laid
+    out with the same trace texts, so the stdlib's pure-Python indenting
+    encoder only lays out the reference costs and the aggregate block.  The
     template holds only while the stdlib keeps its ``indent=2`` layout,
     which the tests compare against on every supported Python.
     """
@@ -102,10 +107,17 @@ def _write_json(report: ApproxReport) -> bytes:
         for result, mult in report.per_variant
     ]
     variants = "[" + ",".join(rows) + "\n  ]" if rows else "[]"
+    # member traces sit at the depth of variant traces
+    members = (
+        "[\n      "
+        + ",\n      ".join(_json_trace(t, texts) for t in report.proxy.members)
+        + "\n    ]"
+        if report.proxy.members
+        else "[]"
+    )
     rest = json.dumps(
         {
             "proxy": {
-                "members": [list(t) for t in report.proxy.members],
                 "ref_costs": [
                     {"trace": list(t), "cost": report.proxy.ref_costs[t]}
                     for t in report.proxy.members
@@ -117,8 +129,17 @@ def _write_json(report: ApproxReport) -> bytes:
         },
         indent=2,
     )
-    # rest opens with "{\n"; the variants block goes in as the first key
-    return ('{\n  "variants": ' + variants + ",\n" + rest[2:] + "\n").encode("utf-8")
+    # rest opens with _PROXY_HEAD; the variants block goes in as the first
+    # key and the members as the proxy's first key
+    return (
+        '{\n  "variants": '
+        + variants
+        + ',\n  "proxy": {\n    "members": '
+        + members
+        + ",\n"
+        + rest[len(_PROXY_HEAD) :]
+        + "\n"
+    ).encode("utf-8")
 
 
 def read_report_json(data) -> ApproxReport:

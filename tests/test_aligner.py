@@ -14,7 +14,7 @@ from alignbound.aligner import (
 )
 from alignbound.distance import MatchMasks, edit_distance
 from alignbound.errors import StateBoundError
-from alignbound.model import ExplicitLanguageModel, parse_pnml
+from alignbound.model import DEFAULT_STATE_BOUND, ExplicitLanguageModel, parse_pnml
 
 from conftest import (
     align_petri_reference,
@@ -206,6 +206,32 @@ def test_net_search_matches_reference(make_net, alphabet):
                 result.alignment, result.cost, result.states_expanded
             )
             assert outcome == expected, trace
+
+
+@search_nets
+def test_state_bound_allows_exactly_the_states_a_search_expands(make_net, alphabet):
+    # a search that expands s states succeeds under a bound of s, with the
+    # same result, and fails on its s-th state under a bound of s - 1
+    rng = random.Random(59)
+    traces = [random_trace(rng, alphabet, 0, 10) for _ in range(15)]
+    traces += [noisy_walk(rng, make_net(), alphabet, 3) for _ in range(15)]
+    net = make_net()
+    for trace in traces:
+        net.state_bound = DEFAULT_STATE_BOUND
+        free = optimal_alignment(trace, net)
+        states = free.states_expanded
+        assert states >= 2, trace
+        net.state_bound = states
+        bounded = optimal_alignment(trace, net)
+        assert _search_outcome(
+            bounded.alignment, bounded.cost, bounded.states_expanded
+        ) == _search_outcome(free.alignment, free.cost, states), trace
+        net.state_bound = states - 1
+        with pytest.raises(
+            StateBoundError,
+            match=f"^state bound {states - 1} exceeded after expanding {states} states",
+        ):
+            optimal_alignment(trace, net)
 
 
 @search_nets

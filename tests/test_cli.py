@@ -298,6 +298,20 @@ def test_unreadable_log_fails(workspace, capsys):
     assert "error[" in err
 
 
+@pytest.mark.parametrize("command", ["exact", "approximate"])
+def test_out_of_memory_is_one_error_line(workspace, capsys, monkeypatch, command):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(alignbound.cli, "_load_log", exhausted)
+    rc, out, err = run(
+        [command, "--log", workspace["log"], "--model", workspace["lang"]], capsys
+    )
+    assert rc == 1
+    assert out == ""
+    assert err.splitlines()[-1] == f"error[memory]: {command} ran out of memory"
+
+
 @pytest.mark.parametrize(
     "kind, code",
     [("log", "parse"), ("model", "model"), ("marking", "model"), ("proxy", "proxy")],

@@ -1,6 +1,7 @@
 """Round-trip and shape tests for report serialization."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -177,3 +178,23 @@ def reports(draw):
 @example(small_report())
 def test_json_report_is_json_dumps_indent_2(report):
     assert write_report(report, fmt="json") == write_report_json_reference(report)
+
+
+def test_json_report_with_an_empty_proxy_is_json_dumps_indent_2():
+    # ProxySet rejects an empty member list, so empty it after construction:
+    # the writer must still lay it out as json.dumps does
+    proxy = ProxySet(members=(("a",),), provenance="none")
+    proxy.members = ()
+    report = replace(small_report(), proxy=proxy)
+    data = write_report(report, fmt="json")
+    assert data == write_report_json_reference(report)
+    assert b'"members": [],' in data
+
+
+def test_json_report_with_an_empty_member_trace_is_json_dumps_indent_2():
+    proxy = ProxySet(members=((), ("a", "b", "c")), ref_costs={(): 1})
+    report = replace(small_report(), proxy=proxy)
+    data = write_report(report, fmt="json")
+    assert data == write_report_json_reference(report)
+    assert b'"members": [\n      [],\n      [\n        "a",' in data
+    assert read_report_json(data).proxy.members == proxy.members
