@@ -14,6 +14,7 @@ from .aligner import (
     MoveKind,
     alignment_cost,
     optimal_alignment,
+    optimal_cost,
 )
 from .bounds import (
     ApproxReport,
@@ -104,6 +105,7 @@ __all__ = [
     "generate_proxy",
     "generate_synthetic",
     "optimal_alignment",
+    "optimal_cost",
     "parse_csv",
     "parse_explicit_language",
     "parse_pnml",

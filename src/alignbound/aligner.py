@@ -13,6 +13,11 @@ two FIFO buckets, for the current cost g and for g + 1 (Dial, CACM 1969), in
 place of a heap.  Expanding a state runs four plain push loops in preference
 order: sync moves and silent moves into the current bucket, then visible
 model moves and the log move into the next.
+
+``optimal_cost`` runs the same searches for the cost and the work count
+alone: the explicit backend skips the move walk, and the net search skips
+its traceback (no predecessor map, no log moves, no rebuilt path), so a
+caller that reads only the cost pays for no alignment it does not print.
 """
 
 from dataclasses import dataclass
@@ -85,17 +90,34 @@ def optimal_alignment(trace, model) -> AlignmentResult:
     """
     trace = tuple(trace)
     if isinstance(model, ExplicitLanguageModel):
-        alignment, cost, states = _align_explicit(trace, model)
+        masks, nearest, cost = _nearest_model_trace(trace, model)
+        alignment = Alignment(moves=tuple(_edit_moves(masks, nearest)))
+        states = len(model.traces)
     elif isinstance(model, PetriNetModel):
-        alignment, cost, states = _align_petri(trace, model)
+        alignment, cost, states = _align_petri(trace, model, traceback=True)
     else:
         raise TypeError(f"unsupported model type {type(model).__name__}")
     return AlignmentResult(alignment=alignment, cost=cost, states_expanded=states)
 
 
-def _align_explicit(trace, model):
-    # model.traces is canonically sorted, so a strict-less scan picks the
-    # canonical representative among the closest model traces
+def optimal_cost(trace, model) -> tuple[int, int]:
+    """``(cost, states_expanded)`` of ``optimal_alignment(trace, model)``,
+    from the same search with the same tie-breaks and state bound, without
+    building the alignment."""
+    trace = tuple(trace)
+    if isinstance(model, ExplicitLanguageModel):
+        return _nearest_model_trace(trace, model)[2], len(model.traces)
+    if isinstance(model, PetriNetModel):
+        _, cost, states = _align_petri(trace, model, traceback=False)
+        return cost, states
+    raise TypeError(f"unsupported model type {type(model).__name__}")
+
+
+def _nearest_model_trace(trace, model):
+    """``(masks, nearest, distance)``: the trace's ``MatchMasks`` and the
+    closest model trace with its distance.  ``model.traces`` is canonically
+    sorted, so a strict-less scan picks the canonical representative among
+    the closest model traces."""
     masks = MatchMasks(trace)
     best_d = None
     best_t = None
@@ -103,8 +125,7 @@ def _align_explicit(trace, model):
         d = edit_distance(masks, cand, cutoff=best_d)
         if best_d is None or d < best_d:
             best_d, best_t = d, cand
-    moves = _edit_moves(masks, best_t)
-    return Alignment(moves=tuple(moves)), best_d, len(model.traces)
+    return masks, best_t, best_d
 
 
 def _edit_moves(masks, model_trace):
@@ -153,10 +174,12 @@ def transition_moves(transitions):
     )
 
 
-def _align_petri(trace, model):
+def _align_petri(trace, model, traceback):
+    """``(alignment, cost, states_expanded)``; the alignment is None unless
+    ``traceback`` is set, and only then are predecessors recorded."""
     n = len(trace)
     sync_moves, silent_moves, model_moves = model.moves
-    log_moves = [Move(MoveKind.LOG, a) for a in trace]
+    log_moves = [Move(MoveKind.LOG, a) for a in trace] if traceback else None
 
     # a search state is the int mid * (n + 1) + pos for marking id mid
     stride = n + 1
@@ -165,6 +188,9 @@ def _align_petri(trace, model):
     best = {start: 0}
     came_from = {}
     expanded = 0
+    # a popped state reads the successor memo by index and calls
+    # ``successors`` only on a miss; a memo entry is a non-empty tuple
+    memo = model.successor_memo
     successors = model.successors
     state_bound = model.state_bound
 
@@ -184,14 +210,16 @@ def _align_petri(trace, model):
                 continue
             mid, pos = divmod(state, stride)
             if state == goal:
-                return _rebuild(came_from, start, state), g, expanded
+                if traceback:
+                    return _rebuild(came_from, start, state), g, expanded
+                return None, g, expanded
             expanded += 1
             if expanded > state_bound:
                 raise StateBoundError(
                     f"state bound {state_bound} exceeded after expanding "
                     f"{expanded} states while aligning {format_trace(trace)}"
                 )
-            silent, visible, by_label = successors(mid)
+            silent, visible, by_label = memo[mid] or successors(mid)
             # four push loops, one per move kind, in the preference among
             # equally cheap moves: sync, silent, visible model, log; each
             # walks its (transition index, marking id) pairs in index order
@@ -202,21 +230,24 @@ def _align_petri(trace, model):
                     known = best.get(after)
                     if known is None or g < known:
                         best[after] = g
-                        came_from[after] = (state, sync_moves[i])
+                        if traceback:
+                            came_from[after] = (state, sync_moves[i])
                         bucket.append(after)
             for i, reached in silent:
                 after = reached * stride + pos
                 known = best.get(after)
                 if known is None or g < known:
                     best[after] = g
-                    came_from[after] = (state, silent_moves[i])
+                    if traceback:
+                        came_from[after] = (state, silent_moves[i])
                     bucket.append(after)
             for i, reached in visible:
                 after = reached * stride + pos
                 known = best.get(after)
                 if known is None or g1 < known:
                     best[after] = g1
-                    came_from[after] = (state, model_moves[i])
+                    if traceback:
+                        came_from[after] = (state, model_moves[i])
                     later.append(after)
             if pos < n:
                 # the log move keeps the marking: its state is the next int
@@ -224,7 +255,8 @@ def _align_petri(trace, model):
                 known = best.get(after)
                 if known is None or g1 < known:
                     best[after] = g1
-                    came_from[after] = (state, log_moves[pos])
+                    if traceback:
+                        came_from[after] = (state, log_moves[pos])
                     later.append(after)
         bucket, later = later, []
         g += 1

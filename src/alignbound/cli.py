@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .aligner import optimal_alignment
+from .aligner import optimal_alignment, optimal_cost
 from .bounds import (
     DEFAULT_UPPER_WEIGHT,
     ESTIMATORS,
@@ -269,7 +269,6 @@ def _cmd_exact(args) -> int:
     model = _load_model(args)
     _warn_dead_transitions(model)
     variants = log.variant_traces
-    results = [optimal_alignment(t, model) for t in variants]
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -277,10 +276,14 @@ def _cmd_exact(args) -> int:
     if args.dump_moves:
         header.append("moves")
     writer.writerow(header)
-    for trace, result in zip(variants, results):
-        row = [join_trace(trace), log.variants[trace], result.cost]
+    for trace in variants:
+        row = [join_trace(trace), log.variants[trace]]
         if args.dump_moves:
-            row.append(" ".join(m.token() for m in result.alignment.moves))
+            result = optimal_alignment(trace, model)
+            row += [result.cost, " ".join(m.token() for m in result.alignment.moves)]
+        else:
+            # only the cost is printed, so no alignment is built
+            row.append(optimal_cost(trace, model)[0])
         writer.writerow(row)
     _emit(buf.getvalue().encode("utf-8"), args.out, "cost table")
     return 0

@@ -25,7 +25,7 @@ from .bounds import (
     TIMING_PROXY_GENERATION,
     approximate_log,
 )
-from .aligner import optimal_alignment
+from .aligner import optimal_cost
 from .errors import ExperimentError, ProxyError
 from .log import EventLog
 from .model import ExplicitLanguageModel
@@ -217,9 +217,7 @@ class ExperimentRow:
 def exact_costs(log: EventLog, model):
     """Exact alignment cost per variant plus the wall time in microseconds."""
     started = time.perf_counter_ns()
-    costs = {
-        trace: optimal_alignment(trace, model).cost for trace in log.variant_traces
-    }
+    costs = {trace: optimal_cost(trace, model)[0] for trace in log.variant_traces}
     elapsed = max(1, (time.perf_counter_ns() - started) // 1000)
     return costs, int(elapsed)
 

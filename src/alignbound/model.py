@@ -5,7 +5,7 @@ Two backends share the same informal surface (``alphabet``,
 bounded labeled Petri net parsed from a PNML subset.  The minimal visible
 length of a model is the smallest number of visible activities on any
 complete model run, which is exactly the optimal alignment cost of the
-empty trace; a Petri net takes it from the aligner's search.
+empty trace; a Petri net takes it from the aligner's cost-only search.
 """
 
 import json
@@ -109,16 +109,19 @@ class PetriNetModel:
 
     Markings are tuples of token counts indexed like ``places``.  All arcs
     have multiplicity one.  ``min_visible_length`` is the optimal alignment
-    cost of the empty trace, computed eagerly so that a net whose final
-    marking is unreachable, or whose search passes ``state_bound``, fails
-    at construction time.
+    cost of the empty trace, computed eagerly by ``aligner.optimal_cost``
+    (no alignment is built) so that a net whose final marking is
+    unreachable, or whose search passes ``state_bound``, fails at
+    construction time.
 
     The searches carry markings as dense integer ids: a marking gets the
     next id the first time the model meets it (``initial_id`` is 0), and
     one dict maps each marking tuple to its id.  ``successors`` takes and
-    returns ids and memoises its answer per id on the model, so the memo
-    holds the part of the reachability graph that searches on this model
-    have expanded.  On a bounded net it is finite; each search adds at most
+    returns ids and memoises its answer per id in ``successor_memo`` (None
+    where it has not answered yet), so the memo holds the part of the
+    reachability graph that searches on this model have expanded; the net
+    search reads the list by index and calls ``successors`` on a miss.  On
+    a bounded net the memo is finite; each search adds at most
     ``state_bound`` markings to it.  Each transition's preset is one
     bitmask over the places, built once per net, so a new marking's enabled
     transitions are found by testing each mask against the marking's
@@ -162,14 +165,15 @@ class PetriNetModel:
         )
         self._ids: dict[tuple, int] = {}
         self._markings: list[tuple] = []  # id -> marking
-        self._successors: list[Successors | None] = []  # id -> memo entry
+        # id -> memo entry, None until ``successors`` first answers for it
+        self.successor_memo: list[Successors | None] = []
         self.initial_id = self._intern(self.initial_marking)
         self.final_id = self._intern(self.final_marking)
         # imported here because the aligner imports this module
-        from .aligner import optimal_alignment, transition_moves
+        from .aligner import optimal_cost, transition_moves
 
         self.moves = transition_moves(self.transitions)
-        self.min_visible_length = optimal_alignment((), self).cost
+        self.min_visible_length = optimal_cost((), self)[0]
 
     def __repr__(self):
         return (
@@ -193,7 +197,7 @@ class PetriNetModel:
         if mid is None:
             mid = self._ids[marking] = len(self._markings)
             self._markings.append(marking)
-            self._successors.append(None)
+            self.successor_memo.append(None)
         return mid
 
     def successors(self, mid: int) -> Successors:
@@ -201,7 +205,7 @@ class PetriNetModel:
         ids of their successor markings, memoised per model (see the class
         docstring).  A transition is enabled when its preset bitmask lies
         inside the mask of the marking's marked places."""
-        succ = self._successors[mid]
+        succ = self.successor_memo[mid]
         if succ is None:
             marking = self._markings[mid]
             marked = 0
@@ -225,7 +229,7 @@ class PetriNetModel:
                 tuple(visible),
                 {label: tuple(steps) for label, steps in by_label.items()},
             )
-            self._successors[mid] = succ
+            self.successor_memo[mid] = succ
         return succ
 
     def probe_fired(self, max_states: int = DEFAULT_PROBE_BOUND):

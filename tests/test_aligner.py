@@ -11,6 +11,7 @@ from alignbound.aligner import (
     _edit_moves,
     alignment_cost,
     optimal_alignment,
+    optimal_cost,
 )
 from alignbound.distance import MatchMasks, edit_distance
 from alignbound.errors import StateBoundError
@@ -232,6 +233,75 @@ def test_state_bound_allows_exactly_the_states_a_search_expands(make_net, alphab
             match=f"^state bound {states - 1} exceeded after expanding {states} states",
         ):
             optimal_alignment(trace, net)
+
+
+def _cost_and_work(trace, model):
+    result = optimal_alignment(trace, model)
+    return result.cost, result.states_expanded
+
+
+def test_optimal_cost_matches_optimal_alignment_explicit():
+    # the empty trace and off-alphabet labels (x, y) included
+    rng = random.Random(61)
+    for _ in range(80):
+        traces = {random_trace(rng, "abcd", 0, 6) for _ in range(rng.randint(1, 6))}
+        model = ExplicitLanguageModel(traces)
+        for trace in ((), ("x",), random_trace(rng, "abcdxy", 0, 8)):
+            assert optimal_cost(trace, model) == _cost_and_work(trace, model), trace
+
+
+def _cost_traces(rng, make_net, alphabet):
+    traces = [(), ("x",), ("x", "x", "x")]
+    traces += [random_trace(rng, alphabet, 0, 10) for _ in range(15)]
+    traces += [noisy_walk(rng, make_net(), alphabet, 3) for _ in range(15)]
+    traces += [
+        with_x_runs(rng, noisy_walk(rng, make_net(), alphabet, 2)) for _ in range(4)
+    ]
+    return traces
+
+
+@search_nets
+def test_optimal_cost_matches_optimal_alignment_on_nets(make_net, alphabet):
+    # the cost-only search is the traced one without its traceback: equal
+    # cost and work on a fresh net and on one whose memo every other trace
+    # has filled, and the same state bound message one state short
+    traces = _cost_traces(random.Random(67), make_net, alphabet)
+    warmed = make_net()
+    for trace in traces:
+        optimal_cost(trace, warmed)
+    for trace in traces:
+        expected = _cost_and_work(trace, make_net())
+        assert optimal_cost(trace, make_net()) == expected, trace
+        assert optimal_cost(trace, warmed) == expected, trace
+        assert _cost_and_work(trace, warmed) == expected, trace
+        states = expected[1]
+        bounded = make_net()
+        bounded.state_bound = states - 1
+        messages = []
+        for search in (optimal_alignment, optimal_cost):
+            with pytest.raises(StateBoundError) as raised:
+                search(trace, bounded)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1], trace
+        assert messages[0].startswith(
+            f"state bound {states - 1} exceeded after expanding {states} states"
+        )
+
+
+# summed states_expanded of the seeded trace set of the test below, per net
+PINNED_WORK = {"parallel_loop_petri": 943, "three_branch_net": 10221}
+
+
+@search_nets
+def test_net_search_work_count_is_pinned(make_net, alphabet):
+    # a change of search order or tie-break moves the sum of the states the
+    # searches expand, which a timing cannot show on a noisy machine
+    traces = _cost_traces(random.Random(71), make_net, alphabet)
+    net = make_net()
+    costs = sum(optimal_cost(trace, net)[1] for trace in traces)
+    net = make_net()
+    alignments = sum(optimal_alignment(trace, net).states_expanded for trace in traces)
+    assert costs == alignments == PINNED_WORK[make_net.__name__]
 
 
 @search_nets

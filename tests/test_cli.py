@@ -17,11 +17,16 @@ import alignbound.proxy
 from alignbound.cli import main
 from alignbound.distance import MatchMasks
 from alignbound.fixtures import copy_fixture_files
-from alignbound.harness import SyntheticSpec, generate_synthetic
+from alignbound.harness import SyntheticSpec, exact_costs, generate_synthetic
 from alignbound.log import parse_csv, parse_xes, write_log_xes
-from alignbound.model import parse_explicit_language, serialize_explicit_language
+from alignbound.model import (
+    parse_explicit_language,
+    parse_final_marking_json,
+    parse_pnml,
+    serialize_explicit_language,
+)
 from alignbound.proxy import ProxySet, epsilon_max_error
-from alignbound.report import read_report_json
+from alignbound.report import join_trace, read_report_json
 
 LOG_CSV = """case,activity,order
 c1,a,1
@@ -133,6 +138,49 @@ def test_exact_dump_moves_to_file(workspace, capsys):
     text = out_path.read_text(encoding="utf-8")
     assert text.splitlines()[0] == "trace,multiplicity,cost,moves"
     assert "sync:" in text
+
+
+@pytest.mark.parametrize("backend", ["lang", "pnml"])
+def test_exact_costs_build_no_alignment(workspace, capsys, monkeypatch, backend):
+    # plain exact, the harness's exact costs and a net's min_visible_length
+    # read only costs, so they must run with optimal_alignment gone; the
+    # moves column still needs it, once per variant
+    argv = ["exact", "--log", workspace["log"], "--model", workspace[backend]]
+    if backend == "pnml":
+        argv += ["--final-marking", workspace["marking"]]
+    plain = run(argv, capsys)
+    with_moves = run([*argv, "--dump-moves"], capsys)
+    assert plain[0] == with_moves[0] == 0
+    real = alignbound.cli.optimal_alignment
+
+    def no_alignment(*args, **kwargs):
+        raise AssertionError("an alignment was built")
+
+    # harness no longer imports optimal_alignment; the patch there would
+    # still catch an import of it
+    for module in (alignbound.aligner, alignbound.cli, alignbound.harness):
+        monkeypatch.setattr(module, "optimal_alignment", no_alignment, raising=False)
+    assert run(argv, capsys) == plain
+    if backend == "pnml":
+        marking = parse_final_marking_json(Path(workspace["marking"]).read_bytes())
+        model = parse_pnml(Path(workspace["pnml"]).read_bytes(), final_marking=marking)
+    else:
+        model = parse_explicit_language(Path(workspace["lang"]).read_bytes())
+    costs, _ = exact_costs(parse_csv(Path(workspace["log"]).read_bytes()), model)
+    printed = [row.split(",") for row in plain[1].splitlines()[1:]]
+    assert {join_trace(t): str(c) for t, c in costs.items()} == {
+        trace: cost for trace, _, cost in printed
+    }
+
+    calls = []
+
+    def counted(trace, model):
+        calls.append(trace)
+        return real(trace, model)
+
+    monkeypatch.setattr(alignbound.cli, "optimal_alignment", counted)
+    assert run([*argv, "--dump-moves"], capsys) == with_moves
+    assert len(calls) == len(printed) == 2
 
 
 def test_approximate_json_report(workspace, capsys):
