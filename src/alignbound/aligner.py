@@ -14,10 +14,11 @@ place of a heap.  Expanding a state runs four plain push loops in preference
 order: sync moves and silent moves into the current bucket, then visible
 model moves and the log move into the next.
 
-``optimal_cost`` runs the same searches for the cost and the work count
-alone: the explicit backend skips the move walk, and the net search skips
-its traceback (no predecessor map, no log moves, no rebuilt path), so a
-caller that reads only the cost pays for no alignment it does not print.
+A traced net search keeps each pushed state's predecessor and fired
+transition index (None for a log move) and builds the moves from them on
+the way back from the goal.  ``optimal_cost`` runs the same searches for the
+cost and the work count alone, without the explicit move walk or the net
+traceback, so a caller that reads only the cost pays for no alignment.
 """
 
 from dataclasses import dataclass
@@ -88,15 +89,7 @@ def optimal_alignment(trace, model) -> AlignmentResult:
     synchronous moves, then silent moves, then visible model moves, then log
     moves, with stable transition order as the final tie-break.
     """
-    trace = tuple(trace)
-    if isinstance(model, ExplicitLanguageModel):
-        masks, nearest, cost = _nearest_model_trace(trace, model)
-        alignment = Alignment(moves=tuple(_edit_moves(masks, nearest)))
-        states = len(model.traces)
-    elif isinstance(model, PetriNetModel):
-        alignment, cost, states = _align_petri(trace, model, traceback=True)
-    else:
-        raise TypeError(f"unsupported model type {type(model).__name__}")
+    alignment, cost, states = _search(trace, model, traceback=True)
     return AlignmentResult(alignment=alignment, cost=cost, states_expanded=states)
 
 
@@ -104,12 +97,22 @@ def optimal_cost(trace, model) -> tuple[int, int]:
     """``(cost, states_expanded)`` of ``optimal_alignment(trace, model)``,
     from the same search with the same tie-breaks and state bound, without
     building the alignment."""
+    _, cost, states = _search(trace, model, traceback=False)
+    return cost, states
+
+
+def _search(trace, model, traceback):
+    """``(alignment, cost, states_expanded)`` on either backend; the
+    alignment is None unless ``traceback`` is set."""
     trace = tuple(trace)
     if isinstance(model, ExplicitLanguageModel):
-        return _nearest_model_trace(trace, model)[2], len(model.traces)
+        masks, nearest, cost = _nearest_model_trace(trace, model)
+        alignment = None
+        if traceback:
+            alignment = Alignment(moves=tuple(_edit_moves(masks, nearest)))
+        return alignment, cost, len(model.traces)
     if isinstance(model, PetriNetModel):
-        _, cost, states = _align_petri(trace, model, traceback=False)
-        return cost, states
+        return _align_petri(trace, model, traceback)
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
@@ -164,22 +167,10 @@ def _edit_moves(masks, model_trace):
     return moves
 
 
-def transition_moves(transitions):
-    """The sync, silent and model moves of each transition, as three tuples
-    indexed like ``transitions``."""
-    return (
-        tuple(Move(MoveKind.SYNC, t.label, t.tid) for t in transitions),
-        tuple(Move(MoveKind.SILENT, None, t.tid) for t in transitions),
-        tuple(Move(MoveKind.MODEL, t.label, t.tid) for t in transitions),
-    )
-
-
 def _align_petri(trace, model, traceback):
     """``(alignment, cost, states_expanded)``; the alignment is None unless
     ``traceback`` is set, and only then are predecessors recorded."""
     n = len(trace)
-    sync_moves, silent_moves, model_moves = model.moves
-    log_moves = [Move(MoveKind.LOG, a) for a in trace] if traceback else None
 
     # a search state is the int mid * (n + 1) + pos for marking id mid
     stride = n + 1
@@ -211,7 +202,7 @@ def _align_petri(trace, model, traceback):
             mid, pos = divmod(state, stride)
             if state == goal:
                 if traceback:
-                    return _rebuild(came_from, start, state), g, expanded
+                    return _rebuild(came_from, start, goal, trace, model), g, expanded
                 return None, g, expanded
             expanded += 1
             if expanded > state_bound:
@@ -231,7 +222,7 @@ def _align_petri(trace, model, traceback):
                     if known is None or g < known:
                         best[after] = g
                         if traceback:
-                            came_from[after] = (state, sync_moves[i])
+                            came_from[after] = (state, i)
                         bucket.append(after)
             for i, reached in silent:
                 after = reached * stride + pos
@@ -239,7 +230,7 @@ def _align_petri(trace, model, traceback):
                 if known is None or g < known:
                     best[after] = g
                     if traceback:
-                        came_from[after] = (state, silent_moves[i])
+                        came_from[after] = (state, i)
                     bucket.append(after)
             for i, reached in visible:
                 after = reached * stride + pos
@@ -247,7 +238,7 @@ def _align_petri(trace, model, traceback):
                 if known is None or g1 < known:
                     best[after] = g1
                     if traceback:
-                        came_from[after] = (state, model_moves[i])
+                        came_from[after] = (state, i)
                     later.append(after)
             if pos < n:
                 # the log move keeps the marking: its state is the next int
@@ -256,7 +247,7 @@ def _align_petri(trace, model, traceback):
                 if known is None or g1 < known:
                     best[after] = g1
                     if traceback:
-                        came_from[after] = (state, log_moves[pos])
+                        came_from[after] = (state, None)
                     later.append(after)
         bucket, later = later, []
         g += 1
@@ -265,11 +256,24 @@ def _align_petri(trace, model, traceback):
     raise ModelError("final marking is unreachable from the initial marking")
 
 
-def _rebuild(came_from, start, goal):
+def _rebuild(came_from, start, goal, trace, model):
+    """The alignment that ``came_from`` traces from ``start`` to ``goal``."""
+    stride = len(trace) + 1
     moves = []
     state = goal
     while state != start:
-        state, move = came_from[state]
-        moves.append(move)
+        before, ti = came_from[state]
+        pos = before % stride
+        if ti is None:
+            moves.append(Move(MoveKind.LOG, trace[pos]))
+        else:
+            t = model.transitions[ti]
+            if t.silent:
+                kind = MoveKind.SILENT
+            else:
+                # a visible move that advanced the trace position is a sync move
+                kind = MoveKind.SYNC if state % stride != pos else MoveKind.MODEL
+            moves.append(Move(kind, t.label, t.tid))
+        state = before
     moves.reverse()
     return Alignment(moves=tuple(moves))

@@ -55,15 +55,6 @@ class BoundsResult:
     lower_source: str
 
 
-def _ref_cost(proxy: ProxySet, member: Trace) -> int:
-    try:
-        return proxy.ref_costs[member]
-    except KeyError:
-        raise BoundsError(
-            f"missing reference cost for proxy member {format_trace(member)}"
-        ) from None
-
-
 def check_estimate(estimator: str, upper_weight) -> Fraction:
     """The upper weight as a Fraction, once ``estimator`` is known and the
     weight lies within [0, 1]; a ``BoundsError`` otherwise."""
@@ -117,7 +108,12 @@ def approximate_cost(
 
     if distances is None:
         [distances] = zip(*DistanceTable((trace,)).columns(proxy.members))
-    costs = [_ref_cost(proxy, member) for member in proxy.members]
+    try:
+        costs = [proxy.ref_costs[member] for member in proxy.members]
+    except KeyError as exc:
+        raise BoundsError(
+            f"missing reference cost for proxy member {format_trace(exc.args[0])}"
+        ) from None
     proxy_distance = min(distances)
     # members are in canonical order, so the first minimum is the canonical
     # nearest member

@@ -10,7 +10,6 @@ which are printed as ``error[<code>]: message``.
 import argparse
 import csv
 import io
-import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -42,7 +41,7 @@ from .harness import (
     rows_to_long_csv,
     run_experiment,
 )
-from .log import EventLog, decode_text, parse_csv, parse_xes, write_log_xes
+from .log import EventLog, parse_csv, parse_xes, read_json, write_log_xes
 from .model import (
     DEFAULT_PROBE_BOUND,
     DEFAULT_STATE_BOUND,
@@ -167,12 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _echo_config(args) -> None:
-    pairs = sorted(vars(args).items())
-    rendered = " ".join(f"{k}={v}" for k, v in pairs if k != "command" and v is not None)
-    print(f"config: command={args.command} {rendered}", file=sys.stderr)
-
-
 def _fraction(text: str, error: type[AlignboundError], flag: str) -> Fraction:
     try:
         return Fraction(text)
@@ -264,7 +257,6 @@ def _emit(payload: bytes, out: str | None, what: str) -> None:
 
 
 def _cmd_exact(args) -> int:
-    _echo_config(args)
     log = _load_log(args)
     model = _load_model(args)
     _warn_dead_transitions(model)
@@ -306,7 +298,6 @@ def _strategy_params(args) -> StrategyParams:
 
 
 def _cmd_approximate(args) -> int:
-    _echo_config(args)
     params = None if args.proxy_in else _strategy_params(args)
     upper_weight = check_estimate(
         args.estimator, _fraction(args.upper_weight, BoundsError, "--upper-weight")
@@ -334,7 +325,6 @@ def _cmd_approximate(args) -> int:
 
 
 def _cmd_proxy_gen(args) -> int:
-    _echo_config(args)
     params = _strategy_params(args)
     log = _load_log(args)
     table = DistanceTable(log.variant_traces)
@@ -352,10 +342,7 @@ def _cmd_proxy_gen(args) -> int:
 
 def _load_spec(args) -> SyntheticSpec:
     data = _read_input(args.spec, ExperimentError, "spec")
-    try:
-        raw = json.loads(decode_text(data, ExperimentError, "spec JSON"))
-    except json.JSONDecodeError as exc:
-        raise ExperimentError(f"malformed spec JSON: {exc}") from None
+    raw = read_json(data, ExperimentError, "spec JSON")
     spec = SyntheticSpec.from_dict(raw)
     if args.seed is not None:
         spec = SyntheticSpec.from_dict({**raw, "seed": args.seed})
@@ -363,7 +350,6 @@ def _load_spec(args) -> SyntheticSpec:
 
 
 def _cmd_generate(args) -> int:
-    _echo_config(args)
     spec = _load_spec(args)
     model, log = generate_synthetic(spec)
     _write_traces(args.model_out, model.traces, "model")
@@ -377,7 +363,6 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    _echo_config(args)
     spec = _load_spec(args)
     strategies = tuple(s.strip() for s in args.strategies.split(",") if s.strip())
     sizes = tuple(
@@ -412,6 +397,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    pairs = sorted(vars(args).items())
+    rendered = " ".join(f"{k}={v}" for k, v in pairs if k != "command" and v is not None)
+    print(f"config: command={args.command} {rendered}", file=sys.stderr)
     try:
         return COMMANDS[args.command](args)
     except AlignboundError as exc:

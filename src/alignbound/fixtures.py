@@ -8,7 +8,6 @@ language unrolls it to two loop passes (15 traces), enough for every trace
 the tests throw at it.
 """
 
-import json
 from importlib import resources
 from pathlib import Path
 
@@ -16,6 +15,7 @@ from .model import (
     ExplicitLanguageModel,
     PetriNetModel,
     parse_explicit_language,
+    parse_final_marking_json,
     parse_pnml,
 )
 
@@ -37,7 +37,7 @@ def parallel_loop_pnml_bytes() -> bytes:
 
 
 def parallel_loop_final_marking() -> dict:
-    return json.loads(_read(FINAL_MARKING_FILE))
+    return parse_final_marking_json(_read(FINAL_MARKING_FILE))
 
 
 def parallel_loop_language() -> ExplicitLanguageModel:

@@ -10,6 +10,7 @@ rationals; timings are integer microseconds on the monotonic clock.
 
 import csv
 import io
+import itertools
 import math
 import random
 import string
@@ -27,7 +28,7 @@ from .bounds import (
 )
 from .aligner import optimal_cost
 from .errors import ExperimentError, ProxyError
-from .log import EventLog
+from .log import EventLog, is_int
 from .model import ExplicitLanguageModel
 from .proxy import SEEDED_STRATEGIES, STRATEGIES, StrategyParams
 
@@ -95,40 +96,26 @@ class SyntheticSpec:
                 if not (
                     isinstance(value, (list, tuple))
                     and len(value) == 2
-                    and all(_is_int(x) for x in value)
+                    and all(is_int(x) for x in value)
                 ):
                     raise ExperimentError(
                         f"spec field {key} must be a pair of integers, not {value!r}"
                     )
                 value = tuple(value)
-            elif not _is_int(value):
+            elif not is_int(value):
                 raise ExperimentError(f"spec field {key} must be an integer, not {value!r}")
             kwargs[key] = value
         return cls(**kwargs)
 
 
-def _is_int(value) -> bool:
-    # JSON true/false load as bools, which Python counts as ints
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _labels(n: int) -> list[str]:
     # a..z, then aa, ab, ... spreadsheet style
-    letters = string.ascii_lowercase
-    out = []
-    size = 1
-    while len(out) < n:
-        for combo in range(len(letters) ** size):
-            label = ""
-            x = combo
-            for _ in range(size):
-                label = letters[x % 26] + label
-                x //= 26
-            out.append(label)
-            if len(out) == n:
-                break
-        size += 1
-    return out
+    labels = (
+        "".join(letters)
+        for size in itertools.count(1)
+        for letters in itertools.product(string.ascii_lowercase, repeat=size)
+    )
+    return list(itertools.islice(labels, n))
 
 
 def generate_synthetic(spec: SyntheticSpec):

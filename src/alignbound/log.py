@@ -15,6 +15,7 @@ cases, with only the case name changed.
 
 import csv
 import io
+import json
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -77,6 +78,22 @@ def decode_text(data: bytes, error: type[Exception], what: str) -> str:
         return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise error(f"{what} is not valid UTF-8: {exc}") from None
+
+
+def read_json(data, error: type[Exception], what: str):
+    """Parse JSON bytes (decoded like ``decode_text``) or text; an input that
+    is not UTF-8 or not JSON raises ``error`` naming ``what``."""
+    if isinstance(data, bytes):
+        data = decode_text(data, error, what)
+    try:
+        return json.loads(data)
+    except json.JSONDecodeError as exc:
+        raise error(f"malformed {what}: {exc}") from None
+
+
+def is_int(value) -> bool:
+    # JSON true/false load as bools, which Python counts as ints
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def parse_xes(data: bytes) -> EventLog:

@@ -8,13 +8,12 @@ complete model run, which is exactly the optimal alignment cost of the
 empty trace; a Petri net takes it from the aligner's cost-only search.
 """
 
-import json
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ModelError
-from .log import Trace, decode_text, make_trace, trace_sort_key
+from .log import Trace, decode_text, is_int, make_trace, read_json, trace_sort_key
 
 DEFAULT_STATE_BOUND = 1_000_000
 # markings the reachability probe of ``PetriNetModel.probe_fired`` visits
@@ -79,6 +78,11 @@ def serialize_explicit_language(traces) -> str:
                 raise ValueError(
                     f"label {activity!r} cannot be carried by the language text format"
                 )
+        if trace == ("-",):
+            # its line would read back as the empty trace
+            raise ValueError(
+                "label '-' cannot be carried alone by the language text format"
+            )
         lines.append(",".join(trace) if trace else "-")
     return "\n".join(lines) + "\n"
 
@@ -125,8 +129,7 @@ class PetriNetModel:
     ``state_bound`` markings to it.  Each transition's preset is one
     bitmask over the places, built once per net, so a new marking's enabled
     transitions are found by testing each mask against the marking's
-    marked places.  ``moves`` holds the aligner's sync, silent and model
-    moves of every transition, built once per net.
+    marked places.
     """
 
     def __init__(
@@ -170,9 +173,8 @@ class PetriNetModel:
         self.initial_id = self._intern(self.initial_marking)
         self.final_id = self._intern(self.final_marking)
         # imported here because the aligner imports this module
-        from .aligner import optimal_cost, transition_moves
+        from .aligner import optimal_cost
 
-        self.moves = transition_moves(self.transitions)
         self.min_visible_length = optimal_cost((), self)[0]
 
     def __repr__(self):
@@ -370,17 +372,12 @@ def parse_pnml(
 
 def parse_final_marking_json(data) -> dict:
     """Read a place-id -> token-count mapping from JSON bytes or text."""
-    if isinstance(data, bytes):
-        data = decode_text(data, ModelError, "final marking JSON")
-    try:
-        raw = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ModelError(f"malformed final marking JSON: {exc}") from None
+    raw = read_json(data, ModelError, "final marking JSON")
     if not isinstance(raw, dict):
         raise ModelError("final marking JSON must be an object")
     marking = {}
     for key, value in raw.items():
-        if not isinstance(value, int) or value < 0:
+        if not is_int(value) or value < 0:
             raise ModelError(f"final marking for {key!r} must be a non-negative int")
         marking[str(key)] = value
     return marking

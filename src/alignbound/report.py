@@ -18,6 +18,7 @@ from json.encoder import encode_basestring_ascii
 
 from .bounds import TIMING_KEYS, ApproxReport, BoundsResult
 from .errors import ReportError
+from .log import is_int, read_json
 from .proxy import ProxySet
 
 # one variant row, of the JSON report and the CSV report alike
@@ -142,19 +143,27 @@ def _write_json(report: ApproxReport) -> bytes:
     ).encode("utf-8")
 
 
+def _trace(value) -> tuple:
+    if not (isinstance(value, list) and all(isinstance(a, str) for a in value)):
+        raise TypeError(f"a trace must be a list of strings, not {value!r}")
+    return tuple(value)
+
+
+def _int(value) -> int:
+    if not is_int(value):
+        raise TypeError(f"an integer field holds {value!r}")
+    return value
+
+
 def read_report_json(data) -> ApproxReport:
-    """Inverse of the JSON writer; used by tests and downstream tooling."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ReportError(f"malformed report JSON: {exc}") from None
+    """Inverse of the JSON writer; used by tests and downstream tooling.
+    Traces must be lists of strings and integer fields JSON integers."""
+    doc = read_json(data, ReportError, "report JSON")
     try:
         proxy = ProxySet(
-            members=tuple(tuple(t) for t in doc["proxy"]["members"]),
+            members=tuple(_trace(t) for t in doc["proxy"]["members"]),
             ref_costs={
-                tuple(entry["trace"]): int(entry["cost"])
+                _trace(entry["trace"]): _int(entry["cost"])
                 for entry in doc["proxy"]["ref_costs"]
             },
             provenance=doc["proxy"].get("provenance", ""),
@@ -164,26 +173,26 @@ def read_report_json(data) -> ApproxReport:
             rows.append(
                 (
                     BoundsResult(
-                        trace=tuple(item["trace"]),
-                        lower=int(item["lower"]),
-                        upper=int(item["upper"]),
+                        trace=_trace(item["trace"]),
+                        lower=_int(item["lower"]),
+                        upper=_int(item["upper"]),
                         estimate=Fraction(item["estimate"]),
-                        nearest_proxy=tuple(item["nearest_proxy"]),
-                        proxy_distance=int(item["proxy_distance"]),
+                        nearest_proxy=_trace(item["nearest_proxy"]),
+                        proxy_distance=_int(item["proxy_distance"]),
                         lower_source=item["lower_source"],
                     ),
-                    int(item["multiplicity"]),
+                    _int(item["multiplicity"]),
                 )
             )
         agg = doc["aggregates"]
         return ApproxReport(
             per_variant=rows,
-            epsilon_max=int(agg["epsilon_max"]),
+            epsilon_max=_int(agg["epsilon_max"]),
             total_estimate=Fraction(agg["total_estimate"]),
-            total_traces=int(agg["total_traces"]),
-            aligner_invocations=int(agg["aligner_invocations"]),
+            total_traces=_int(agg["total_traces"]),
+            aligner_invocations=_int(agg["aligner_invocations"]),
             timings_us={
-                key: int(agg["timings_us"].get(key, 0)) for key in TIMING_KEYS
+                key: _int(agg["timings_us"].get(key, 0)) for key in TIMING_KEYS
             },
             proxy=proxy,
         )

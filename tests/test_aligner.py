@@ -15,7 +15,13 @@ from alignbound.aligner import (
 )
 from alignbound.distance import MatchMasks, edit_distance
 from alignbound.errors import StateBoundError
-from alignbound.model import DEFAULT_STATE_BOUND, ExplicitLanguageModel, parse_pnml
+from alignbound.model import (
+    DEFAULT_STATE_BOUND,
+    ExplicitLanguageModel,
+    PetriNetModel,
+    Transition,
+    parse_pnml,
+)
 
 from conftest import (
     align_petri_reference,
@@ -286,6 +292,51 @@ def test_optimal_cost_matches_optimal_alignment_on_nets(make_net, alphabet):
         assert messages[0].startswith(
             f"state bound {states - 1} exceeded after expanding {states} states"
         )
+
+
+def twin_move_net():
+    """p0 -> p1 -> p2 with a visible self-loop t_a on p0, a silent t_skip
+    and a visible t_b both from p0 to p1, t_c from p1 to p2, and a silent
+    t_redo from p1 back to p0.  A sync move of t_a and the log move of a
+    lead to the same state, and so do t_skip and a model move of t_b."""
+    transitions = [
+        Transition("t_a", "a"),
+        Transition("t_skip", None),
+        Transition("t_b", "b"),
+        Transition("t_c", "c"),
+        Transition("t_redo", None),
+    ]
+    inputs = [[0], [0], [0], [1], [1]]
+    outputs = [[0], [1], [1], [2], [0]]
+    return PetriNetModel(
+        ["p0", "p1", "p2"], transitions, inputs, outputs, [1, 0, 0], [0, 0, 1]
+    )
+
+
+def test_traceback_tells_moves_apart_by_transition_and_position():
+    # the rebuilt moves name the transition fired and tell a sync move from
+    # a log or model move by whether the trace position advanced
+    rng = random.Random(73)
+    traces = [(), ("a",), ("b",), ("a", "a"), ("c", "a")]
+    traces += [random_trace(rng, "abcx", 0, 8) for _ in range(60)]
+    seen = set()
+    for trace in traces:
+        expected = _search_outcome(*align_petri_reference(trace, twin_move_net()))
+        result = optimal_alignment(trace, twin_move_net())
+        assert (
+            _search_outcome(result.alignment, result.cost, result.states_expanded)
+            == expected
+        ), trace
+        seen.update(zip(expected[1], expected[2]))
+    for move in [
+        ("sync:a", "t_a"),
+        ("log:a", None),
+        ("tau", "t_skip"),
+        ("sync:b", "t_b"),
+        ("model:c", "t_c"),
+        ("tau", "t_redo"),
+    ]:
+        assert move in seen, move
 
 
 # summed states_expanded of the seeded trace set of the test below, per net

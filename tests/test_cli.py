@@ -1004,19 +1004,25 @@ def test_size_percent_is_checked_before_the_log_is_read(
 def test_label_the_language_format_cannot_carry_is_an_output_error(
     workspace, capsys, command, flag
 ):
-    log_path = workspace["dir"] / "comma.csv"
-    log_path.write_text('case,activity,order\nc1,"a,b",1\nc1,c,2\n', encoding="utf-8")
-    argv = [command, "--log", str(log_path), "--size-percent", "100"]
-    if command == "approximate":
-        argv += ["--model", workspace["lang"]]
-    out_path = workspace["dir"] / "proxy.lang"
-    rc, _, err = run([*argv, flag, str(out_path)], capsys)
-    assert rc == 1
-    assert (
-        f"error[output]: cannot write proxy file {out_path}: "
-        "label 'a,b' cannot be carried by the language text format"
-    ) in err
-    assert not out_path.exists()
+    # a comma inside a label, and a trace of the one label "-", whose line
+    # would read back as the empty trace
+    for log_text, reason in [
+        ('case,activity,order\nc1,"a,b",1\nc1,c,2\n', "label 'a,b' cannot be carried"),
+        ("case,activity,order\nc1,-,1\nc2,a,1\n", "label '-' cannot be carried alone"),
+    ]:
+        log_path = workspace["dir"] / "uncarryable.csv"
+        log_path.write_text(log_text, encoding="utf-8")
+        argv = [command, "--log", str(log_path), "--size-percent", "100"]
+        if command == "approximate":
+            argv += ["--model", workspace["lang"]]
+        out_path = workspace["dir"] / "proxy.lang"
+        rc, _, err = run([*argv, flag, str(out_path)], capsys)
+        assert rc == 1
+        assert (
+            f"error[output]: cannot write proxy file {out_path}: "
+            f"{reason} by the language text format"
+        ) in err
+        assert not out_path.exists()
 
 
 @pytest.mark.parametrize(

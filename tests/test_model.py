@@ -51,6 +51,15 @@ def test_serialize_round_trip():
     assert text.splitlines()[0] == "-"
 
 
+def test_serialize_rejects_a_lone_dash_label():
+    # the line "-" reads back as the empty trace; "-" beside another label
+    # does not
+    with pytest.raises(ValueError, match="^label '-' cannot be carried alone "):
+        serialize_explicit_language([("a",), ("-",)])
+    text = serialize_explicit_language([("-", "a"), ("a", "-")])
+    assert parse_explicit_language(text).traces == (("-", "a"), ("a", "-"))
+
+
 def test_min_visible_length_explicit():
     assert ExplicitLanguageModel([("a", "b"), ("c",)]).min_visible_length == 1
 
@@ -173,6 +182,14 @@ def test_final_marking_json():
     assert parse_final_marking_json(b'\xef\xbb\xbf{"p": 1}') == {"p": 1}
     with pytest.raises(ModelError, match="^final marking JSON is not valid UTF-8: "):
         parse_final_marking_json(b'{"\xff": 1}')
+
+
+@pytest.mark.parametrize("data", [b'{"p_end": true}', b'{"p_end": false}'])
+def test_final_marking_json_rejects_boolean_counts(data):
+    # JSON booleans load as Python bools, which are ints
+    with pytest.raises(ModelError, match="must be a non-negative int") as info:
+        parse_final_marking_json(data)
+    assert info.value.code == "model"
 
 
 @pytest.mark.parametrize("data", [b'{"p": ', b"", b"{'p': 1}"])

@@ -126,6 +126,42 @@ def test_missing_field_rejected():
         read_report_json(broken)
 
 
+def test_non_utf8_report_is_a_report_error():
+    with pytest.raises(ReportError, match="^report JSON is not valid UTF-8: "):
+        read_report_json(b'{"variants": "\xff"}')
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        ("variants/0/trace", "abc"),
+        ("variants/0/trace", ["a", 1]),
+        ("variants/0/nearest_proxy", "abc"),
+        ("proxy/members/0", "abc"),
+        ("proxy/ref_costs/0/trace", "abc"),
+        ("variants/0/lower", 2.9),
+        ("variants/0/upper", "3"),
+        ("variants/0/multiplicity", True),
+        ("variants/0/proxy_distance", 1.0),
+        ("proxy/ref_costs/0/cost", False),
+        ("aggregates/epsilon_max", 2.5),
+        ("aggregates/total_traces", "4"),
+        ("aggregates/aligner_invocations", True),
+        ("aggregates/timings_us/bound_computation", 0.5),
+    ],
+)
+def test_reader_rejects_mangled_traces_and_integers(path, value):
+    # a string trace would split into letters and a float count truncate
+    doc = json.loads(write_report(small_report(), fmt="json"))
+    *parents, key = [int(p) if p.isdigit() else p for p in path.split("/")]
+    target = doc
+    for part in parents:
+        target = target[part]
+    target[key] = value
+    with pytest.raises(ReportError, match="^report JSON misses or mangles a field: "):
+        read_report_json(json.dumps(doc))
+
+
 def test_round_trip_preserves_provenance_and_ref_costs():
     report = small_report()
     restored = read_report_json(write_report(report, fmt="json"))
