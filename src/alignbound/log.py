@@ -5,9 +5,14 @@ construction).  An :class:`EventLog` stores each distinct trace (variant)
 with its multiplicity; parsing order does not matter because every consumer
 iterates variants in a canonical order (length first, then lexicographic).
 
-Both parsers stream their input straight into variant counts: XES goes
-through an expat handler that counts each trace as it closes, without
-building an element tree, and CSV through one ``csv.reader`` pass that
+Both parsers stream their input straight into variant counts, without an
+element tree or a list of every row.  XES has two paths.  A document in
+the flat layout that XES writers emit (a header, then traces whose events
+hold only self-closing typed attributes written ``key="…" value="…"``)
+is read by anchored byte patterns, one trace at a time, and then checked
+whole by one expat pass without handlers, so no Python code runs per
+element.  Every other document goes through an expat handler that counts
+each trace as it closes.  CSV goes through one ``csv.reader`` pass that
 keeps only each case's (order, activity) pairs.  The two writers work per
 variant: a variant's text is built once and repeated for each of its
 cases, with only the case name changed.
@@ -16,6 +21,7 @@ cases, with only the case name changed.
 import csv
 import io
 import json
+import re
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -103,12 +109,122 @@ def parse_xes(data: bytes) -> EventLog:
 
     A ``<trace>`` counts at any depth; an ``<event>`` counts only as its
     direct child, named by its last direct ``<string key="concept:name">``
-    child.  Traces are counted as they close, so no element tree is built.
+    child.  No element tree is built, and variants keep document order.
+
+    A document in the flat layout is read without a Python call per
+    element: an optional XML declaration (UTF-8 if it names an encoding),
+    comments, then ``<log>``, whose header (self-closing ``extension`` and
+    ``classifier`` elements, ``global`` blocks, log attributes) precedes
+    traces directly under it.  A trace holds typed attributes (``string``,
+    ``date``, ``int``, ``float``, ``boolean``, ``id``) and events holding
+    only such attributes, each self-closing and written
+    ``key="…" value="…"`` with double quotes and no ``&``, ``<``, tab or
+    line break in a value; every event has a non-empty concept:name.  Byte
+    patterns read it one trace at a time, then one expat pass without
+    handlers checks the whole document.  Any other document (a prefixed
+    tag, a nested ``<list>``, an entity or character reference, a DOCTYPE,
+    a nameless event) goes to expat handlers that count each trace as it
+    closes.  Both paths give the same log and the same errors.
 
     :raises LogParseError: on malformed XML (message includes the position),
         an XML declaration naming an encoding expat cannot read, or an event
         without a usable concept:name.
     """
+    log = _parse_flat_xes(data)
+    return _parse_xes_with_handlers(data) if log is None else log
+
+
+# The flat layout as byte patterns: _FLAT_TRACE matches one whole trace,
+# and _FLAT_NAMES each of its events, capturing the last concept:name.
+_S = rb"[ \t\r\n]*"
+_SP = rb"[ \t\r\n]+"
+_VALUE = rb'"[^"&<\t\n\r]*"'
+_ATTRIBUTES = rb"(?:" + _SP + rb"[A-Za-z_][-.:\w]*=" + _VALUE + rb")*" + _S
+_TYPED = (
+    rb"<(?:string|date|int|float|boolean|id)"
+    + _SP + rb"key=" + _VALUE + _SP + rb"value=" + _VALUE + _S + rb"/>"
+)
+_NAME_KEY = rb"<string" + _SP + rb'key="concept:name"'
+# a lazy prefix, the name, then attributes that are no concept:name; the
+# name's group is "(%b" and filled in with b"" to capture, b"?:" not to
+_FLAT_EVENT = (
+    rb"<event" + _S + rb">(?:" + _S + _TYPED + rb")*?"
+    + _S + _NAME_KEY + _SP + rb'value="(%b[^"&<\t\n\r]+)"' + _S + rb"/>"
+    + rb"(?:" + _S + rb"(?!" + _NAME_KEY + rb")" + _TYPED + rb")*"
+    + _S + rb"</event" + _S + rb">"
+)
+_FLAT_HEAD = re.compile(
+    rb"(?:<\?xml" + _SP + rb"version=" + _VALUE
+    + rb'(?:' + _SP + rb'encoding="(?i:utf-8)")?'
+    + rb"(?:" + _SP + rb"standalone=" + _VALUE + rb")?" + _S + rb"\?>)?"
+    + rb"(?:" + _S + rb"<!--(?:[^-]|-[^-])*-->)*"
+    + _S + rb"<log" + _ATTRIBUTES + rb">"
+    + rb"(?:" + _S + rb"(?:" + _TYPED
+    + rb"|<(?:extension|classifier)" + _ATTRIBUTES + rb"/>"
+    + rb"|<global" + _ATTRIBUTES + rb">(?:" + _S + _TYPED + rb")*"
+    + _S + rb"</global" + _S + rb">))*"
+)
+_FLAT_TRACE = re.compile(
+    _S + rb"<trace" + _S + rb">(?:" + _S + rb"(?:" + _TYPED + rb"|"
+    + _FLAT_EVENT % b"?:" + rb"))*" + _S + rb"</trace" + _S + rb">"
+)
+_FLAT_NAMES = re.compile(_FLAT_EVENT % b"")
+_FLAT_TAIL = re.compile(_S + rb"</log" + _S + rb">" + _S)
+
+
+def _parse_flat_xes(data: bytes) -> EventLog | None:
+    """The log of a document in the flat layout, or ``None`` for any other
+    document.  Each trace is one anchored match and one ``findall`` of its
+    event names, counted as bytes; a new variant keeps one shared object
+    per distinct name.  Only after the whole document matched does expat
+    check it, and each distinct name is then decoded once.
+
+    :raises LogParseError: on a flat document that is not well-formed XML,
+        with the message the handler parser gives.
+    """
+    head = _FLAT_HEAD.match(data)
+    if head is None:
+        return None
+    pos = head.end()
+    counts: dict[tuple, int] = {}  # tuples of name bytes, in document order
+    distinct: dict[bytes, bytes] = {}  # one object per distinct name
+    match, names = _FLAT_TRACE.match, _FLAT_NAMES.findall
+    while (found := match(data, pos)) is not None:
+        end = found.end()
+        trace = tuple(names(data, pos, end))
+        mult = counts.get(trace)
+        if mult is None:
+            # a new variant keeps the shared name objects, not its own
+            trace = tuple([distinct.setdefault(n, n) for n in trace])
+            mult = 0
+        counts[trace] = mult + 1
+        pos = end
+    if _FLAT_TAIL.fullmatch(data, pos) is None:
+        return None
+    _expat_parse(expat.ParserCreate(namespace_separator="}"), data)
+    # expat accepted the bytes, so every name is UTF-8
+    labels = {n: sys.intern(n.decode("utf-8")) for n in distinct}
+    return EventLog(
+        {tuple([labels[n] for n in trace]): mult for trace, mult in counts.items()}
+    )
+
+
+def _expat_parse(parser, data: bytes) -> None:
+    """Feed the whole document to ``parser``; XML that is not well-formed
+    raises ``LogParseError`` with expat's message and position."""
+    try:
+        parser.Parse(data, True)
+    except expat.ExpatError as exc:
+        raise LogParseError(f"malformed XES: {exc}") from None
+    except (LookupError, ValueError) as exc:
+        # the XML declaration names an encoding expat cannot read: one
+        # Python has no codec for, or a multi-byte one
+        raise LogParseError(f"malformed XES: {exc}") from None
+
+
+def _parse_xes_with_handlers(data: bytes) -> EventLog:
+    """``parse_xes`` for any document: expat handlers count each trace as
+    it closes."""
     counts: Counter = Counter()
     # role of each open element: "trace", "event" for an event that is a
     # direct child of a trace, "" otherwise; the first entry is the document
@@ -183,14 +299,7 @@ def parse_xes(data: bytes) -> EventLog:
     parser.EntityDeclHandler = entity_decl
     parser.SkippedEntityHandler = skipped_entity
     parser.ExternalEntityRefHandler = external_entity
-    try:
-        parser.Parse(data, True)
-    except expat.ExpatError as exc:
-        raise LogParseError(f"malformed XES: {exc}") from None
-    except (LookupError, ValueError) as exc:
-        # the XML declaration names an encoding expat cannot read: one
-        # Python has no codec for, or a multi-byte one
-        raise LogParseError(f"malformed XES: {exc}") from None
+    _expat_parse(parser, data)
     if first_nameless is not None:
         raise LogParseError(
             f"event without a non-empty {CONCEPT_NAME} in trace {first_nameless}"

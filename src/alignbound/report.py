@@ -16,7 +16,14 @@ from dataclasses import replace
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .bounds import TIMING_KEYS, ApproxReport, BoundsResult
+from .bounds import (
+    LOWER_BOTH,
+    LOWER_PROXY,
+    LOWER_STRUCTURAL,
+    TIMING_KEYS,
+    ApproxReport,
+    BoundsResult,
+)
 from .errors import ReportError
 from .log import is_int, read_json
 from .proxy import ProxySet
@@ -155,9 +162,32 @@ def _int(value) -> int:
     return value
 
 
+def _str(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"a string field holds {value!r}")
+    return value
+
+
+def _fraction(value) -> Fraction:
+    # only the writer's str(Fraction): a JSON float or bool would read as a
+    # binary fraction or 1, and "6/4" or " 3" would not round-trip
+    result = Fraction(_str(value))
+    if str(result) != value:
+        raise ValueError(f"a rational field holds {value!r}")
+    return result
+
+
+def _lower_source(value) -> str:
+    if value not in (LOWER_STRUCTURAL, LOWER_PROXY, LOWER_BOTH):
+        raise ValueError(f"unknown lower_source {value!r}")
+    return value
+
+
 def read_report_json(data) -> ApproxReport:
     """Inverse of the JSON writer; used by tests and downstream tooling.
-    Traces must be lists of strings and integer fields JSON integers."""
+    Traces must be lists of strings, integer fields JSON integers, rationals
+    strings in the writer's form (``"7/2"``, ``"-3"``), the provenance a
+    string and each lower-bound source one the bracket reports."""
     doc = read_json(data, ReportError, "report JSON")
     try:
         proxy = ProxySet(
@@ -166,7 +196,7 @@ def read_report_json(data) -> ApproxReport:
                 _trace(entry["trace"]): _int(entry["cost"])
                 for entry in doc["proxy"]["ref_costs"]
             },
-            provenance=doc["proxy"].get("provenance", ""),
+            provenance=_str(doc["proxy"].get("provenance", "")),
         )
         rows = []
         for item in doc["variants"]:
@@ -176,10 +206,10 @@ def read_report_json(data) -> ApproxReport:
                         trace=_trace(item["trace"]),
                         lower=_int(item["lower"]),
                         upper=_int(item["upper"]),
-                        estimate=Fraction(item["estimate"]),
+                        estimate=_fraction(item["estimate"]),
                         nearest_proxy=_trace(item["nearest_proxy"]),
                         proxy_distance=_int(item["proxy_distance"]),
-                        lower_source=item["lower_source"],
+                        lower_source=_lower_source(item["lower_source"]),
                     ),
                     _int(item["multiplicity"]),
                 )
@@ -188,7 +218,7 @@ def read_report_json(data) -> ApproxReport:
         return ApproxReport(
             per_variant=rows,
             epsilon_max=_int(agg["epsilon_max"]),
-            total_estimate=Fraction(agg["total_estimate"]),
+            total_estimate=_fraction(agg["total_estimate"]),
             total_traces=_int(agg["total_traces"]),
             aligner_invocations=_int(agg["aligner_invocations"]),
             timings_us={
@@ -196,7 +226,8 @@ def read_report_json(data) -> ApproxReport:
             },
             proxy=proxy,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    # ZeroDivisionError: a rational such as "1/0"
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ReportError(f"report JSON misses or mangles a field: {exc}") from None
 
 

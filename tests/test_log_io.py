@@ -1,16 +1,22 @@
 import csv
 import io
 import sys
+import tracemalloc
+import unicodedata
+from unittest.mock import patch
 from xml.sax.saxutils import quoteattr
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from alignbound import log as log_module
 from alignbound.errors import LogParseError
 from alignbound.log import (
     CONCEPT_NAME,
     EventLog,
+    _parse_flat_xes,
+    _parse_xes_with_handlers,
     parse_csv,
     parse_xes,
     trace_sort_key,
@@ -451,6 +457,219 @@ def test_parse_xes_reports_lowest_trace_with_a_nameless_event():
     data = b"<log><trace><trace><event/></trace><event/></trace></log>"
     with pytest.raises(LogParseError, match="in trace 0$"):
         parse_xes(data)
+
+
+# The flat layout: documents parse_xes reads with byte patterns and one
+# handler-free expat pass.  Each must take that path and give the handler
+# parser's result and the tree oracle's.
+FLAT_TAG = st.sampled_from(["string", "date", "int", "float", "boolean", "id"])
+FLAT_KEY = st.sampled_from(
+    [CONCEPT_NAME, CONCEPT_NAME, "lifecycle:transition", "time:timestamp"]
+)
+# values need no escaping: no &, <, ", tab or line break
+FLAT_VALUE = st.sampled_from(["a", "b", "c d", "é", "x'y>", "", "2020-01-01T00:00:00"])
+FLAT_NAME = st.sampled_from(["a", "b", "c d", "é", "x'y>"])
+FLAT_SPACE = st.sampled_from(["", "", "\n    ", " ", "\r\n\t"])
+FLAT_GAP = st.sampled_from([" ", " ", "  ", "\n      "])
+FLAT_DECLARATION = st.sampled_from(
+    [
+        "",
+        '<?xml version="1.0" encoding="UTF-8"?>\n',
+        '<?xml version="1.0" encoding="utf-8" standalone="no" ?>',
+        '<?xml version="1.0"?>',
+    ]
+)
+# an OpenXES-like header
+FLAT_HEADER = [
+    '<extension name="Concept" prefix="concept" '
+    'uri="http://www.xes-standard.org/concept.xesext"/>',
+    '<global scope="event">\n<string key="concept:name" value="__INVALID__"/>'
+    "\n</global>",
+    '<classifier name="Activity" keys="concept:name lifecycle:transition" />',
+    '<string key="concept:name" value="the log"/>',
+]
+FLAT_LOG_TAG = st.sampled_from(
+    [
+        "<log>",
+        '<log xes.version="1.0">',
+        '<log xes.version="1.0" xes.features="nested-attributes" '
+        'openxes.version="1.0RC7" xmlns="http://www.xes-standard.org/" >',
+    ]
+)
+
+
+@st.composite
+def flat_typed(draw, tag=FLAT_TAG, key=FLAT_KEY, value=FLAT_VALUE):
+    gap, end = draw(FLAT_GAP), draw(st.sampled_from(["", " "]))
+    return (
+        f'<{draw(tag)}{gap}key="{draw(key)}"{gap}value="{draw(value)}"{end}/>'
+    )
+
+
+FLAT_ATTRIBUTES = st.lists(flat_typed(), max_size=2)
+# after an event's name: any attribute but a concept:name string
+FLAT_AFTER_NAME = st.lists(
+    st.one_of(
+        flat_typed(tag=FLAT_TAG.filter(lambda t: t != "string")),
+        flat_typed(key=st.sampled_from(["lifecycle:transition", "org:resource"])),
+    ),
+    max_size=2,
+)
+FLAT_EVENT_NAME = flat_typed(
+    tag=st.just("string"), key=st.just(CONCEPT_NAME), value=FLAT_NAME
+)
+
+
+def _flat_join(draw, parts):
+    return "".join(draw(FLAT_SPACE) + part for part in parts) + draw(FLAT_SPACE)
+
+
+@st.composite
+def flat_event(draw):
+    name = draw(FLAT_EVENT_NAME)
+    # earlier concept:name strings, even empty ones, are overridden
+    parts = draw(FLAT_ATTRIBUTES) + [name] + draw(FLAT_AFTER_NAME)
+    return "<event" + draw(FLAT_SPACE) + ">" + _flat_join(draw, parts) + "</event>"
+
+
+@st.composite
+def flat_trace(draw):
+    parts = draw(st.lists(flat_event(), max_size=4))
+    parts = _insert(draw, parts, draw(FLAT_ATTRIBUTES))
+    return "<trace>" + _flat_join(draw, parts) + "</trace" + draw(FLAT_SPACE) + ">"
+
+
+@st.composite
+def flat_xes_documents(draw):
+    head = draw(FLAT_DECLARATION)
+    if draw(st.booleans()):
+        head += "<!-- written by a flat XES writer -->" + draw(FLAT_SPACE)
+    header = [h for h in FLAT_HEADER if draw(st.booleans())]
+    traces = draw(st.lists(flat_trace(), max_size=5))
+    body = _flat_join(draw, header + traces)
+    tail = "</log" + draw(FLAT_SPACE) + ">" + draw(FLAT_SPACE)
+    return (head + draw(FLAT_LOG_TAG) + body + tail).encode()
+
+
+@settings(max_examples=150, deadline=None)
+@given(flat_xes_documents())
+def test_parse_xes_flat_path_matches_handler_parser_and_tree_oracle(data):
+    log = _parse_flat_xes(data)
+    assert log is not None
+    expected = outcome(parse_xes_reference, data)
+    assert list(log.variants.items()) == expected
+    assert outcome(_parse_xes_with_handlers, data) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(broken(flat_xes_documents()))
+def test_parse_xes_flat_path_matches_both_on_broken_documents(data):
+    expected = outcome(parse_xes_reference, data)
+    assert outcome(parse_xes, data) == expected
+    assert outcome(_parse_xes_with_handlers, data) == expected
+
+
+def _flat_log(value: bytes, log_tag=b"<log>") -> bytes:
+    return (
+        log_tag + b'<trace><event><string key="concept:name" value="'
+        + value + b'"/></event></trace></log>'
+    )
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        _flat_log(b"a", b'<log xes.version="1.0" xes.version="2.0">'),
+        _flat_log(b"\xff"),
+        _flat_log(b"a\x01"),
+    ],
+)
+def test_parse_xes_flat_path_reports_the_reference_error(data):
+    # the byte patterns match; expat's check gives the tree's error
+    expected = outcome(parse_xes_reference, data)
+    assert expected[0] == "error"
+    with pytest.raises(LogParseError) as exc:
+        _parse_flat_xes(data)
+    assert ("error", str(exc.value)) == expected
+    assert outcome(parse_xes, data) == expected
+
+
+EMPTY_LAST_NAME = (
+    b'<trace><event><string key="concept:name" value="a"/>'
+    b'<string key="concept:name" value=""/></event></trace>'
+)
+
+
+@pytest.mark.parametrize(
+    "data, expected",
+    [
+        (_flat_log(b"a&amp;b"), [(("a&b",), 1)]),
+        # an event whose last concept:name is empty is nameless
+        (
+            _flat_log(b"a").replace(b"</log>", EMPTY_LAST_NAME + b"</log>"),
+            ("error", f"event without a non-empty {CONCEPT_NAME} in trace 1"),
+        ),
+        # the error names the lowest trace with a nameless event
+        (
+            _flat_log(b"a").replace(
+                b"</log>", b"<trace><event/></trace>" + EMPTY_LAST_NAME + b"</log>"
+            ),
+            ("error", f"event without a non-empty {CONCEPT_NAME} in trace 1"),
+        ),
+    ],
+)
+def test_parse_xes_outside_the_flat_layout_takes_the_handler_path(data, expected):
+    assert _parse_flat_xes(data) is None
+    assert outcome(parse_xes, data) == expected
+    assert outcome(parse_xes_reference, data) == expected
+
+
+def _plain(label: str) -> str:
+    """``label`` without what the writer escapes and XML cannot carry."""
+    return "".join(
+        c for c in label
+        if c not in '&<>"\ufffe\uffff' and unicodedata.category(c) != "Cc"
+    )
+
+
+# labels the writer puts between double quotes unescaped
+PLAIN_LABEL = st.text(max_size=3).map(_plain).filter(bool)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.dictionaries(
+        st.lists(PLAIN_LABEL, max_size=4).map(tuple), st.integers(1, 3), max_size=5
+    ).map(EventLog)
+)
+def test_writer_output_for_plain_labels_takes_the_flat_path(log):
+    data = write_log_xes(log)
+    with patch.object(
+        log_module, "_parse_xes_with_handlers", side_effect=AssertionError(data)
+    ):
+        assert parse_xes(data).variants == log.variants
+
+
+def test_parse_xes_peak_memory_stays_below_the_document_size():
+    # a regex over the whole document or a decoded copy of it would exceed
+    # the bytes; expat's own buffer stays near one 1 MiB chunk
+    labels = [f"activity {i}" for i in range(12)]
+    log = EventLog(
+        {
+            tuple(labels[v // 12**i % 12] for i in range(6 + v % 7)): 6 + v % 5
+            for v in range(300)
+        }
+    )
+    data = write_log_xes(log)
+    assert 1_500_000 < len(data) < 1_900_000
+    tracemalloc.start()
+    try:
+        parsed = parse_xes(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parsed.variants == log.variants
+    assert peak < len(data)
 
 
 CSV_CELL = st.sampled_from(

@@ -148,6 +148,14 @@ def test_non_utf8_report_is_a_report_error():
         ("aggregates/total_traces", "4"),
         ("aggregates/aligner_invocations", True),
         ("aggregates/timings_us/bound_computation", 0.5),
+        ("variants/0/estimate", 2.9),
+        ("aggregates/total_estimate", True),
+        ("variants/0/lower_source", 7),
+        ("variants/0/estimate", "6/4"),
+        ("aggregates/total_estimate", " 3"),
+        ("aggregates/total_estimate", "1/0"),
+        ("variants/0/lower_source", "exact"),
+        ("proxy/provenance", 1),
     ],
 )
 def test_reader_rejects_mangled_traces_and_integers(path, value):
