@@ -7,15 +7,14 @@ iterates variants in a canonical order (length first, then lexicographic).
 
 Both parsers stream their input straight into variant counts, without an
 element tree or a list of every row.  XES has two paths.  A document in
-the flat layout that XES writers emit (a header, then traces whose events
-hold only self-closing typed attributes written ``key="…" value="…"``)
-is read by anchored byte patterns, one trace at a time, and then checked
-whole by one expat pass without handlers, so no Python code runs per
-element.  Every other document goes through an expat handler that counts
-each trace as it closes.  CSV goes through one ``csv.reader`` pass that
-keeps only each case's (order, activity) pairs.  The two writers work per
-variant: a variant's text is built once and repeated for each of its
-cases, with only the case name changed.
+the layout :func:`write_log_xes` emits is read by anchored byte patterns,
+one trace at a time, and then checked whole by one expat pass without
+handlers, so no Python code runs per element.  Every other document goes
+through an expat handler that counts each trace as it closes.  CSV goes
+through one ``csv.reader`` pass that keeps only each case's (order,
+activity) pairs.  The two writers work per variant: a variant's text is
+built once and repeated for each of its cases, with only the case name
+changed.
 """
 
 import csv
@@ -111,20 +110,16 @@ def parse_xes(data: bytes) -> EventLog:
     direct child, named by its last direct ``<string key="concept:name">``
     child.  No element tree is built, and variants keep document order.
 
-    A document in the flat layout is read without a Python call per
-    element: an optional XML declaration (UTF-8 if it names an encoding),
-    comments, then ``<log>``, whose header (self-closing ``extension`` and
-    ``classifier`` elements, ``global`` blocks, log attributes) precedes
-    traces directly under it.  A trace holds typed attributes (``string``,
-    ``date``, ``int``, ``float``, ``boolean``, ``id``) and events holding
-    only such attributes, each self-closing and written
-    ``key="…" value="…"`` with double quotes and no ``&``, ``<``, tab or
-    line break in a value; every event has a non-empty concept:name.  Byte
+    A document in the layout :func:`write_log_xes` emits is read without a
+    Python call per element: its XML declaration and ``<log
+    xes.version="1.0">``, then traces each holding a concept:name string
+    and events of one non-empty concept:name string each, any whitespace
+    between elements, and values quoted as ``quoteattr`` quotes them.  Byte
     patterns read it one trace at a time, then one expat pass without
-    handlers checks the whole document.  Any other document (a prefixed
-    tag, a nested ``<list>``, an entity or character reference, a DOCTYPE,
-    a nameless event) goes to expat handlers that count each trace as it
-    closes.  Both paths give the same log and the same errors.
+    handlers checks the whole document.  Any other document goes to expat
+    handlers that count each trace as it closes; if it leaves the layout
+    only late, the byte patterns' work up to there is spent for nothing.
+    Both paths give the same log and the same errors.
 
     :raises LogParseError: on malformed XML (message includes the position),
         an XML declaration naming an encoding expat cannot read, or an event
@@ -134,60 +129,48 @@ def parse_xes(data: bytes) -> EventLog:
     return _parse_xes_with_handlers(data) if log is None else log
 
 
-# The flat layout as byte patterns: _FLAT_TRACE matches one whole trace,
-# and _FLAT_NAMES each of its events, capturing the last concept:name.
+# The layout write_log_xes emits, as byte patterns: _FLAT_TRACE matches one
+# whole trace (a case name, then events of one concept:name each), and
+# _FLAT_NAMES captures each event's name with its quotes.  _LABEL matches
+# what lies between the quotes of a name as quoteattr writes it: no tab or
+# line break, which XML would read as a space, and only the references in
+# _REFERENCES.  A name is checked once per distinct spelling, not per event.
+_REFERENCES = {
+    "&amp;": "&", "&lt;": "<", "&gt;": ">", "&quot;": '"',
+    "&#10;": "\n", "&#13;": "\r", "&#9;": "\t",
+}
+_REFERENCE = re.compile("|".join(_REFERENCES))
+_LABEL = re.compile(rb"(?:[^&\t\n\r]|%b)+" % "|".join(_REFERENCES).encode())
 _S = rb"[ \t\r\n]*"
-_SP = rb"[ \t\r\n]+"
-_VALUE = rb'"[^"&<\t\n\r]*"'
-_ATTRIBUTES = rb"(?:" + _SP + rb"[A-Za-z_][-.:\w]*=" + _VALUE + rb")*" + _S
-_TYPED = (
-    rb"<(?:string|date|int|float|boolean|id)"
-    + _SP + rb"key=" + _VALUE + _SP + rb"value=" + _VALUE + _S + rb"/>"
-)
-_NAME_KEY = rb"<string" + _SP + rb'key="concept:name"'
-# a lazy prefix, the name, then attributes that are no concept:name; the
-# name's group is "(%b" and filled in with b"" to capture, b"?:" not to
-_FLAT_EVENT = (
-    rb"<event" + _S + rb">(?:" + _S + _TYPED + rb")*?"
-    + _S + _NAME_KEY + _SP + rb'value="(%b[^"&<\t\n\r]+)"' + _S + rb"/>"
-    + rb"(?:" + _S + rb"(?!" + _NAME_KEY + rb")" + _TYPED + rb")*"
-    + _S + rb"</event" + _S + rb">"
-)
+_NAME = rb"""<string key="concept:name" value=(%b"[^"<]*"|'[^'<]*')/>"""
 _FLAT_HEAD = re.compile(
-    rb"(?:<\?xml" + _SP + rb"version=" + _VALUE
-    + rb'(?:' + _SP + rb'encoding="(?i:utf-8)")?'
-    + rb"(?:" + _SP + rb"standalone=" + _VALUE + rb")?" + _S + rb"\?>)?"
-    + rb"(?:" + _S + rb"<!--(?:[^-]|-[^-])*-->)*"
-    + _S + rb"<log" + _ATTRIBUTES + rb">"
-    + rb"(?:" + _S + rb"(?:" + _TYPED
-    + rb"|<(?:extension|classifier)" + _ATTRIBUTES + rb"/>"
-    + rb"|<global" + _ATTRIBUTES + rb">(?:" + _S + _TYPED + rb")*"
-    + _S + rb"</global" + _S + rb">))*"
+    rb'<\?xml version="1\.0" encoding="UTF-8"\?>' + _S + rb'<log xes\.version="1\.0">'
 )
 _FLAT_TRACE = re.compile(
-    _S + rb"<trace" + _S + rb">(?:" + _S + rb"(?:" + _TYPED + rb"|"
-    + _FLAT_EVENT % b"?:" + rb"))*" + _S + rb"</trace" + _S + rb">"
+    _S + rb"<trace>" + _S + _NAME % b"?:"
+    + rb"(?:" + _S + rb"<event>" + _NAME % b"?:" + rb"</event>)*" + _S + rb"</trace>"
 )
-_FLAT_NAMES = re.compile(_FLAT_EVENT % b"")
-_FLAT_TAIL = re.compile(_S + rb"</log" + _S + rb">" + _S)
+_FLAT_NAMES = re.compile(rb"<event>" + _NAME % b"")
+_FLAT_TAIL = re.compile(_S + rb"</log>" + _S)
 
 
 def _parse_flat_xes(data: bytes) -> EventLog | None:
-    """The log of a document in the flat layout, or ``None`` for any other
-    document.  Each trace is one anchored match and one ``findall`` of its
-    event names, counted as bytes; a new variant keeps one shared object
-    per distinct name.  Only after the whole document matched does expat
-    check it, and each distinct name is then decoded once.
+    """The log of a document in the writer's layout, or ``None`` for any
+    other document.  Each trace is one anchored match and one ``findall`` of
+    its event names, counted as bytes; a new variant keeps one shared object
+    per distinct name.  Only after the whole document matched, and every
+    distinct name matched ``_LABEL``, does expat check it; each distinct
+    name is then decoded once.
 
-    :raises LogParseError: on a flat document that is not well-formed XML,
-        with the message the handler parser gives.
+    :raises LogParseError: on a document in the layout that is not
+        well-formed XML, with the message the handler parser gives.
     """
     head = _FLAT_HEAD.match(data)
     if head is None:
         return None
     pos = head.end()
-    counts: dict[tuple, int] = {}  # tuples of name bytes, in document order
-    distinct: dict[bytes, bytes] = {}  # one object per distinct name
+    counts: dict[tuple, int] = {}  # tuples of quoted names, in document order
+    distinct: dict[bytes, bytes] = {}  # one object per distinct quoted name
     match, names = _FLAT_TRACE.match, _FLAT_NAMES.findall
     while (found := match(data, pos)) is not None:
         end = found.end()
@@ -201,12 +184,25 @@ def _parse_flat_xes(data: bytes) -> EventLog | None:
         pos = end
     if _FLAT_TAIL.fullmatch(data, pos) is None:
         return None
+    if not all(_LABEL.fullmatch(n, 1, len(n) - 1) for n in distinct):
+        return None
     _expat_parse(expat.ParserCreate(namespace_separator="}"), data)
-    # expat accepted the bytes, so every name is UTF-8
-    labels = {n: sys.intern(n.decode("utf-8")) for n in distinct}
-    return EventLog(
-        {tuple([labels[n] for n in trace]): mult for trace, mult in counts.items()}
-    )
+    labels = {n: _label(n) for n in distinct}
+    variants: dict[Trace, int] = {}
+    for trace, mult in counts.items():
+        # two spellings of a label, such as "a&gt;" and "a>", are one label
+        trace = tuple([labels[n] for n in trace])
+        variants[trace] = variants.get(trace, 0) + mult
+    return EventLog(variants)
+
+
+def _label(quoted: bytes) -> Activity:
+    """The label a quoted name stands for; expat accepted the document, so
+    the bytes are UTF-8."""
+    text = quoted[1:-1].decode("utf-8")
+    if "&" in text:
+        text = _REFERENCE.sub(lambda ref: _REFERENCES[ref[0]], text)
+    return sys.intern(text)
 
 
 def _expat_parse(parser, data: bytes) -> None:
@@ -413,7 +409,9 @@ def write_log_xes(log: EventLog) -> bytes:
 
     ``concept:name`` and each distinct label are quoted once; each variant's
     event lines are built once and repeated for every case of the variant,
-    which changes only the case's name line.
+    which changes only the case's name line.  :func:`parse_xes` reads this
+    layout with byte patterns; a layout they do not match would send every
+    log written here to the slower handler parser.
     """
     # imported here: xml.sax.saxutils loads urllib.request, which no parser
     # or command but this writer needs

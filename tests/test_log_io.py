@@ -4,7 +4,7 @@ import sys
 import tracemalloc
 import unicodedata
 from unittest.mock import patch
-from xml.sax.saxutils import quoteattr
+from xml.sax.saxutils import escape, quoteattr
 
 import pytest
 from hypothesis import example, given, settings
@@ -459,161 +459,139 @@ def test_parse_xes_reports_lowest_trace_with_a_nameless_event():
         parse_xes(data)
 
 
-# The flat layout: documents parse_xes reads with byte patterns and one
-# handler-free expat pass.  Each must take that path and give the handler
-# parser's result and the tree oracle's.
-FLAT_TAG = st.sampled_from(["string", "date", "int", "float", "boolean", "id"])
-FLAT_KEY = st.sampled_from(
-    [CONCEPT_NAME, CONCEPT_NAME, "lifecycle:transition", "time:timestamp"]
+# The writer's layout: documents parse_xes reads with byte patterns and one
+# handler-free expat pass.  Labels come in every quoting quoteattr writes and
+# in an equal spelling it does not; an OFF_LAYOUT part sends a document to
+# the handler parser.  Both paths must agree with the tree oracle.
+FLAT_LABEL = st.sampled_from(
+    ["a", "b", "c d", "é", "x'y>", 'q"t', "a\"'b", "&<", "t\tn\nr\r"]
 )
-# values need no escaping: no &, <, ", tab or line break
-FLAT_VALUE = st.sampled_from(["a", "b", "c d", "é", "x'y>", "", "2020-01-01T00:00:00"])
-FLAT_NAME = st.sampled_from(["a", "b", "c d", "é", "x'y>"])
+
+
+def _respelled(label: str) -> str:
+    # double quotes throughout, and > left bare
+    escaped = escape(label, {'"': "&quot;", "\n": "&#10;", "\r": "&#13;", "\t": "&#9;"})
+    return '"' + escaped.replace("&gt;", ">") + '"'
+
+
+FLAT_QUOTED = st.one_of(FLAT_LABEL.map(quoteattr), FLAT_LABEL.map(_respelled))
 FLAT_SPACE = st.sampled_from(["", "", "\n    ", " ", "\r\n\t"])
-FLAT_GAP = st.sampled_from([" ", " ", "  ", "\n      "])
-FLAT_DECLARATION = st.sampled_from(
-    [
-        "",
-        '<?xml version="1.0" encoding="UTF-8"?>\n',
-        '<?xml version="1.0" encoding="utf-8" standalone="no" ?>',
-        '<?xml version="1.0"?>',
-    ]
-)
-# an OpenXES-like header
-FLAT_HEADER = [
-    '<extension name="Concept" prefix="concept" '
-    'uri="http://www.xes-standard.org/concept.xesext"/>',
-    '<global scope="event">\n<string key="concept:name" value="__INVALID__"/>'
-    "\n</global>",
-    '<classifier name="Activity" keys="concept:name lifecycle:transition" />',
-    '<string key="concept:name" value="the log"/>',
+FLAT_HEAD = '<?xml version="1.0" encoding="UTF-8"?>\n<log xes.version="1.0">'
+FLAT_EVENT = '<event><string key="concept:name" value=%s/></event>'
+OFF_LAYOUT_HEADS = [
+    "<log>",
+    FLAT_HEAD.replace("UTF-8", "utf-8"),
+    FLAT_HEAD.replace("<log", "<!-- a comment -->\n<log"),
+    # an OpenXES-like header
+    FLAT_HEAD + '<extension name="Concept" prefix="concept" '
+    'uri="http://www.xes-standard.org/concept.xesext"/><global scope="event">'
+    '<string key="concept:name" value="__INVALID__"/></global>',
 ]
-FLAT_LOG_TAG = st.sampled_from(
-    [
-        "<log>",
-        '<log xes.version="1.0">',
-        '<log xes.version="1.0" xes.features="nested-attributes" '
-        'openxes.version="1.0RC7" xmlns="http://www.xes-standard.org/" >',
+OFF_LAYOUT_EVENTS = [
+    '<event><string key="lifecycle:transition" value="complete"/>'
+    '<string key="concept:name" value="a"/></event>',
+    '<event><string key="concept:name" value=""/>'
+    '<string key="concept:name" value="a"/></event>',
+    '<event><string key="concept:name" value="a" /></event>',
+    '<event>\n  <string key="concept:name" value="a"/>\n</event>',
+    '<event><string key="concept:name" value="a"/>'
+    '<list key="l"><string key="x" value="y"/></list></event>',
+    FLAT_EVENT % '"a&#38;"',
+    FLAT_EVENT % '""',
+]
+
+
+@st.composite
+def flat_xes_documents(draw, off_layout: bool):
+    traces = [
+        [FLAT_EVENT % q for q in names]
+        for names in draw(st.lists(st.lists(FLAT_QUOTED, max_size=4), max_size=5))
     ]
-)
-
-
-@st.composite
-def flat_typed(draw, tag=FLAT_TAG, key=FLAT_KEY, value=FLAT_VALUE):
-    gap, end = draw(FLAT_GAP), draw(st.sampled_from(["", " "]))
-    return (
-        f'<{draw(tag)}{gap}key="{draw(key)}"{gap}value="{draw(value)}"{end}/>'
+    head = FLAT_HEAD
+    if off_layout:
+        if draw(st.booleans()):
+            head = draw(st.sampled_from(OFF_LAYOUT_HEADS))
+        else:
+            traces = traces or [[]]
+            events = traces[draw(POSITION) % len(traces)]
+            _insert(draw, events, [draw(st.sampled_from(OFF_LAYOUT_EVENTS))])
+    body = "".join(
+        f'{draw(FLAT_SPACE)}<trace>{draw(FLAT_SPACE)}'
+        f'<string key="concept:name" value={draw(FLAT_QUOTED)}/>'
+        + "".join(draw(FLAT_SPACE) + event for event in events)
+        + f"{draw(FLAT_SPACE)}</trace>"
+        for events in traces
     )
-
-
-FLAT_ATTRIBUTES = st.lists(flat_typed(), max_size=2)
-# after an event's name: any attribute but a concept:name string
-FLAT_AFTER_NAME = st.lists(
-    st.one_of(
-        flat_typed(tag=FLAT_TAG.filter(lambda t: t != "string")),
-        flat_typed(key=st.sampled_from(["lifecycle:transition", "org:resource"])),
-    ),
-    max_size=2,
-)
-FLAT_EVENT_NAME = flat_typed(
-    tag=st.just("string"), key=st.just(CONCEPT_NAME), value=FLAT_NAME
-)
-
-
-def _flat_join(draw, parts):
-    return "".join(draw(FLAT_SPACE) + part for part in parts) + draw(FLAT_SPACE)
-
-
-@st.composite
-def flat_event(draw):
-    name = draw(FLAT_EVENT_NAME)
-    # earlier concept:name strings, even empty ones, are overridden
-    parts = draw(FLAT_ATTRIBUTES) + [name] + draw(FLAT_AFTER_NAME)
-    return "<event" + draw(FLAT_SPACE) + ">" + _flat_join(draw, parts) + "</event>"
-
-
-@st.composite
-def flat_trace(draw):
-    parts = draw(st.lists(flat_event(), max_size=4))
-    parts = _insert(draw, parts, draw(FLAT_ATTRIBUTES))
-    return "<trace>" + _flat_join(draw, parts) + "</trace" + draw(FLAT_SPACE) + ">"
-
-
-@st.composite
-def flat_xes_documents(draw):
-    head = draw(FLAT_DECLARATION)
-    if draw(st.booleans()):
-        head += "<!-- written by a flat XES writer -->" + draw(FLAT_SPACE)
-    header = [h for h in FLAT_HEADER if draw(st.booleans())]
-    traces = draw(st.lists(flat_trace(), max_size=5))
-    body = _flat_join(draw, header + traces)
-    tail = "</log" + draw(FLAT_SPACE) + ">" + draw(FLAT_SPACE)
-    return (head + draw(FLAT_LOG_TAG) + body + tail).encode()
+    return f"{head}{body}{draw(FLAT_SPACE)}</log>{draw(FLAT_SPACE)}".encode()
 
 
 @settings(max_examples=150, deadline=None)
-@given(flat_xes_documents())
-def test_parse_xes_flat_path_matches_handler_parser_and_tree_oracle(data):
-    log = _parse_flat_xes(data)
-    assert log is not None
+@given(st.booleans().flatmap(lambda off: st.tuples(st.just(off), flat_xes_documents(off))))
+def test_parse_xes_flat_path_matches_handler_parser_and_tree_oracle(case):
+    off_layout, data = case
     expected = outcome(parse_xes_reference, data)
-    assert list(log.variants.items()) == expected
     assert outcome(_parse_xes_with_handlers, data) == expected
+    log = _parse_flat_xes(data)
+    assert (log is None) == off_layout
+    assert outcome(parse_xes, data) == expected
+    if log is not None:
+        assert list(log.variants.items()) == expected
 
 
 @settings(max_examples=150, deadline=None)
-@given(broken(flat_xes_documents()))
+@given(broken(st.booleans().flatmap(flat_xes_documents)))
 def test_parse_xes_flat_path_matches_both_on_broken_documents(data):
     expected = outcome(parse_xes_reference, data)
     assert outcome(parse_xes, data) == expected
     assert outcome(_parse_xes_with_handlers, data) == expected
 
 
-def _flat_log(value: bytes, log_tag=b"<log>") -> bytes:
-    return (
-        log_tag + b'<trace><event><string key="concept:name" value="'
-        + value + b'"/></event></trace></log>'
+def _flat_log(*quoted: bytes, head=FLAT_HEAD.encode()) -> bytes:
+    traces = b"".join(
+        b'<trace><string key="concept:name" value="c"/>'
+        + FLAT_EVENT.encode() % q + b"</trace>"
+        for q in quoted
     )
-
-
-@pytest.mark.parametrize(
-    "data",
-    [
-        _flat_log(b"a", b'<log xes.version="1.0" xes.version="2.0">'),
-        _flat_log(b"\xff"),
-        _flat_log(b"a\x01"),
-    ],
-)
-def test_parse_xes_flat_path_reports_the_reference_error(data):
-    # the byte patterns match; expat's check gives the tree's error
-    expected = outcome(parse_xes_reference, data)
-    assert expected[0] == "error"
-    with pytest.raises(LogParseError) as exc:
-        _parse_flat_xes(data)
-    assert ("error", str(exc.value)) == expected
-    assert outcome(parse_xes, data) == expected
-
-
-EMPTY_LAST_NAME = (
-    b'<trace><event><string key="concept:name" value="a"/>'
-    b'<string key="concept:name" value=""/></event></trace>'
-)
+    return head + traces + b"</log>"
 
 
 @pytest.mark.parametrize(
     "data, expected",
     [
-        (_flat_log(b"a&amp;b"), [(("a&b",), 1)]),
-        # an event whose last concept:name is empty is nameless
+        (_flat_log(b'"a&amp;b"', b"'q\"t'"), [(("a&b",), 1), (('q"t',), 1)]),
+        # two spellings of one label count as one variant
+        (_flat_log(b'"a&gt;"', b'"a>"', b"'a>'"), [(("a>",), 3)]),
+        (_flat_log(b'"\xff"'), None),
+        (_flat_log(b'"a\x01"'), None),
+    ],
+)
+def test_parse_xes_flat_path_gives_the_reference_result(data, expected):
+    reference = outcome(parse_xes_reference, data)
+    assert expected in (None, reference)
+    if expected is None:
+        # the byte patterns match; expat's check gives the tree's error
+        assert reference[0] == "error"
+        with pytest.raises(LogParseError) as exc:
+            _parse_flat_xes(data)
+        assert ("error", str(exc.value)) == reference
+    else:
+        assert list(_parse_flat_xes(data).variants.items()) == reference
+    assert outcome(parse_xes, data) == reference
+
+
+@pytest.mark.parametrize(
+    "data, expected",
+    [
+        (_flat_log(b'"a&#38;"'), [(("a&",), 1)]),
+        # XML reads a tab in a value as a space
+        (_flat_log(b'"a\tb"'), [(("a b",), 1)]),
         (
-            _flat_log(b"a").replace(b"</log>", EMPTY_LAST_NAME + b"</log>"),
-            ("error", f"event without a non-empty {CONCEPT_NAME} in trace 1"),
+            _flat_log(b'"a"', head=b'<log xes.version="1.0" xes.version="2.0">'),
+            ("error", "malformed XES: duplicate attribute: line 1, column 23"),
         ),
         # the error names the lowest trace with a nameless event
         (
-            _flat_log(b"a").replace(
-                b"</log>", b"<trace><event/></trace>" + EMPTY_LAST_NAME + b"</log>"
-            ),
+            _flat_log(b'"a"', b'""', b'"b"', b'""'),
             ("error", f"event without a non-empty {CONCEPT_NAME} in trace 1"),
         ),
     ],
@@ -624,25 +602,24 @@ def test_parse_xes_outside_the_flat_layout_takes_the_handler_path(data, expected
     assert outcome(parse_xes_reference, data) == expected
 
 
-def _plain(label: str) -> str:
-    """``label`` without what the writer escapes and XML cannot carry."""
+def _xml_text(label: str) -> str:
+    """``label`` without the characters XML cannot carry."""
     return "".join(
         c for c in label
-        if c not in '&<>"\ufffe\uffff' and unicodedata.category(c) != "Cc"
+        if c in "\t\n\r"
+        or not (unicodedata.category(c) in ("Cc", "Cs") or c in "\ufffe\uffff")
     )
-
-
-# labels the writer puts between double quotes unescaped
-PLAIN_LABEL = st.text(max_size=3).map(_plain).filter(bool)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     st.dictionaries(
-        st.lists(PLAIN_LABEL, max_size=4).map(tuple), st.integers(1, 3), max_size=5
+        st.lists(st.text(max_size=3).map(_xml_text).filter(bool), max_size=4).map(tuple),
+        st.integers(1, 3),
+        max_size=5,
     ).map(EventLog)
 )
-def test_writer_output_for_plain_labels_takes_the_flat_path(log):
+def test_writer_output_takes_the_flat_path(log):
     data = write_log_xes(log)
     with patch.object(
         log_module, "_parse_xes_with_handlers", side_effect=AssertionError(data)
