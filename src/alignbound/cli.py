@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -260,16 +261,14 @@ def _cmd_exact(args) -> int:
     log = _load_log(args)
     model = _load_model(args)
     _warn_dead_transitions(model)
-    variants = log.variant_traces
-
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     header = ["trace", "multiplicity", "cost"]
     if args.dump_moves:
         header.append("moves")
     writer.writerow(header)
-    for trace in variants:
-        row = [join_trace(trace), log.variants[trace]]
+    for trace, mult in log.variants.items():
+        row = [join_trace(trace), mult]
         if args.dump_moves:
             result = optimal_alignment(trace, model)
             row += [result.cost, " ".join(m.token() for m in result.alignment.moves)]
@@ -342,10 +341,9 @@ def _cmd_proxy_gen(args) -> int:
 
 def _load_spec(args) -> SyntheticSpec:
     data = _read_input(args.spec, ExperimentError, "spec")
-    raw = read_json(data, ExperimentError, "spec JSON")
-    spec = SyntheticSpec.from_dict(raw)
+    spec = SyntheticSpec.from_dict(read_json(data, ExperimentError, "spec JSON"))
     if args.seed is not None:
-        spec = SyntheticSpec.from_dict({**raw, "seed": args.seed})
+        spec = replace(spec, seed=args.seed)
     return spec
 
 

@@ -15,7 +15,7 @@ import math
 import random
 import string
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
 
 from .bounds import (
@@ -68,31 +68,28 @@ class SyntheticSpec:
             raise ExperimentError("multiplicities start at 1")
 
     def to_dict(self) -> dict:
+        """The JSON form, one entry per field; ranges become lists."""
         return {
-            "alphabet_size": self.alphabet_size,
-            "model_trace_count": self.model_trace_count,
-            "model_trace_length": list(self.model_trace_length),
-            "log_variant_count": self.log_variant_count,
-            "noise_ops": list(self.noise_ops),
-            "multiplicity": list(self.multiplicity),
-            "seed": self.seed,
+            key: list(value) if isinstance(value, tuple) else value
+            for key, value in asdict(self).items()
         }
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SyntheticSpec":
         """Spec from its JSON form; every field is an integer except the
-        ranges, which are ``[lo, hi]`` pairs of integers."""
+        ranges, the fields with a tuple default, which are ``[lo, hi]``
+        pairs of integers."""
         if not isinstance(raw, dict):
             raise ExperimentError(
                 f"synthetic spec must be a JSON object, not {type(raw).__name__}"
             )
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(raw) - known
+        defaults = {f.name: f.default for f in fields(cls)}
+        extra = set(raw) - set(defaults)
         if extra:
             raise ExperimentError(f"unknown synthetic spec fields {sorted(extra)}")
         kwargs = {}
         for key, value in raw.items():
-            if key in ("model_trace_length", "noise_ops", "multiplicity"):
+            if isinstance(defaults[key], tuple):
                 if not (
                     isinstance(value, (list, tuple))
                     and len(value) == 2

@@ -2,8 +2,9 @@
 
 A trace is a tuple of activity labels (plain strings, interned on
 construction).  An :class:`EventLog` stores each distinct trace (variant)
-with its multiplicity; parsing order does not matter because every consumer
-iterates variants in a canonical order (length first, then lexicographic).
+with its multiplicity, in canonical order (shorter first, then by labels)
+whatever order it was built in, so no parser keeps an order and no reader
+sorts; :func:`canonical_traces` orders every other trace set alike.
 
 Both parsers stream their input straight into variant counts, without an
 element tree or a list of every row.  XES has two paths.  A document in
@@ -45,13 +46,19 @@ def trace_sort_key(trace: Trace):
     return (len(trace), trace)
 
 
+def canonical_traces(traces) -> tuple[Trace, ...]:
+    """The distinct traces of ``traces`` in canonical order."""
+    return tuple(sorted({make_trace(t) for t in traces}, key=trace_sort_key))
+
+
 def format_trace(trace: Trace) -> str:
     return "<" + ",".join(trace) + ">"
 
 
 @dataclass(frozen=True)
 class EventLog:
-    """Finite multiset of traces, stored as variant -> multiplicity."""
+    """Finite multiset of traces, stored as variant -> multiplicity with the
+    variants in canonical order, whatever order ``variants`` has."""
 
     variants: dict[Trace, int]
 
@@ -61,10 +68,12 @@ class EventLog:
                 raise ValueError(
                     f"multiplicity must be >= 1, got {mult} for {format_trace(trace)}"
                 )
+        order = sorted(self.variants, key=trace_sort_key)
+        object.__setattr__(self, "variants", {t: self.variants[t] for t in order})
 
     @classmethod
     def from_traces(cls, traces) -> "EventLog":
-        return cls(dict(Counter(make_trace(t) for t in traces)))
+        return cls(Counter(make_trace(t) for t in traces))
 
     @property
     def total_traces(self) -> int:
@@ -73,7 +82,7 @@ class EventLog:
     @property
     def variant_traces(self) -> tuple[Trace, ...]:
         """Distinct traces in canonical order."""
-        return tuple(sorted(self.variants, key=trace_sort_key))
+        return tuple(self.variants)
 
 
 def decode_text(data: bytes, error: type[Exception], what: str) -> str:
@@ -108,7 +117,8 @@ def parse_xes(data: bytes) -> EventLog:
 
     A ``<trace>`` counts at any depth; an ``<event>`` counts only as its
     direct child, named by its last direct ``<string key="concept:name">``
-    child.  No element tree is built, and variants keep document order.
+    child.  No element tree is built; the log's variants are in canonical
+    order, as every :class:`EventLog`'s are.
 
     A document in the layout :func:`write_log_xes` emits is read without a
     Python call per element: its XML declaration and ``<log
@@ -169,7 +179,7 @@ def _parse_flat_xes(data: bytes) -> EventLog | None:
     if head is None:
         return None
     pos = head.end()
-    counts: dict[tuple, int] = {}  # tuples of quoted names, in document order
+    counts: dict[tuple, int] = {}  # tuples of quoted names
     distinct: dict[bytes, bytes] = {}  # one object per distinct quoted name
     match, names = _FLAT_TRACE.match, _FLAT_NAMES.findall
     while (found := match(data, pos)) is not None:
@@ -188,11 +198,10 @@ def _parse_flat_xes(data: bytes) -> EventLog | None:
         return None
     _expat_parse(expat.ParserCreate(namespace_separator="}"), data)
     labels = {n: _label(n) for n in distinct}
-    variants: dict[Trace, int] = {}
+    variants: Counter = Counter()
     for trace, mult in counts.items():
         # two spellings of a label, such as "a&gt;" and "a>", are one label
-        trace = tuple([labels[n] for n in trace])
-        variants[trace] = variants.get(trace, 0) + mult
+        variants[tuple([labels[n] for n in trace])] += mult
     return EventLog(variants)
 
 
@@ -227,7 +236,6 @@ def _parse_xes_with_handlers(data: bytes) -> EventLog:
     roles = [""]
     # one frame per open trace: [pre-order index, activities, event name]
     frames: list[list] = []
-    closed: list[tuple[int, Trace]] = []  # traces nested in an open one
     n_traces = 0
     first_nameless = None  # lowest index of a trace with a nameless event
     external = set()  # names of the declared external general entities
@@ -260,13 +268,7 @@ def _parse_xes_with_handlers(data: bytes) -> EventLog:
             elif first_nameless is None or frame[0] < first_nameless:
                 first_nameless = frame[0]
         elif role == "trace":
-            index, activities, _ = frames.pop()
-            closed.append((index, tuple(activities)))
-            if not frames:
-                # inner traces close first; count in pre-order
-                closed.sort()
-                counts.update(trace for _, trace in closed)
-                closed.clear()
+            counts[tuple(frames.pop()[1])] += 1
 
     def entity_decl(name, is_parameter, value, base, system_id, *_):
         if system_id is not None and not is_parameter:
@@ -300,7 +302,7 @@ def _parse_xes_with_handlers(data: bytes) -> EventLog:
         raise LogParseError(
             f"event without a non-empty {CONCEPT_NAME} in trace {first_nameless}"
         )
-    return EventLog(dict(counts))
+    return EventLog(counts)
 
 
 def _csv_rows(text: str):
@@ -364,7 +366,7 @@ def parse_csv(
     for events in cases.values():
         events.sort(key=key)
         counts[tuple(a for _, a in events)] += 1
-    return EventLog(dict(counts))
+    return EventLog(counts)
 
 
 def write_log_csv(log: EventLog) -> bytes:
@@ -385,7 +387,7 @@ def write_log_csv(log: EventLog) -> bytes:
     writer = csv.writer(SimpleNamespace(write=rows.append))
     out = ["case,activity,order\r\n"]
     case_no = 0
-    for trace in sorted(log.variants, key=trace_sort_key):
+    for trace, mult in log.variants.items():
         if not trace:
             raise ValueError("CSV interchange cannot represent an empty trace")
         rows.clear()
@@ -397,7 +399,7 @@ def write_log_csv(log: EventLog) -> bytes:
                 raise ValueError(
                     f"CSV cannot carry the label {activity!r}: {exc}"
                 ) from None
-        for _ in range(log.variants[trace]):
+        for _ in range(mult):
             case_no += 1
             case = f"case-{case_no}"
             out.append(case + case.join(rows))
@@ -411,22 +413,28 @@ def write_log_xes(log: EventLog) -> bytes:
     event lines are built once and repeated for every case of the variant,
     which changes only the case's name line.  :func:`parse_xes` reads this
     layout with byte patterns; a layout they do not match would send every
-    log written here to the slower handler parser.
+    log written here to the slower handler parser.  A label holding a
+    character XML 1.0 cannot carry raises ``ValueError``.
     """
     # imported here: xml.sax.saxutils loads urllib.request, which no parser
     # or command but this writer needs
     from xml.sax.saxutils import quoteattr
 
+    # the characters outside XML 1.0's Char production, compiled here since
+    # building its character set peaks near 130 KB, which no parser should pay
+    not_xml = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
     event = "\n    <event><string key=%s value=%%s/></event>" % quoteattr(CONCEPT_NAME)
     events: dict[str, str] = {}  # label -> its event line
     out = ['<?xml version="1.0" encoding="UTF-8"?>\n<log xes.version="1.0">\n']
     case_no = 0
-    for trace in sorted(log.variants, key=trace_sort_key):
+    for trace, mult in log.variants.items():
         for activity in trace:
             if activity not in events:
+                if not_xml.search(activity):
+                    raise ValueError(f"XES cannot carry the label {activity!r}")
                 events[activity] = event % quoteattr(activity)
         body = "".join([events[a] for a in trace]) + "\n  </trace>\n"
-        for _ in range(log.variants[trace]):
+        for _ in range(mult):
             case_no += 1
             out.append(
                 f'  <trace>\n    <string key="{CONCEPT_NAME}" value="case-{case_no}"/>'

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ModelError
-from .log import Trace, decode_text, is_int, make_trace, read_json, trace_sort_key
+from .log import Trace, canonical_traces, decode_text, is_int, read_json
 
 DEFAULT_STATE_BOUND = 1_000_000
 # markings the reachability probe of ``PetriNetModel.probe_fired`` visits
@@ -24,10 +24,9 @@ class ExplicitLanguageModel:
     """Finite model language given as an explicit set of traces."""
 
     def __init__(self, traces):
-        deduped = {make_trace(t) for t in traces}
-        if not deduped:
+        self.traces: tuple[Trace, ...] = canonical_traces(traces)
+        if not self.traces:
             raise ModelError("model language must contain at least one trace")
-        self.traces: tuple[Trace, ...] = tuple(sorted(deduped, key=trace_sort_key))
         self._members = frozenset(self.traces)
         self.alphabet = frozenset(a for t in self.traces for a in t)
         self.min_visible_length = min(len(t) for t in self.traces)
@@ -70,11 +69,14 @@ def parse_explicit_language(text) -> ExplicitLanguageModel:
 
 def serialize_explicit_language(traces) -> str:
     """Inverse of :func:`parse_explicit_language`, canonical line order."""
-    deduped = sorted({tuple(t) for t in traces}, key=trace_sort_key)
     lines = []
-    for trace in deduped:
+    for trace in canonical_traces(traces):
         for activity in trace:
-            if "," in activity or activity.strip() != activity or not activity:
+            # an empty label splits into no line, one holding a line break
+            # into two
+            if "," in activity or activity.strip() != activity or (
+                activity.splitlines() != [activity]
+            ):
                 raise ValueError(
                     f"label {activity!r} cannot be carried by the language text format"
                 )

@@ -17,7 +17,7 @@ from fractions import Fraction
 # edit_distance stays importable: perfbench/tracer.py wraps it here to count LCS calls
 from .distance import DistanceMatrix, MatchMasks, distance_matrix, edit_distance  # noqa: F401
 from .errors import ProxyError
-from .log import EventLog, Trace, make_trace, trace_sort_key
+from .log import EventLog, Trace, canonical_traces
 
 STRATEGIES = ("random", "frequency", "kmedoids", "kcenter")
 # the strategies whose proxy set depends on ``StrategyParams.seed``
@@ -33,10 +33,9 @@ class ProxySet:
     provenance: str = ""
 
     def __post_init__(self):
-        deduped = sorted({tuple(t) for t in self.members}, key=trace_sort_key)
-        if not deduped:
+        self.members = canonical_traces(self.members)
+        if not self.members:
             raise ProxyError("proxy set must contain at least one trace")
-        self.members = tuple(deduped)
         for trace in self.ref_costs:
             if trace not in self.members:
                 raise ProxyError("reference cost for a trace outside the proxy set")
@@ -88,13 +87,6 @@ def _check_k(k: int, n: int) -> None:
         raise ProxyError(f"k must be between 1 and {n}, got {k}")
 
 
-def _frequency_key(log: EventLog):
-    def key(trace):
-        return (-log.variants[trace], len(trace), trace)
-
-    return key
-
-
 def sample_random(log: EventLog, k: int, seed: int) -> ProxySet:
     """Uniform sample of ``k`` distinct variants, deterministic per seed."""
     variants = log.variant_traces
@@ -107,7 +99,8 @@ def sample_random(log: EventLog, k: int, seed: int) -> ProxySet:
 def sample_frequency(log: EventLog, k: int) -> ProxySet:
     """The ``k`` most frequent variants; ties prefer shorter, then
     lexicographically smaller traces."""
-    variants = sorted(log.variants, key=_frequency_key(log))
+    # a stable sort of the canonically ordered variants
+    variants = sorted(log.variants, key=lambda t: -log.variants[t])
     _check_k(k, len(variants))
     return ProxySet(members=tuple(variants[:k]), provenance=f"frequency(k={k})")
 
@@ -254,7 +247,7 @@ def cluster_kmedoids(
     import numpy as np
 
     cells = table.matrix().cells
-    weights = np.array([log.variants[t] for t in variants], dtype=np.int64)
+    weights = np.fromiter(log.variants.values(), dtype=np.int64, count=len(variants))
     medoids = _pam_swap(cells, weights, _pam_build(cells, weights, k))
     members = tuple(variants[i] for i in medoids)
     return ProxySet(members=members, provenance=f"kmedoids(k={k})")
@@ -274,12 +267,13 @@ def cluster_kcenter(
     variants = table.variants
     n = len(variants)
     _check_k(k, n)
-    first = min(range(n), key=lambda i: _frequency_key(log)(variants[i]))
+    weights = list(log.variants.values())
+    # variants are canonically sorted, so the first maximum is also the
+    # canonical tie-break
+    first = weights.index(max(weights))
     centers = [first]
     [min_dist] = table.columns([variants[first]])
     while len(centers) < k:
-        # variants are canonically sorted, so the first maximum is also the
-        # canonical tie-break
         far = min_dist.index(max(min_dist))
         centers.append(far)
         [column] = table.columns([variants[far]])
@@ -320,15 +314,14 @@ def brute_force_k_primal(log: EventLog, k: int, candidate_universe) -> ProxySet:
     """Exhaustive best size-``k`` proxy set within ``candidate_universe``
     (at most 15 candidates); ties resolve to the canonically smallest
     member tuple."""
-    universe = sorted({make_trace(t) for t in candidate_universe}, key=trace_sort_key)
+    universe = canonical_traces(candidate_universe)
     if len(universe) > 15:
         raise ProxyError(
             f"candidate universe of {len(universe)} is too large for brute force (max 15)"
         )
     _check_k(k, len(universe))
-    variants = log.variant_traces
-    weights = [log.variants[t] for t in variants]
-    columns = DistanceTable(variants).columns(universe)
+    weights = log.variants.values()
+    columns = DistanceTable(log.variant_traces).columns(universe)
     best = None
     for combo in itertools.combinations(range(len(universe)), k):
         rows = zip(*(columns[j] for j in combo))

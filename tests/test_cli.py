@@ -1004,11 +1004,16 @@ def test_size_percent_is_checked_before_the_log_is_read(
 def test_label_the_language_format_cannot_carry_is_an_output_error(
     workspace, capsys, command, flag
 ):
-    # a comma inside a label, and a trace of the one label "-", whose line
-    # would read back as the empty trace
+    # a comma inside a label, a trace of the one label "-", whose line
+    # would read back as the empty trace, and line boundaries inside a label
     for log_text, reason in [
         ('case,activity,order\nc1,"a,b",1\nc1,c,2\n', "label 'a,b' cannot be carried"),
         ("case,activity,order\nc1,-,1\nc2,a,1\n", "label '-' cannot be carried alone"),
+        ('case,activity,order\nc1,"a\nb",1\nc1,c,2\n', r"label 'a\nb' cannot be carried"),
+        (
+            "case,activity,order\nc1,a\u2028b,1\nc1,c,2\n",
+            r"label 'a\u2028b' cannot be carried",
+        ),
     ]:
         log_path = workspace["dir"] / "uncarryable.csv"
         log_path.write_text(log_text, encoding="utf-8")

@@ -1,8 +1,10 @@
 import csv
 import io
+import re
 import sys
 import tracemalloc
 import unicodedata
+from collections import Counter
 from unittest.mock import patch
 from xml.sax.saxutils import escape, quoteattr
 
@@ -17,6 +19,7 @@ from alignbound.log import (
     EventLog,
     _parse_flat_xes,
     _parse_xes_with_handlers,
+    canonical_traces,
     parse_csv,
     parse_xes,
     trace_sort_key,
@@ -194,6 +197,49 @@ def test_event_log_canonical_variant_order():
     )
 
 
+def _order_xes(traces, nested: bool) -> bytes:
+    """A document holding ``traces`` in the writer's layout, or, if
+    ``nested``, each trace opened inside the one before it, so that traces
+    close in reverse document order."""
+    name = '<string key="concept:name" value="%s"/>'
+    opens = [
+        "<trace>" + name % f"c{i}" + "".join(f"<event>{name % a}</event>" for a in t)
+        for i, t in enumerate(traces)
+    ]
+    if nested:
+        body = "".join(opens) + "</trace>" * len(traces)
+    else:
+        body = "".join(o + "</trace>" for o in opens)
+    return f"{FLAT_HEAD}{body}</log>".encode()
+
+
+ORDER_TRACES = st.lists(
+    st.lists(st.sampled_from(["a", "b", "ab", "B"]), max_size=3).map(tuple), max_size=10
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ORDER_TRACES)
+def test_every_log_holds_its_variants_in_canonical_order(traces):
+    # traces come in any order, duplicates included; each way of building a
+    # log meets them in that order, and CSV cannot carry the empty ones
+    nonempty = [t for t in traces if t]
+    rows = [f"c{i},{a},{j}" for i, t in enumerate(nonempty) for j, a in enumerate(t)]
+    built = [
+        (EventLog(dict(Counter(traces))), traces),
+        (EventLog.from_traces(traces), traces),
+        (parse_csv("\n".join(["case,activity,order", *rows]).encode()), nonempty),
+        (_parse_flat_xes(_order_xes(traces, nested=False)), traces),
+        (_parse_xes_with_handlers(_order_xes(traces, nested=False)), traces),
+        (_parse_xes_with_handlers(_order_xes(traces, nested=True)), traces),
+    ]
+    for log, expected in built:
+        assert log.variants == Counter(expected)
+        assert list(log.variants) == sorted(log.variants, key=trace_sort_key)
+        assert log.variant_traces == tuple(log.variants)
+    assert canonical_traces(traces) == tuple(sorted(set(traces), key=trace_sort_key))
+
+
 def test_event_log_rejects_zero_multiplicity():
     with pytest.raises(ValueError):
         EventLog({("a",): 0})
@@ -238,11 +284,40 @@ WRITER_LOG = st.dictionaries(
 ).map(EventLog)
 
 
+def _xml_carries(label: str) -> bool:
+    """Whether every character of ``label`` is in XML 1.0's Char production."""
+    return all(
+        c in "\t\n\r"
+        or " " <= c <= "\ud7ff"
+        or "\ue000" <= c <= "\ufffd"
+        or c >= "\U00010000"
+        for c in label
+    )
+
+
 @settings(max_examples=150, deadline=None)
 @given(WRITER_LOG)
 @example(EventLog({(): 2, ("a", "&<>\"'"): 3}))
+@example(EventLog({("a\x7f\x85\ud7ff\ue000\ufffd\U0010ffff",): 1}))
 def test_write_log_xes_matches_the_per_event_writer(log):
-    assert write_log_xes(log) == write_log_xes_reference(log)
+    if all(_xml_carries(label) for trace in log.variants for label in trace):
+        assert write_log_xes(log) == write_log_xes_reference(log)
+    else:
+        with pytest.raises(ValueError, match="^XES cannot carry the label "):
+            write_log_xes(log)
+
+
+@pytest.mark.parametrize(
+    "char", ["\x01", "\ufffe", "\ud800"], ids=["control", "ufffe", "lone-surrogate"]
+)
+def test_write_log_xes_rejects_a_label_xml_cannot_carry(char):
+    # expat rejects the first two in the written document; the third cannot
+    # be encoded as UTF-8
+    label = f"a{char}b"
+    log = EventLog({("c",): 2, ("c", label): 1})
+    message = f"^XES cannot carry the label {re.escape(repr(label))}$"
+    with pytest.raises(ValueError, match=message):
+        write_log_xes(log)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from alignbound import fixtures
@@ -58,6 +60,15 @@ def test_serialize_rejects_a_lone_dash_label():
         serialize_explicit_language([("a",), ("-",)])
     text = serialize_explicit_language([("-", "a"), ("a", "-")])
     assert parse_explicit_language(text).traces == (("-", "a"), ("a", "-"))
+
+
+def test_serialize_rejects_a_label_holding_a_line_boundary():
+    # parse_explicit_language splits lines where str.splitlines does
+    for boundary in "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029":
+        label = f"a{boundary}b"
+        message = f"^label {re.escape(repr(label))} cannot be carried by "
+        with pytest.raises(ValueError, match=message):
+            serialize_explicit_language([("c",), ("c", label)])
 
 
 def test_min_visible_length_explicit():
