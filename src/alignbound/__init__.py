@@ -56,7 +56,6 @@ from .proxy import (
     brute_force_k_primal,
     cluster_kcenter,
     cluster_kmedoids,
-    dominates,
     epsilon_max_error,
     generate_proxy,
     sample_frequency,
@@ -99,7 +98,6 @@ __all__ = [
     "cluster_kcenter",
     "cluster_kmedoids",
     "distance_matrix",
-    "dominates",
     "edit_distance",
     "epsilon_max_error",
     "generate_proxy",

@@ -75,6 +75,7 @@ def check_log(log: EventLog) -> None:
 def approximate_cost(
     trace,
     proxy: ProxySet,
+    costs,
     model,
     estimator: str = ESTIMATOR_MIDPOINT,
     upper_weight: Fraction = DEFAULT_UPPER_WEIGHT,
@@ -82,8 +83,10 @@ def approximate_cost(
 ) -> BoundsResult:
     """Certified bracket plus a point estimate for one trace.
 
-    This is the one routine that brackets a trace.  ``model`` supplies the
-    two facts of the structural floor, ``alphabet`` and
+    This is the one routine that brackets a trace.  ``costs`` holds each
+    member's exact cost on ``model`` in member order, as
+    :func:`compute_ref_costs` returns them.  ``model`` supplies the two
+    facts of the structural floor, ``alphabet`` and
     ``min_visible_length``, which both backends expose.  The alphabet holds
     every visible label, dead transitions included, so an activity outside
     it can never be a synchronous move and always costs one log move.
@@ -106,14 +109,13 @@ def approximate_cost(
     weight = check_estimate(estimator, upper_weight)
     p, q = weight.numerator, weight.denominator
 
+    if len(costs) != len(proxy.members):
+        raise BoundsError(
+            f"expected {len(proxy.members)} reference costs, one per proxy member, "
+            f"got {len(costs)}"
+        )
     if distances is None:
         [distances] = zip(*DistanceTable((trace,)).columns(proxy.members))
-    try:
-        costs = [proxy.ref_costs[member] for member in proxy.members]
-    except KeyError as exc:
-        raise BoundsError(
-            f"missing reference cost for proxy member {format_trace(exc.args[0])}"
-        ) from None
     proxy_distance = min(distances)
     # members are in canonical order, so the first minimum is the canonical
     # nearest member
@@ -162,7 +164,8 @@ class ApproxReport:
     ``per_variant`` rows pair a :class:`BoundsResult` with the variant
     multiplicity, in canonical variant order.  Timings are wall clock in
     integer microseconds; ``aligner_invocations`` counts exactly one
-    alignment per proxy member.
+    alignment per proxy member.  ``ref_costs`` holds each member's exact
+    cost on the run's model, in member order.
     """
 
     per_variant: list[tuple[BoundsResult, int]]
@@ -172,25 +175,17 @@ class ApproxReport:
     aligner_invocations: int
     timings_us: dict[str, int]
     proxy: ProxySet
+    ref_costs: tuple[int, ...]
 
 
 def _now_us() -> int:
     return time.perf_counter_ns() // 1000
 
 
-def compute_ref_costs(proxy: ProxySet, model) -> int:
-    """Align every member once against ``model``, filling ``ref_costs``.
-
-    Always recomputes, so a proxy set carried over from another model
-    cannot leak stale costs.  Returns the number of aligner invocations,
-    which is exactly the member count.
-    """
-    invocations = 0
-    for member in proxy.members:
-        result = optimal_alignment(member, model)
-        proxy.ref_costs[member] = result.cost
-        invocations += 1
-    return invocations
+def compute_ref_costs(proxy: ProxySet, model) -> tuple[int, ...]:
+    """Each member's exact cost on ``model``, in member order: one
+    alignment per member."""
+    return tuple(optimal_alignment(member, model).cost for member in proxy.members)
 
 
 def approximate_log(
@@ -204,7 +199,8 @@ def approximate_log(
     """Approximate the alignment cost of every variant in ``log``.
 
     Either ``params`` selects a generation strategy or ``proxy`` supplies a
-    ready-made set (its reference costs are recomputed here either way).
+    ready-made set, which the run leaves as it is: the members' costs on
+    ``model`` go into the report.
     The member distances come from one :class:`proxy.DistanceTable`, so
     the bracket reuses what generation computed, inside its time.  The
     estimate setting and the log (:func:`check_log`) are checked before any
@@ -221,7 +217,7 @@ def approximate_log(
         proxy = generate_proxy(log, params, table)
     t_generated = _now_us()
 
-    invocations = compute_ref_costs(proxy, model)
+    costs = compute_ref_costs(proxy, model)
     t_aligned = _now_us()
 
     rows = []
@@ -236,6 +232,7 @@ def approximate_log(
         result = approximate_cost(
             trace,
             proxy,
+            costs,
             model,
             estimator=estimator,
             upper_weight=upper_weight,
@@ -253,11 +250,12 @@ def approximate_log(
         epsilon_max=epsilon,
         total_estimate=Fraction(numerator, scale),
         total_traces=log.total_traces,
-        aligner_invocations=invocations,
+        aligner_invocations=len(costs),
         timings_us={
             TIMING_PROXY_GENERATION: t_generated - t0,
             TIMING_REFERENCE_ALIGNMENT: t_aligned - t_generated,
             TIMING_BOUND_COMPUTATION: t_bounded - t_aligned,
         },
         proxy=proxy,
+        ref_costs=costs,
     )

@@ -379,8 +379,9 @@ def write_log_csv(log: EventLog) -> bytes:
     case cell; every case of the variant then repeats those rows behind its
     own ``case-N`` cell, which never needs quoting.
 
-    Empty traces cannot be carried by CSV; use the XES writer for those.  A
-    label the ``csv`` module cannot write raises ``ValueError``.
+    Empty traces cannot be carried by CSV; use the XES writer for those.  An
+    empty label, which :func:`parse_csv` rejects, or a label the ``csv``
+    module cannot write raises ``ValueError``.
     """
     rows: list[str] = []
     # csv.writer calls write once per row, so rows holds one entry per row
@@ -392,6 +393,8 @@ def write_log_csv(log: EventLog) -> bytes:
             raise ValueError("CSV interchange cannot represent an empty trace")
         rows.clear()
         for pos, activity in enumerate(trace, 1):
+            if not activity:
+                raise ValueError("CSV cannot carry the empty label ''")
             try:
                 writer.writerow(("", activity, pos))
             except csv.Error as exc:
@@ -413,8 +416,9 @@ def write_log_xes(log: EventLog) -> bytes:
     event lines are built once and repeated for every case of the variant,
     which changes only the case's name line.  :func:`parse_xes` reads this
     layout with byte patterns; a layout they do not match would send every
-    log written here to the slower handler parser.  A label holding a
-    character XML 1.0 cannot carry raises ``ValueError``.
+    log written here to the slower handler parser.  An empty label, which
+    :func:`parse_xes` rejects, or a label holding a character XML 1.0 cannot
+    carry raises ``ValueError``.
     """
     # imported here: xml.sax.saxutils loads urllib.request, which no parser
     # or command but this writer needs
@@ -430,7 +434,7 @@ def write_log_xes(log: EventLog) -> bytes:
     for trace, mult in log.variants.items():
         for activity in trace:
             if activity not in events:
-                if not_xml.search(activity):
+                if not activity or not_xml.search(activity):
                     raise ValueError(f"XES cannot carry the label {activity!r}")
                 events[activity] = event % quoteattr(activity)
         body = "".join([events[a] for a in trace]) + "\n  </trace>\n"

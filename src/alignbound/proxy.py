@@ -11,7 +11,7 @@ functions import themselves, so the other strategies never load it.
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 # edit_distance stays importable: perfbench/tracer.py wraps it here to count LCS calls
@@ -24,21 +24,19 @@ STRATEGIES = ("random", "frequency", "kmedoids", "kcenter")
 SEEDED_STRATEGIES = ("random",)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProxySet:
-    """Reference traces plus, once computed, their exact model costs."""
+    """Reference traces in canonical order.  A proxy set depends on the log
+    alone, so one set serves any model; each model's reference costs belong
+    to the run that aligns the members (:func:`bounds.compute_ref_costs`)."""
 
     members: tuple[Trace, ...]
-    ref_costs: dict[Trace, int] = field(default_factory=dict)
     provenance: str = ""
 
     def __post_init__(self):
-        self.members = canonical_traces(self.members)
+        object.__setattr__(self, "members", canonical_traces(self.members))
         if not self.members:
             raise ProxyError("proxy set must contain at least one trace")
-        for trace in self.ref_costs:
-            if trace not in self.members:
-                raise ProxyError("reference cost for a trace outside the proxy set")
 
     def __len__(self) -> int:
         return len(self.members)
@@ -299,15 +297,6 @@ def epsilon_max_error(
     per_variant = {t: min(row) for t, row in zip(table.variants, rows)}
     total = sum(log.variants[t] * d for t, d in per_variant.items())
     return EpsilonResult(value=total, per_variant=per_variant)
-
-
-def dominates(candidate: ProxySet, other: ProxySet, log: EventLog) -> bool:
-    """Strictly smaller with no worse a-priori error."""
-    if len(candidate) >= len(other):
-        return False
-    return (
-        epsilon_max_error(log, candidate).value <= epsilon_max_error(log, other).value
-    )
 
 
 def brute_force_k_primal(log: EventLog, k: int, candidate_universe) -> ProxySet:

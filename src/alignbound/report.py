@@ -127,9 +127,8 @@ def _write_json(report: ApproxReport) -> bytes:
         {
             "proxy": {
                 "ref_costs": [
-                    {"trace": list(t), "cost": report.proxy.ref_costs[t]}
-                    for t in report.proxy.members
-                    if t in report.proxy.ref_costs
+                    {"trace": list(t), "cost": cost}
+                    for t, cost in zip(report.proxy.members, report.ref_costs)
                 ],
                 "provenance": report.proxy.provenance,
             },
@@ -187,17 +186,17 @@ def read_report_json(data) -> ApproxReport:
     """Inverse of the JSON writer; used by tests and downstream tooling.
     Traces must be lists of strings, integer fields JSON integers, rationals
     strings in the writer's form (``"7/2"``, ``"-3"``), the provenance a
-    string and each lower-bound source one the bracket reports."""
+    string, the reference costs one per member in member order and each
+    lower-bound source one the bracket reports."""
     doc = read_json(data, ReportError, "report JSON")
     try:
         proxy = ProxySet(
             members=tuple(_trace(t) for t in doc["proxy"]["members"]),
-            ref_costs={
-                _trace(entry["trace"]): _int(entry["cost"])
-                for entry in doc["proxy"]["ref_costs"]
-            },
             provenance=_str(doc["proxy"].get("provenance", "")),
         )
+        entries = doc["proxy"]["ref_costs"]
+        if tuple(_trace(entry["trace"]) for entry in entries) != proxy.members:
+            raise ValueError("ref_costs do not name the proxy members in order")
         rows = []
         for item in doc["variants"]:
             rows.append(
@@ -225,6 +224,7 @@ def read_report_json(data) -> ApproxReport:
                 key: _int(agg["timings_us"].get(key, 0)) for key in TIMING_KEYS
             },
             proxy=proxy,
+            ref_costs=tuple(_int(entry["cost"]) for entry in entries),
         )
     # ZeroDivisionError: a rational such as "1/0"
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:

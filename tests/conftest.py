@@ -413,9 +413,8 @@ def write_report_json_reference(report) -> bytes:
         "proxy": {
             "members": [list(t) for t in report.proxy.members],
             "ref_costs": [
-                {"trace": list(t), "cost": report.proxy.ref_costs[t]}
-                for t in report.proxy.members
-                if t in report.proxy.ref_costs
+                {"trace": list(t), "cost": cost}
+                for t, cost in zip(report.proxy.members, report.ref_costs)
             ],
             "provenance": report.proxy.provenance,
         },

@@ -111,9 +111,10 @@ def test_criterion_1_worked_example(tmp_path, capsys, loop_language):
         assert captured.out.splitlines()[1] == "a|c|c|b|d|e,1,2"
 
         proxy = ProxySet(members=(("a", "c", "c", "b", "d", "e"),))
-        compute_ref_costs(proxy, loop_language)
-        assert proxy.ref_costs[("a", "c", "c", "b", "d", "e")] == 2
-        result = approximate_cost(("a", "c", "b", "d", "e"), proxy, loop_language)
+        costs = compute_ref_costs(proxy, loop_language)
+        assert costs == (2,)
+        trace = ("a", "c", "b", "d", "e")
+        result = approximate_cost(trace, proxy, costs, loop_language)
         assert (result.lower, result.upper) == (1, 3)
         assert time.perf_counter() - started < 1.0
 
@@ -156,8 +157,8 @@ def test_criterion_3_reference_traces_bracket_the_cost():
                 random_trace(rng, alphabet, 0, 8) for _ in range((i % 5) + 1)
             }
             proxy = ProxySet(members=tuple(members))
-            compute_ref_costs(proxy, model)
-            result = approximate_cost(sigma, proxy, model)
+            costs = compute_ref_costs(proxy, model)
+            result = approximate_cost(sigma, proxy, costs, model)
             z = optimal_alignment(sigma, model).cost
             assert result.lower <= z <= result.upper
         assert time.perf_counter() - started < 60.0

@@ -1,5 +1,6 @@
 import random
 import re
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -25,16 +26,9 @@ from alignbound.proxy import STRATEGIES, ProxySet, StrategyParams
 from conftest import noisy_walk, random_trace, search_nets, with_x_runs
 
 
-def _ref(members, costs):
-    proxy = ProxySet(members=tuple(members))
-    for member, cost in zip(proxy.members, (costs[m] for m in proxy.members)):
-        proxy.ref_costs[member] = cost
-    return proxy
-
-
 def test_bracket_example(loop_language):
-    proxy = _ref([("a", "c", "c", "b", "d", "e")], {("a", "c", "c", "b", "d", "e"): 2})
-    result = approximate_cost(("a", "c", "b", "d", "e"), proxy, loop_language)
+    proxy = ProxySet(members=(("a", "c", "c", "b", "d", "e"),))
+    result = approximate_cost(("a", "c", "b", "d", "e"), proxy, (2,), loop_language)
     assert result.lower == 1
     assert result.upper == 3
     assert result.estimate == Fraction(2)
@@ -56,11 +50,11 @@ def test_two_references_pin_the_value():
     assert edit_distance(trace, near) == 2
     assert edit_distance(trace, far) == 3
     proxy = ProxySet(members=(near, far))
-    proxy.ref_costs[near] = 7
-    proxy.ref_costs[far] = 2
+    # members in canonical order: far, the shorter, comes first
+    assert proxy.members == (far, near)
     # the empty run and a full-alphabet run keep the structural floor at 0
     model = ExplicitLanguageModel([(), trace])
-    result = approximate_cost(trace, proxy, model)
+    result = approximate_cost(trace, proxy, (2, 7), model)
     assert result.proxy_distance == 2
     assert result.upper == 5
     assert result.lower == 5
@@ -80,19 +74,21 @@ def test_nearest_proxy_tie_break_is_canonical():
         ([("a", "x"), ("a", "c")], ("a", "c"), 2),
         ([("a", "c"), ("a", "x")], ("a", "c"), 2),
     ):
-        proxy = _ref(members, {m: 0 for m in members})
-        result = approximate_cost(trace, proxy, model)
+        proxy = ProxySet(members=tuple(members))
+        result = approximate_cost(trace, proxy, (0, 0), model)
         assert (result.proxy_distance, result.nearest_proxy) == (d, nearest)
         [(row, _)] = approximate_log(log, model, proxy=proxy).per_variant
         assert (row.proxy_distance, row.nearest_proxy) == (d, nearest)
 
 
 def test_missing_reference_cost_errors():
+    # one cost per member, in member order, or none is read
     proxy = ProxySet(members=(("u", "1"), ("u", "2", "3")))
-    proxy.ref_costs[("u", "1")] = 0
     model = ExplicitLanguageModel([("t",)])
-    with pytest.raises(BoundsError, match="missing reference cost"):
-        approximate_cost(("t",), proxy, model)
+    for costs in ((0,), (0, 1, 2)):
+        message = f"expected 2 reference costs, one per proxy member, got {len(costs)}"
+        with pytest.raises(BoundsError, match=message):
+            approximate_cost(("t",), proxy, costs, model)
 
 
 def test_upper_lower_bracket_random_instances():
@@ -106,10 +102,10 @@ def test_upper_lower_bracket_random_instances():
             random_trace(rng, alphabet, 0, 6) for _ in range(rng.randint(1, 4))
         }
         proxy = ProxySet(members=tuple(members))
-        compute_ref_costs(proxy, model)
+        costs = compute_ref_costs(proxy, model)
         trace = random_trace(rng, alphabet + ["z"], 0, 7)
         exact = optimal_alignment(trace, model).cost
-        result = approximate_cost(trace, proxy, model)
+        result = approximate_cost(trace, proxy, costs, model)
         assert result.lower <= exact <= result.upper
         assert result.lower <= result.estimate <= result.upper
         # the bracket width never exceeds twice the nearest-member distance
@@ -120,19 +116,19 @@ def test_member_costs_are_exact():
     # a trace that is itself a member gets a zero-width bracket
     model = ExplicitLanguageModel([("a", "b"), ("c",)])
     proxy = ProxySet(members=(("a", "b"), ("c", "c")))
-    compute_ref_costs(proxy, model)
-    for member in proxy.members:
-        result = approximate_cost(member, proxy, model)
-        assert result.lower == result.upper == result.estimate
-        assert result.estimate == proxy.ref_costs[member]
+    costs = compute_ref_costs(proxy, model)
+    assert costs == (0, 1)
+    for member, cost in zip(proxy.members, costs):
+        result = approximate_cost(member, proxy, costs, model)
+        assert result.lower == result.upper == result.estimate == cost
 
 
 def test_structural_lower_bound_off_alphabet():
     # two activities the model cannot mirror push the floor above the proxy
     model = ExplicitLanguageModel([("a", "b", "c")])
     proxy = ProxySet(members=(("a", "b", "c"),))
-    compute_ref_costs(proxy, model)
-    result = approximate_cost(("a", "x", "y"), proxy, model)
+    costs = compute_ref_costs(proxy, model)
+    result = approximate_cost(("a", "x", "y"), proxy, costs, model)
     assert result.lower == 2
     assert result.lower_source == LOWER_STRUCTURAL
 
@@ -170,11 +166,11 @@ def test_off_alphabet_floor_is_sound_on_nets(loop_net):
         for _ in range(40):
             members = {random_trace(rng, alphabet, 0, 5) for _ in range(3)}
             proxy = ProxySet(members=tuple(members))
-            compute_ref_costs(proxy, model)
+            costs = compute_ref_costs(proxy, model)
             trace = random_trace(rng, alphabet + ["x", "y"], 0, 5)
             cut = rng.randint(0, len(trace))
             trace = trace[:cut] + (rng.choice("xy"),) + trace[cut:]
-            result = approximate_cost(trace, proxy, model)
+            result = approximate_cost(trace, proxy, costs, model)
             assert result.lower <= optimal_alignment(trace, model).cost <= result.upper
             structural += result.lower_source == LOWER_STRUCTURAL
         # the term is live: it alone sets the floor for some traces
@@ -217,8 +213,8 @@ def test_brackets_and_epsilon_are_sound_on_nets(make_net, alphabet):
 def test_structural_lower_bound_short_trace():
     model = ExplicitLanguageModel([("a", "b", "c")])
     proxy = ProxySet(members=(("a", "b", "c"),))
-    compute_ref_costs(proxy, model)
-    result = approximate_cost((), proxy, model)
+    costs = compute_ref_costs(proxy, model)
+    result = approximate_cost((), proxy, costs, model)
     # three visible activities are unavoidable; the proxy floor clamps at 0
     assert result.lower == 3
     assert result.upper == 3
@@ -230,9 +226,9 @@ def test_lower_source_both_on_perfect_members():
     # floor both sit at zero for fitting traces
     model = ExplicitLanguageModel([("a", "b"), ("a", "c", "b")])
     proxy = ProxySet(members=(("a", "b"),))
-    compute_ref_costs(proxy, model)
-    assert proxy.ref_costs[("a", "b")] == 0
-    result = approximate_cost(("a", "c", "b"), proxy, model)
+    costs = compute_ref_costs(proxy, model)
+    assert costs == (0,)
+    result = approximate_cost(("a", "c", "b"), proxy, costs, model)
     assert result.lower == 0
     assert result.lower_source == LOWER_BOTH
 
@@ -240,16 +236,22 @@ def test_lower_source_both_on_perfect_members():
 def test_half_distance_estimator():
     model = ExplicitLanguageModel([("a", "b", "c", "d"), ("x", "y")])
     proxy = ProxySet(members=(("a", "b", "c", "d"),))
-    compute_ref_costs(proxy, model)
+    costs = compute_ref_costs(proxy, model)
     # in-alphabet deviations: bracket [0, 2], estimate half the distance
     trace = ("a", "b", "x", "y", "c", "d")
-    result = approximate_cost(trace, proxy, model, estimator=ESTIMATOR_HALF_DISTANCE)
+    result = approximate_cost(
+        trace, proxy, costs, model, estimator=ESTIMATOR_HALF_DISTANCE
+    )
     assert result.proxy_distance == 2
     assert result.estimate == Fraction(1)
     assert result.lower <= result.estimate <= result.upper
     # off-alphabet deviations raise the floor; the estimate clamps into it
     clamped = approximate_cost(
-        ("a", "b", "q", "r", "c", "d"), proxy, model, estimator=ESTIMATOR_HALF_DISTANCE
+        ("a", "b", "q", "r", "c", "d"),
+        proxy,
+        costs,
+        model,
+        estimator=ESTIMATOR_HALF_DISTANCE,
     )
     assert clamped.lower == clamped.upper == 2
     assert clamped.estimate == Fraction(2)
@@ -258,25 +260,27 @@ def test_half_distance_estimator():
 def test_half_distance_requires_zero_costs():
     model = ExplicitLanguageModel([("a", "b")])
     proxy = ProxySet(members=(("a", "b", "c"),))
-    compute_ref_costs(proxy, model)
-    assert proxy.ref_costs[("a", "b", "c")] == 1
+    costs = compute_ref_costs(proxy, model)
+    assert costs == (1,)
     with pytest.raises(BoundsError, match="zero"):
-        approximate_cost(("a",), proxy, model, estimator=ESTIMATOR_HALF_DISTANCE)
+        approximate_cost(
+            ("a",), proxy, costs, model, estimator=ESTIMATOR_HALF_DISTANCE
+        )
 
 
 def test_weighted_estimator_moves_inside_bracket():
     model = ExplicitLanguageModel([("a", "b", "c")])
     proxy = ProxySet(members=(("a", "b", "c", "d", "e"),))
-    compute_ref_costs(proxy, model)
+    costs = compute_ref_costs(proxy, model)
     trace = ("a", "q", "c")
-    low = approximate_cost(trace, proxy, model, upper_weight=Fraction(0))
-    mid = approximate_cost(trace, proxy, model)
-    high = approximate_cost(trace, proxy, model, upper_weight=Fraction(1))
+    low = approximate_cost(trace, proxy, costs, model, upper_weight=Fraction(0))
+    mid = approximate_cost(trace, proxy, costs, model)
+    high = approximate_cost(trace, proxy, costs, model, upper_weight=Fraction(1))
     assert low.estimate == low.lower
     assert high.estimate == high.upper
     assert mid.estimate == Fraction(low.lower + high.upper, 2)
     with pytest.raises(BoundsError):
-        approximate_cost(trace, proxy, model, upper_weight=Fraction(3, 2))
+        approximate_cost(trace, proxy, costs, model, upper_weight=Fraction(3, 2))
 
 
 @pytest.mark.parametrize(
@@ -362,11 +366,11 @@ def test_bigger_proxy_never_loosens_the_bracket():
         extra = base_members + [random_trace(rng, alphabet, 0, 5)]
         small = ProxySet(members=tuple(base_members))
         big = ProxySet(members=tuple(extra))
-        compute_ref_costs(small, model)
-        compute_ref_costs(big, model)
+        small_costs = compute_ref_costs(small, model)
+        big_costs = compute_ref_costs(big, model)
         trace = random_trace(rng, alphabet, 0, 6)
-        wide = approximate_cost(trace, small, model)
-        narrow = approximate_cost(trace, big, model)
+        wide = approximate_cost(trace, small, small_costs, model)
+        narrow = approximate_cost(trace, big, big_costs, model)
         assert narrow.upper <= wide.upper
         assert narrow.lower >= wide.lower
 
@@ -409,6 +413,29 @@ def test_approximate_log_with_full_coverage_is_exact(loop_language):
         assert result.lower == result.upper == result.estimate == exact
 
 
+def test_one_proxy_set_serves_two_models(loop_language, loop_net):
+    # the language unrolls the redo loop twice, the net loops freely, so
+    # the members cost differently on the two models
+    log = EventLog.from_traces(
+        map(tuple, ("abe", "acbe", "axbe", "abdbdbdbe", "abdbdbdbdbe", "acbdbdbdbxe"))
+    )
+    members = (tuple("abdbdbdbe"), tuple("abe"))
+    p = ProxySet(members=members, provenance="shared")
+    models = (loop_language, loop_net)
+    reports = [approximate_log(log, model, proxy=p) for model in models]
+    assert p == ProxySet(members=members, provenance="shared")
+    # members in canonical order: abe, the shorter, comes first
+    assert [r.ref_costs for r in reports] == [(0, 2), (0, 0)]
+    for model, report in zip(models, reports):
+        assert report.proxy is p
+        assert report.ref_costs == compute_ref_costs(p, model)
+        for result, _ in report.per_variant:
+            exact = optimal_alignment(result.trace, model).cost
+            assert result.lower <= exact <= result.upper
+    with pytest.raises(FrozenInstanceError):
+        p.members = ()
+
+
 def test_approximate_log_argument_validation(loop_language):
     log = EventLog({("a",): 1})
     with pytest.raises(BoundsError):
@@ -438,4 +465,5 @@ def test_approximate_log_rows_equal_the_single_trace_bracket(strategy):
     # the table rows (matrix columns for kmedoids) give what the
     # single-trace bracket computes itself
     for result, _ in report.per_variant:
-        assert approximate_cost(result.trace, report.proxy, model) == result
+        costs = report.ref_costs
+        assert approximate_cost(result.trace, report.proxy, costs, model) == result

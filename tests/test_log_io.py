@@ -276,8 +276,9 @@ def test_xes_round_trip_with_empty_trace():
 # and CSV must escape or quote, and variants repeated over many cases.
 WRITER_LABEL = st.one_of(
     st.sampled_from(["a", "b", "&", "<", ">", '"', "'", ",", "x,y", '"q"', "\n", "\r\n"]),
-    # csv.writer rejects a NUL before Python 3.11, in either writer
-    st.text(max_size=4).map(lambda label: label.replace("\x00", "")),
+    # csv.writer rejects a NUL before Python 3.11, in either writer; both
+    # writers refuse an empty label, which the examples below cover
+    st.text(max_size=4).map(lambda label: label.replace("\x00", "")).filter(bool),
 )
 WRITER_LOG = st.dictionaries(
     st.lists(WRITER_LABEL, max_size=5).map(tuple), st.integers(1, 4), max_size=6
@@ -299,8 +300,11 @@ def _xml_carries(label: str) -> bool:
 @given(WRITER_LOG)
 @example(EventLog({(): 2, ("a", "&<>\"'"): 3}))
 @example(EventLog({("a\x7f\x85\ud7ff\ue000\ufffd\U0010ffff",): 1}))
+@example(EventLog({("a", ""): 1}))
 def test_write_log_xes_matches_the_per_event_writer(log):
-    if all(_xml_carries(label) for trace in log.variants for label in trace):
+    # parse_xes rejects an empty label, so the writer refuses it too
+    labels = [label for trace in log.variants for label in trace]
+    if all(label and _xml_carries(label) for label in labels):
         assert write_log_xes(log) == write_log_xes_reference(log)
     else:
         with pytest.raises(ValueError, match="^XES cannot carry the label "):
@@ -308,12 +312,13 @@ def test_write_log_xes_matches_the_per_event_writer(log):
 
 
 @pytest.mark.parametrize(
-    "char", ["\x01", "\ufffe", "\ud800"], ids=["control", "ufffe", "lone-surrogate"]
+    "label",
+    ["a\x01b", "a\ufffeb", "a\ud800b", ""],
+    ids=["control", "ufffe", "lone-surrogate", "empty"],
 )
-def test_write_log_xes_rejects_a_label_xml_cannot_carry(char):
+def test_write_log_xes_rejects_a_label_xml_cannot_carry(label):
     # expat rejects the first two in the written document; the third cannot
-    # be encoded as UTF-8
-    label = f"a{char}b"
+    # be encoded as UTF-8; parse_xes rejects the empty one
     log = EventLog({("c",): 2, ("c", label): 1})
     message = f"^XES cannot carry the label {re.escape(repr(label))}$"
     with pytest.raises(ValueError, match=message):
@@ -324,11 +329,16 @@ def test_write_log_xes_rejects_a_label_xml_cannot_carry(char):
 @given(WRITER_LOG)
 @example(EventLog({("a,b", '"q"', "\n"): 3, ("a",): 1}))
 @example(EventLog({(): 1, ("a",): 2}))
+@example(EventLog({("a", ""): 1}))
 def test_write_log_csv_matches_the_per_event_writer(log):
     if () in log.variants:
         with pytest.raises(ValueError):
             write_log_csv_reference(log)
         with pytest.raises(ValueError):
+            write_log_csv(log)
+    elif any("" in trace for trace in log.variants):
+        # parse_csv rejects an empty label, so the writer refuses it
+        with pytest.raises(ValueError, match="^CSV cannot carry the empty label ''$"):
             write_log_csv(log)
     else:
         assert write_log_csv(log) == write_log_csv_reference(log)

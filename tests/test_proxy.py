@@ -22,7 +22,6 @@ from alignbound.proxy import (
     brute_force_k_primal,
     cluster_kcenter,
     cluster_kmedoids,
-    dominates,
     epsilon_max_error,
     generate_proxy,
     sample_frequency,
@@ -355,17 +354,6 @@ def test_epsilon_matches_brute_force():
         )
 
 
-def test_dominates():
-    log = EventLog({("a",): 1, ("b",): 1, ("a", "b"): 1})
-    small = ProxySet(members=(("a",),))
-    big = ProxySet(members=(("a",), ("x", "y", "z", "w", "v")))
-    assert dominates(small, big, log)
-    assert not dominates(big, small, log)
-    # equal size never dominates
-    other = ProxySet(members=(("b",),))
-    assert not dominates(small, other, log)
-
-
 def test_brute_force_k_primal_minimizes_epsilon():
     rng = random.Random(127)
     for _ in range(5):
@@ -396,7 +384,6 @@ def test_k_primal_never_dominated_by_smaller_subset():
         for size in range(1, k):
             for combo in itertools.combinations(universe, size):
                 candidate = ProxySet(members=combo)
-                assert not dominates(candidate, primal, log)
                 assert epsilon_max_error(log, candidate).value > primal_eps
 
 
