@@ -9,15 +9,17 @@ sorts; :func:`canonical_traces` orders every other trace set alike.
 Both parsers stream their input straight into variant counts, without an
 element tree or a list of every row.  XES has two paths.  A document in
 the layout :func:`write_log_xes` emits is read by anchored byte patterns,
-one trace at a time, and then checked whole by one expat pass without
-handlers, so no Python code runs per element.  Every other document goes
-through an expat handler that counts each trace as it closes.  CSV goes
-through one ``csv.reader`` pass that keeps only each case's (order,
-activity) pairs.  The two writers work per variant: a variant's text is
-built once and repeated for each of its cases, with only the case name
-changed.
+one match per trace, so no Python code runs per element; its
+well-formedness is proven by inspecting its bytes, and only where that
+proves nothing does one expat pass without handlers check it.  Every other
+document goes through an expat handler that counts each trace as it
+closes.  CSV goes through one ``csv.reader`` pass that keeps only each
+case's (order, activity) pairs.  The two writers work per variant: a
+variant's text is built once and repeated for each of its cases, with only
+the case name changed.
 """
 
+import codecs
 import csv
 import io
 import json
@@ -125,11 +127,12 @@ def parse_xes(data: bytes) -> EventLog:
     xes.version="1.0">``, then traces each holding a concept:name string
     and events of one non-empty concept:name string each, any whitespace
     between elements, and values quoted as ``quoteattr`` quotes them.  Byte
-    patterns read it one trace at a time, then one expat pass without
-    handlers checks the whole document.  Any other document goes to expat
-    handlers that count each trace as it closes; if it leaves the layout
-    only late, the byte patterns' work up to there is spent for nothing.
-    Both paths give the same log and the same errors.
+    patterns read it one trace at a time and count traces by their run of
+    events; inspecting the bytes proves it well-formed, and one expat pass
+    without handlers checks it only where that proves nothing.  Any other
+    document goes to expat handlers that count each trace as it closes; if
+    it leaves the layout only late, the byte patterns' work up to there is
+    spent for nothing.  Both paths give the same log and the same errors.
 
     :raises LogParseError: on malformed XML (message includes the position),
         an XML declaration naming an encoding expat cannot read, or an event
@@ -140,11 +143,12 @@ def parse_xes(data: bytes) -> EventLog:
 
 
 # The layout write_log_xes emits, as byte patterns: _FLAT_TRACE matches one
-# whole trace (a case name, then events of one concept:name each), and
-# _FLAT_NAMES captures each event's name with its quotes.  _LABEL matches
-# what lies between the quotes of a name as quoteattr writes it: no tab or
-# line break, which XML would read as a space, and only the references in
-# _REFERENCES.  A name is checked once per distinct spelling, not per event.
+# whole trace (a case name, then events of one concept:name each) and
+# captures its run of events, and _FLAT_NAMES captures each event's name with
+# its quotes.  _LABEL matches what lies between the quotes of a name as
+# quoteattr writes it: no tab or line break, which XML would read as a
+# space, and only the references in _REFERENCES.  Names are found once per
+# distinct run of events and checked once per distinct spelling.
 _REFERENCES = {
     "&amp;": "&", "&lt;": "<", "&gt;": ">", "&quot;": '"',
     "&#10;": "\n", "&#13;": "\r", "&#9;": "\t",
@@ -158,19 +162,30 @@ _FLAT_HEAD = re.compile(
 )
 _FLAT_TRACE = re.compile(
     _S + rb"<trace>" + _S + _NAME % b"?:"
-    + rb"(?:" + _S + rb"<event>" + _NAME % b"?:" + rb"</event>)*" + _S + rb"</trace>"
+    + rb"((?:" + _S + rb"<event>" + _NAME % b"?:" + rb"</event>)*)" + _S + rb"</trace>"
 )
 _FLAT_NAMES = re.compile(rb"<event>" + _NAME % b"")
 _FLAT_TAIL = re.compile(_S + rb"</log>" + _S)
+# The bytes _well_formed_by_inspection looks at: "&", the C0 controls XML
+# forbids, and 0xEF, the first byte of U+FFFE and U+FFFF.
+_BARE_AMPERSAND = re.compile(
+    b"&(?!" + b"|".join(re.escape(r[1:].encode()) for r in _REFERENCES) + b")"
+)
+_CONTROLS = bytes(b for b in range(32) if b not in b"\t\n\r")
+_PLAIN = bytes(b for b in range(256) if b not in b"&\xef" + _CONTROLS)
+_CHUNK = 1 << 16
 
 
 def _parse_flat_xes(data: bytes) -> EventLog | None:
     """The log of a document in the writer's layout, or ``None`` for any
-    other document.  Each trace is one anchored match and one ``findall`` of
-    its event names, counted as bytes; a new variant keeps one shared object
-    per distinct name.  Only after the whole document matched, and every
-    distinct name matched ``_LABEL``, does expat check it; each distinct
-    name is then decoded once.
+    other document.  Each trace is one anchored match, counted by the bytes
+    of its run of events; each distinct run then gives its quoted names in
+    one ``findall``.  Only after the whole document matched, and every
+    distinct name matched ``_LABEL``, is the document checked as XML: by
+    :func:`_well_formed_by_inspection`, or where that proves nothing, by
+    one expat pass without handlers.  Each distinct name is then decoded
+    once; two runs that differ only in whitespace or quoting give one
+    variant.
 
     :raises LogParseError: on a document in the layout that is not
         well-formed XML, with the message the handler parser gives.
@@ -179,35 +194,70 @@ def _parse_flat_xes(data: bytes) -> EventLog | None:
     if head is None:
         return None
     pos = head.end()
-    counts: dict[tuple, int] = {}  # tuples of quoted names
-    distinct: dict[bytes, bytes] = {}  # one object per distinct quoted name
-    match, names = _FLAT_TRACE.match, _FLAT_NAMES.findall
+    counts: dict[bytes, int] = {}  # run of events -> its number of traces
+    match = _FLAT_TRACE.match
     while (found := match(data, pos)) is not None:
-        end = found.end()
-        trace = tuple(names(data, pos, end))
-        mult = counts.get(trace)
-        if mult is None:
-            # a new variant keeps the shared name objects, not its own
-            trace = tuple([distinct.setdefault(n, n) for n in trace])
-            mult = 0
-        counts[trace] = mult + 1
-        pos = end
+        body = found[1]
+        counts[body] = counts.get(body, 0) + 1
+        pos = found.end()
     if _FLAT_TAIL.fullmatch(data, pos) is None:
         return None
+    names = _FLAT_NAMES.findall
+    runs = [(names(body), mult) for body, mult in counts.items()]
+    distinct = {n for quoted, _ in runs for n in quoted}
     if not all(_LABEL.fullmatch(n, 1, len(n) - 1) for n in distinct):
         return None
-    _expat_parse(expat.ParserCreate(namespace_separator="}"), data)
+    if not _well_formed_by_inspection(data):
+        _expat_parse(expat.ParserCreate(namespace_separator="}"), data)
     labels = {n: _label(n) for n in distinct}
     variants: Counter = Counter()
-    for trace, mult in counts.items():
+    for quoted, mult in runs:
         # two spellings of a label, such as "a&gt;" and "a>", are one label
-        variants[tuple([labels[n] for n in trace])] += mult
+        variants[tuple([labels[n] for n in quoted])] += mult
     return EventLog(variants)
 
 
+def _well_formed_by_inspection(data: bytes) -> bool:
+    """Whether a document the layout patterns matched is well-formed XML,
+    decided without an XML parser; ``False`` means not proven, not
+    malformed.
+
+    The patterns pin the XML declaration, every element and attribute, and
+    the whitespace between elements, which is XML's own ``S``.  Only the
+    quoted values are free, and they hold no ``<`` and no quote of their
+    own kind.  What XML can still reject in them is character-level: bytes
+    that are not UTF-8 (this includes encoded surrogates and code points
+    above U+10FFFF), a C0 control other than tab, LF and CR, U+FFFE and
+    U+FFFF, and an ``&`` that does not start a reference XML defines
+    without a DTD.  The check accepts an ``&`` only before one of
+    ``_REFERENCES``; ``_LABEL`` holds labels to that already, so a stricter
+    rule can send only a case name such as ``case&#38;-1`` to expat.
+
+    ASCII settles UTF-8 at once; otherwise an incremental decoder reads the
+    document.  Each 64 KiB chunk loses its plain bytes in one ``translate``,
+    so that only ``&``, ``0xEF`` and the forbidden controls are left; the
+    document is read in chunks so that no copy of it is ever whole.
+    """
+    decode = None if data.isascii() else codecs.getincrementaldecoder("utf-8")().decode
+    suspects = set()
+    for start in range(0, len(data), _CHUNK):
+        chunk = data[start:start + _CHUNK]
+        if decode is not None:
+            try:
+                decode(chunk, start + _CHUNK >= len(data))
+            except UnicodeDecodeError:
+                return False
+        suspects.update(chunk.translate(None, _PLAIN))
+    if not suspects.isdisjoint(_CONTROLS):
+        return False
+    if 0xEF in suspects and (b"\xef\xbf\xbe" in data or b"\xef\xbf\xbf" in data):
+        return False
+    return ord("&") not in suspects or _BARE_AMPERSAND.search(data) is None
+
+
 def _label(quoted: bytes) -> Activity:
-    """The label a quoted name stands for; expat accepted the document, so
-    the bytes are UTF-8."""
+    """The label a quoted name stands for; the document was proven or
+    parsed well-formed, so the bytes are UTF-8."""
     text = quoted[1:-1].decode("utf-8")
     if "&" in text:
         text = _REFERENCE.sub(lambda ref: _REFERENCES[ref[0]], text)

@@ -24,7 +24,7 @@ from .bounds import (
     ApproxReport,
     BoundsResult,
 )
-from .errors import ReportError
+from .errors import ProxyError, ReportError
 from .log import is_int, read_json
 from .proxy import ProxySet
 
@@ -186,13 +186,16 @@ def read_report_json(data) -> ApproxReport:
     """Inverse of the JSON writer; used by tests and downstream tooling.
     Traces must be lists of strings, integer fields JSON integers, rationals
     strings in the writer's form (``"7/2"``, ``"-3"``), the provenance a
-    string, the reference costs one per member in member order and each
-    lower-bound source one the bracket reports."""
+    string, the members distinct and at least one, the reference costs one
+    per member in member order and each lower-bound source one the bracket
+    reports."""
     doc = read_json(data, ReportError, "report JSON")
     try:
+        members = tuple(_trace(t) for t in doc["proxy"]["members"])
+        if len(set(members)) < len(members):
+            raise ValueError("proxy members repeat a trace")
         proxy = ProxySet(
-            members=tuple(_trace(t) for t in doc["proxy"]["members"]),
-            provenance=_str(doc["proxy"].get("provenance", "")),
+            members=members, provenance=_str(doc["proxy"].get("provenance", ""))
         )
         entries = doc["proxy"]["ref_costs"]
         if tuple(_trace(entry["trace"]) for entry in entries) != proxy.members:
@@ -226,8 +229,8 @@ def read_report_json(data) -> ApproxReport:
             proxy=proxy,
             ref_costs=tuple(_int(entry["cost"]) for entry in entries),
         )
-    # ZeroDivisionError: a rational such as "1/0"
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    # ZeroDivisionError: a rational such as "1/0"; ProxyError: no members
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, ProxyError) as exc:
         raise ReportError(f"report JSON misses or mangles a field: {exc}") from None
 
 

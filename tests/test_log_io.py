@@ -5,11 +5,12 @@ import sys
 import tracemalloc
 import unicodedata
 from collections import Counter
+from contextlib import contextmanager
 from unittest.mock import patch
 from xml.sax.saxutils import escape, quoteattr
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from alignbound import log as log_module
@@ -544,10 +545,11 @@ def test_parse_xes_reports_lowest_trace_with_a_nameless_event():
         parse_xes(data)
 
 
-# The writer's layout: documents parse_xes reads with byte patterns and one
-# handler-free expat pass.  Labels come in every quoting quoteattr writes and
-# in an equal spelling it does not; an OFF_LAYOUT part sends a document to
-# the handler parser.  Both paths must agree with the tree oracle.
+# The writer's layout: documents parse_xes reads with byte patterns, with an
+# expat pass only where inspecting the bytes cannot prove them well-formed.
+# Labels come in every quoting quoteattr writes and in an equal spelling it
+# does not; an OFF_LAYOUT part sends a document to the handler parser.  Both
+# paths must agree with the tree oracle.
 FLAT_LABEL = st.sampled_from(
     ["a", "b", "c d", "é", "x'y>", 'q"t', "a\"'b", "&<", "t\tn\nr\r"]
 )
@@ -631,9 +633,9 @@ def test_parse_xes_flat_path_matches_both_on_broken_documents(data):
     assert outcome(_parse_xes_with_handlers, data) == expected
 
 
-def _flat_log(*quoted: bytes, head=FLAT_HEAD.encode()) -> bytes:
+def _flat_log(*quoted: bytes, head=FLAT_HEAD.encode(), case=b'"c"') -> bytes:
     traces = b"".join(
-        b'<trace><string key="concept:name" value="c"/>'
+        b'<trace><string key="concept:name" value=%b/>' % case
         + FLAT_EVENT.encode() % q + b"</trace>"
         for q in quoted
     )
@@ -646,6 +648,14 @@ def _flat_log(*quoted: bytes, head=FLAT_HEAD.encode()) -> bytes:
         (_flat_log(b'"a&amp;b"', b"'q\"t'"), [(("a&b",), 1), (('q"t',), 1)]),
         # two spellings of one label count as one variant
         (_flat_log(b'"a&gt;"', b'"a>"', b"'a>'"), [(("a>",), 3)]),
+        # so do two runs of events that differ only in whitespace
+        (
+            _flat_log(
+                b'"a"/></event><event><string key="concept:name" value="b"',
+                b'"a"/></event>\r\n\t<event><string key="concept:name" value=\'b\'',
+            ),
+            [(("a", "b"), 2)],
+        ),
         (_flat_log(b'"\xff"'), None),
         (_flat_log(b'"a\x01"'), None),
     ],
@@ -687,6 +697,51 @@ def test_parse_xes_outside_the_flat_layout_takes_the_handler_path(data, expected
     assert outcome(parse_xes_reference, data) == expected
 
 
+# Bytes XML may reject in a quoted value, and bytes it accepts that the
+# inspection must read past; each goes into one case name or label of a
+# document in the writer's layout, sometimes at the end of a run of padding
+# that makes it straddle the first 64 KiB chunk boundary.
+SUSPECT = st.sampled_from(
+    [
+        b"\x00", b"\x01", b"\x0b", b"\x1f", b"\x7f",
+        b"&", b"&amp", b"&#38;", b"&apos;", b"&e;",
+        b"\xff", b"\xc3", b"\xed\xa0\x80", b"\xf4\x90\x80\x80",
+        "\ufffe".encode(), "\uffff".encode(), "\ufffd".encode(),
+        "\u00e9".encode(), "\uffef".encode(), "\U0010ffff".encode(),
+    ]
+)
+
+
+@st.composite
+def suspect_xes_documents(draw):
+    data = draw(flat_xes_documents(False))
+    # a case name follows <trace>, a label <event>
+    element = draw(st.sampled_from([b"<trace>", b"<event>"]))
+    name = rb"""[ \t\r\n]*<string key="concept:name" value=["']"""
+    values = [m.end() for m in re.finditer(element + name, data)]
+    assume(values)
+    at = values[draw(POSITION) % len(values)]
+    suspect = draw(SUSPECT)
+    if draw(st.booleans()):
+        suspect = b"x" * (log_module._CHUNK - draw(st.integers(1, 3)) - at) + suspect
+    return data[:at] + suspect + data[at:]
+
+
+@settings(max_examples=150, deadline=None)
+@given(suspect_xes_documents())
+@example(_flat_log(b'"a"', case=b'"case&#38;-1"'))
+@example(_flat_log(b'"a"', case=b'"&apos;"'))
+@example(_flat_log(b'"a"', case=b'"a&b"'))
+@example(_flat_log(b'"a"', case=b'"&amp"'))
+@example(_flat_log(b'"a"', case=b'"\xef\xbf\xbe"'))
+@example(_flat_log(b'"a\xef\xbf\xbf"'))
+@example(_flat_log(b'"a"', case=b'"\x01"'))
+def test_parse_xes_suspect_bytes_match_handler_parser_and_tree_oracle(data):
+    expected = outcome(parse_xes_reference, data)
+    assert outcome(_parse_xes_with_handlers, data) == expected
+    assert outcome(parse_xes, data) == expected
+
+
 def _xml_text(label: str) -> str:
     """``label`` without the characters XML cannot carry."""
     return "".join(
@@ -694,6 +749,17 @@ def _xml_text(label: str) -> str:
         if c in "\t\n\r"
         or not (unicodedata.category(c) in ("Cc", "Cs") or c in "\ufffe\uffff")
     )
+
+
+@contextmanager
+def _no_expat_pass(data: bytes):
+    """Neither the handler parser nor an expat pass may run on ``data``."""
+    refuse = AssertionError(data)
+    with (
+        patch.object(log_module, "_parse_xes_with_handlers", side_effect=refuse),
+        patch.object(log_module.expat, "ParserCreate", side_effect=refuse),
+    ):
+        yield
 
 
 @settings(max_examples=60, deadline=None)
@@ -704,11 +770,31 @@ def _xml_text(label: str) -> str:
         max_size=5,
     ).map(EventLog)
 )
+@example(EventLog({("a", "b"): 3, ("a",): 2}))
+# quoteattr writes these as "a&amp;b", "&quot;q'&lt;&gt;" and "t&#9;&#10;&#13;"
+@example(EventLog({("a&b", "\"q'<>"): 2, ("t\t\n\r",): 1}))
 def test_writer_output_takes_the_flat_path(log):
+    # neither the handler parser nor an expat pass runs on it
     data = write_log_xes(log)
-    with patch.object(
-        log_module, "_parse_xes_with_handlers", side_effect=AssertionError(data)
-    ):
+    with _no_expat_pass(data):
+        assert parse_xes(data).variants == log.variants
+
+
+def test_every_character_xml_carries_is_proven_without_an_expat_pass():
+    # one label holds every character of the Basic Multilingual Plane that
+    # XML carries and the ends of every other plane; its 3-byte characters
+    # straddle several 64 KiB chunk boundaries
+    astral = [
+        c for plane in range(0x10000, 0x110000, 0x10000)
+        for c in (*range(plane, plane + 64), *range(plane + 0xFFC0, plane + 0x10000))
+    ]
+    label = "".join(map(chr, [*range(0x10000), *astral]))
+    log = EventLog({(_xml_text(label), "a"): 2, ("a",): 1})
+    data = write_log_xes(log)
+    chunk = log_module._CHUNK
+    # a continuation byte starts a chunk: a character straddles its boundary
+    assert any(0x80 <= data[at] < 0xC0 for at in range(chunk, len(data), chunk))
+    with _no_expat_pass(data):
         assert parse_xes(data).variants == log.variants
 
 

@@ -158,6 +158,10 @@ def test_non_utf8_report_is_a_report_error():
         ("proxy/provenance", 1),
         ("proxy/ref_costs/0/trace", ["z"]),
         ("proxy/ref_costs", []),
+        ("proxy/members", []),
+        # canonical order would drop the repeat, so the read report would
+        # not write the same bytes
+        ("proxy/members", [["a", "b", "c"], ["a", "b", "c"]]),
     ],
 )
 def test_reader_rejects_mangled_traces_and_integers(path, value):
