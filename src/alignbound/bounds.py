@@ -14,6 +14,7 @@ floored at zero because no alignment costs less than nothing.  All
 estimates are exact rationals.
 """
 
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -109,13 +110,14 @@ def approximate_cost(
     weight = check_estimate(estimator, upper_weight)
     p, q = weight.numerator, weight.denominator
 
-    if len(costs) != len(proxy.members):
-        raise BoundsError(
-            f"expected {len(proxy.members)} reference costs, one per proxy member, "
-            f"got {len(costs)}"
-        )
     if distances is None:
         [distances] = zip(*DistanceTable((trace,)).columns(proxy.members))
+    for what, row in (("reference costs", costs), ("distances", distances)):
+        if len(row) != len(proxy.members):
+            raise BoundsError(
+                f"expected {len(proxy.members)} {what}, one per proxy member, "
+                f"got {len(row)}"
+            )
     proxy_distance = min(distances)
     # members are in canonical order, so the first minimum is the canonical
     # nearest member
@@ -163,19 +165,37 @@ class ApproxReport:
 
     ``per_variant`` rows pair a :class:`BoundsResult` with the variant
     multiplicity, in canonical variant order.  Timings are wall clock in
-    integer microseconds; ``aligner_invocations`` counts exactly one
-    alignment per proxy member.  ``ref_costs`` holds each member's exact
-    cost on the run's model, in member order.
+    integer microseconds.  ``ref_costs`` holds each member's exact cost on
+    the run's model, in member order.  The aggregates are read-only
+    properties over the rows and costs, so a report cannot contradict them.
     """
 
     per_variant: list[tuple[BoundsResult, int]]
-    epsilon_max: int
-    total_estimate: Fraction
-    total_traces: int
-    aligner_invocations: int
     timings_us: dict[str, int]
     proxy: ProxySet
     ref_costs: tuple[int, ...]
+
+    @property
+    def epsilon_max(self) -> int:
+        """The a-priori error bound: multiplicity times nearest distance, summed."""
+        return sum(mult * result.proxy_distance for result, mult in self.per_variant)
+
+    @property
+    def total_estimate(self) -> Fraction:
+        # integer numerators over the estimates' least common denominator
+        rows = [(result.estimate, mult) for result, mult in self.per_variant]
+        scale = math.lcm(*{e.denominator for e, _ in rows})
+        numerator = sum(m * e.numerator * (scale // e.denominator) for e, m in rows)
+        return Fraction(numerator, scale)
+
+    @property
+    def total_traces(self) -> int:
+        return sum(mult for _, mult in self.per_variant)
+
+    @property
+    def aligner_invocations(self) -> int:
+        """One reference alignment per proxy member."""
+        return len(self.ref_costs)
 
 
 def _now_us() -> int:
@@ -202,9 +222,11 @@ def approximate_log(
     ready-made set, which the run leaves as it is: the members' costs on
     ``model`` go into the report.
     The member distances come from one :class:`proxy.DistanceTable`, so
-    the bracket reuses what generation computed, inside its time.  The
-    estimate setting and the log (:func:`check_log`) are checked before any
-    proxy is generated or member aligned.
+    the bracket reuses what generation computed, inside its time.  Each
+    variant gets one :func:`approximate_cost` row, and the report derives
+    its aggregates from those rows.  The estimate setting and the log
+    (:func:`check_log`) are checked before any proxy is generated or member
+    aligned.
     """
     upper_weight = check_estimate(estimator, upper_weight)
     if (params is None) == (proxy is None):
@@ -220,37 +242,26 @@ def approximate_log(
     costs = compute_ref_costs(proxy, model)
     t_aligned = _now_us()
 
-    rows = []
-    epsilon = 0
-    # every estimate is a multiple of 1/(2q) for an upper weight p/q (the
-    # half-distance estimator gives halves), so the total sums integer
-    # numerators over that one denominator
-    scale = 2 * upper_weight.denominator
-    numerator = 0
     columns = table.columns(proxy.members)
-    for trace, distances in zip(table.variants, zip(*columns)):
-        result = approximate_cost(
-            trace,
-            proxy,
-            costs,
-            model,
-            estimator=estimator,
-            upper_weight=upper_weight,
-            distances=distances,
+    rows = [
+        (
+            approximate_cost(
+                trace,
+                proxy,
+                costs,
+                model,
+                estimator=estimator,
+                upper_weight=upper_weight,
+                distances=distances,
+            ),
+            mult,
         )
-        mult = log.variants[trace]
-        rows.append((result, mult))
-        epsilon += mult * result.proxy_distance
-        estimate = result.estimate
-        numerator += mult * estimate.numerator * (scale // estimate.denominator)
+        for (trace, mult), distances in zip(log.variants.items(), zip(*columns))
+    ]
     t_bounded = _now_us()
 
     return ApproxReport(
         per_variant=rows,
-        epsilon_max=epsilon,
-        total_estimate=Fraction(numerator, scale),
-        total_traces=log.total_traces,
-        aligner_invocations=len(costs),
         timings_us={
             TIMING_PROXY_GENERATION: t_generated - t0,
             TIMING_REFERENCE_ALIGNMENT: t_aligned - t_generated,

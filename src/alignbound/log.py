@@ -8,12 +8,11 @@ sorts; :func:`canonical_traces` orders every other trace set alike.
 
 Both parsers stream their input straight into variant counts, without an
 element tree or a list of every row.  XES has two paths.  A document in
-the layout :func:`write_log_xes` emits is read by anchored byte patterns,
-one match per trace, so no Python code runs per element; its
-well-formedness is proven by inspecting its bytes, and only where that
-proves nothing does one expat pass without handlers check it.  Every other
-document goes through an expat handler that counts each trace as it
-closes.  CSV goes through one ``csv.reader`` pass that keeps only each
+the layout :func:`write_log_xes` emits, once inspecting its bytes proves
+it well-formed, is read by anchored byte patterns, one match per trace, so
+no Python code runs per element.  Every other document, and one whose
+bytes prove nothing, goes through an expat handler that counts each trace
+as it closes.  CSV goes through one ``csv.reader`` pass that keeps only each
 case's (order, activity) pairs.  The two writers work per variant: a
 variant's text is built once and repeated for each of its cases, with only
 the case name changed.
@@ -128,11 +127,11 @@ def parse_xes(data: bytes) -> EventLog:
     and events of one non-empty concept:name string each, any whitespace
     between elements, and values quoted as ``quoteattr`` quotes them.  Byte
     patterns read it one trace at a time and count traces by their run of
-    events; inspecting the bytes proves it well-formed, and one expat pass
-    without handlers checks it only where that proves nothing.  Any other
-    document goes to expat handlers that count each trace as it closes; if
-    it leaves the layout only late, the byte patterns' work up to there is
-    spent for nothing.  Both paths give the same log and the same errors.
+    events, once inspecting the bytes proves it well-formed.  Any other
+    document, and one the inspection cannot prove, goes to expat handlers
+    that count each trace as it closes; if it leaves the layout only late,
+    the byte patterns' work up to there is spent for nothing.  Both paths
+    give the same log, and every error comes from the handler parser.
 
     :raises LogParseError: on malformed XML (message includes the position),
         an XML declaration naming an encoding expat cannot read, or an event
@@ -145,18 +144,17 @@ def parse_xes(data: bytes) -> EventLog:
 # The layout write_log_xes emits, as byte patterns: _FLAT_TRACE matches one
 # whole trace (a case name, then events of one concept:name each) and
 # captures its run of events, and _FLAT_NAMES captures each event's name with
-# its quotes.  _LABEL matches what lies between the quotes of a name as
-# quoteattr writes it: no tab or line break, which XML would read as a
-# space, and only the references in _REFERENCES.  Names are found once per
-# distinct run of events and checked once per distinct spelling.
+# its quotes.  A quoted value holds at least one character and no raw tab or
+# line break, which XML would read as a space; which references it may hold
+# is left to _well_formed_by_inspection.  Names are found once per distinct
+# run of events and decoded once per distinct spelling.
 _REFERENCES = {
     "&amp;": "&", "&lt;": "<", "&gt;": ">", "&quot;": '"',
     "&#10;": "\n", "&#13;": "\r", "&#9;": "\t",
 }
 _REFERENCE = re.compile("|".join(_REFERENCES))
-_LABEL = re.compile(rb"(?:[^&\t\n\r]|%b)+" % "|".join(_REFERENCES).encode())
 _S = rb"[ \t\r\n]*"
-_NAME = rb"""<string key="concept:name" value=(%b"[^"<]*"|'[^'<]*')/>"""
+_NAME = rb"""<string key="concept:name" value=(%b"[^"<\t\n\r]+"|'[^'<\t\n\r]+')/>"""
 _FLAT_HEAD = re.compile(
     rb'<\?xml version="1\.0" encoding="UTF-8"\?>' + _S + rb'<log xes\.version="1\.0">'
 )
@@ -177,18 +175,13 @@ _CHUNK = 1 << 16
 
 
 def _parse_flat_xes(data: bytes) -> EventLog | None:
-    """The log of a document in the writer's layout, or ``None`` for any
-    other document.  Each trace is one anchored match, counted by the bytes
-    of its run of events; each distinct run then gives its quoted names in
-    one ``findall``.  Only after the whole document matched, and every
-    distinct name matched ``_LABEL``, is the document checked as XML: by
-    :func:`_well_formed_by_inspection`, or where that proves nothing, by
-    one expat pass without handlers.  Each distinct name is then decoded
-    once; two runs that differ only in whitespace or quoting give one
-    variant.
-
-    :raises LogParseError: on a document in the layout that is not
-        well-formed XML, with the message the handler parser gives.
+    """The log of a document in the writer's layout that
+    :func:`_well_formed_by_inspection` proves well-formed, or ``None`` for
+    any other document.  Each trace is one anchored match, counted by the
+    bytes of its run of events; only after the whole document matched is it
+    inspected.  Each distinct run then gives its quoted names in one
+    ``findall``, and each distinct name is decoded once; two runs that
+    differ only in whitespace or quoting give one variant.
     """
     head = _FLAT_HEAD.match(data)
     if head is None:
@@ -200,15 +193,11 @@ def _parse_flat_xes(data: bytes) -> EventLog | None:
         body = found[1]
         counts[body] = counts.get(body, 0) + 1
         pos = found.end()
-    if _FLAT_TAIL.fullmatch(data, pos) is None:
+    if _FLAT_TAIL.fullmatch(data, pos) is None or not _well_formed_by_inspection(data):
         return None
     names = _FLAT_NAMES.findall
     runs = [(names(body), mult) for body, mult in counts.items()]
     distinct = {n for quoted, _ in runs for n in quoted}
-    if not all(_LABEL.fullmatch(n, 1, len(n) - 1) for n in distinct):
-        return None
-    if not _well_formed_by_inspection(data):
-        _expat_parse(expat.ParserCreate(namespace_separator="}"), data)
     labels = {n: _label(n) for n in distinct}
     variants: Counter = Counter()
     for quoted, mult in runs:
@@ -230,8 +219,9 @@ def _well_formed_by_inspection(data: bytes) -> bool:
     above U+10FFFF), a C0 control other than tab, LF and CR, U+FFFE and
     U+FFFF, and an ``&`` that does not start a reference XML defines
     without a DTD.  The check accepts an ``&`` only before one of
-    ``_REFERENCES``; ``_LABEL`` holds labels to that already, so a stricter
-    rule can send only a case name such as ``case&#38;-1`` to expat.
+    ``_REFERENCES``, the ones :func:`_label` decodes, so a stricter rule
+    sends a name such as ``case&#38;-1`` or ``a&#38;`` to the handler
+    parser.
 
     ASCII settles UTF-8 at once; otherwise an incremental decoder reads the
     document.  Each 64 KiB chunk loses its plain bytes in one ``translate``,
@@ -256,30 +246,18 @@ def _well_formed_by_inspection(data: bytes) -> bool:
 
 
 def _label(quoted: bytes) -> Activity:
-    """The label a quoted name stands for; the document was proven or
-    parsed well-formed, so the bytes are UTF-8."""
+    """The label a quoted name stands for; the document was proven
+    well-formed, so the bytes are UTF-8."""
     text = quoted[1:-1].decode("utf-8")
     if "&" in text:
         text = _REFERENCE.sub(lambda ref: _REFERENCES[ref[0]], text)
     return sys.intern(text)
 
 
-def _expat_parse(parser, data: bytes) -> None:
-    """Feed the whole document to ``parser``; XML that is not well-formed
-    raises ``LogParseError`` with expat's message and position."""
-    try:
-        parser.Parse(data, True)
-    except expat.ExpatError as exc:
-        raise LogParseError(f"malformed XES: {exc}") from None
-    except (LookupError, ValueError) as exc:
-        # the XML declaration names an encoding expat cannot read: one
-        # Python has no codec for, or a multi-byte one
-        raise LogParseError(f"malformed XES: {exc}") from None
-
-
 def _parse_xes_with_handlers(data: bytes) -> EventLog:
     """``parse_xes`` for any document: expat handlers count each trace as
-    it closes."""
+    it closes; XML that is not well-formed raises ``LogParseError`` with
+    expat's message and position."""
     counts: Counter = Counter()
     # role of each open element: "trace", "event" for an event that is a
     # direct child of a trace, "" otherwise; the first entry is the document
@@ -347,7 +325,12 @@ def _parse_xes_with_handlers(data: bytes) -> EventLog:
     parser.EntityDeclHandler = entity_decl
     parser.SkippedEntityHandler = skipped_entity
     parser.ExternalEntityRefHandler = external_entity
-    _expat_parse(parser, data)
+    try:
+        parser.Parse(data, True)
+    # LookupError, ValueError: the XML declaration names an encoding expat
+    # cannot read, one Python has no codec for or a multi-byte one
+    except (expat.ExpatError, LookupError, ValueError) as exc:
+        raise LogParseError(f"malformed XES: {exc}") from None
     if first_nameless is not None:
         raise LogParseError(
             f"event without a non-empty {CONCEPT_NAME} in trace {first_nameless}"

@@ -188,7 +188,9 @@ def read_report_json(data) -> ApproxReport:
     strings in the writer's form (``"7/2"``, ``"-3"``), the provenance a
     string, the members distinct and at least one, the reference costs one
     per member in member order and each lower-bound source one the bracket
-    reports."""
+    reports.  The report is built from the rows, proxy, costs and timings;
+    every other aggregate of the document must equal, in JSON type and
+    value, what the writers derive from those."""
     doc = read_json(data, ReportError, "report JSON")
     try:
         members = tuple(_trace(t) for t in doc["proxy"]["members"])
@@ -217,18 +219,20 @@ def read_report_json(data) -> ApproxReport:
                 )
             )
         agg = doc["aggregates"]
-        return ApproxReport(
+        report = ApproxReport(
             per_variant=rows,
-            epsilon_max=_int(agg["epsilon_max"]),
-            total_estimate=_fraction(agg["total_estimate"]),
-            total_traces=_int(agg["total_traces"]),
-            aligner_invocations=_int(agg["aligner_invocations"]),
             timings_us={
                 key: _int(agg["timings_us"].get(key, 0)) for key in TIMING_KEYS
             },
             proxy=proxy,
             ref_costs=tuple(_int(entry["cost"]) for entry in entries),
         )
+        derived = _aggregates(report)
+        del derived["timings_us"]  # read from the document, not derived
+        for name, value in derived.items():
+            if type(agg[name]) is not type(value) or agg[name] != value:
+                raise ValueError(f"{name} is {agg[name]!r}, the rows give {value!r}")
+        return report
     # ZeroDivisionError: a rational such as "1/0"; ProxyError: no members
     except (KeyError, TypeError, ValueError, ZeroDivisionError, ProxyError) as exc:
         raise ReportError(f"report JSON misses or mangles a field: {exc}") from None

@@ -89,6 +89,13 @@ def test_missing_reference_cost_errors():
         message = f"expected 2 reference costs, one per proxy member, got {len(costs)}"
         with pytest.raises(BoundsError, match=message):
             approximate_cost(("t",), proxy, costs, model)
+    # so is one distance per member: zip would pair a short row with the
+    # wrong members, and (3,) would give upper 3 where the true row gives 0
+    proxy = ProxySet(members=(("c",), ("a", "b")))
+    for distances in ((3,), (0, 2, 1)):
+        message = f"expected 2 distances, one per proxy member, got {len(distances)}"
+        with pytest.raises(BoundsError, match=message):
+            approximate_cost(("c",), proxy, (0, 0), model, distances=distances)
 
 
 def test_upper_lower_bracket_random_instances():

@@ -162,6 +162,11 @@ def test_non_utf8_report_is_a_report_error():
         # canonical order would drop the repeat, so the read report would
         # not write the same bytes
         ("proxy/members", [["a", "b", "c"], ["a", "b", "c"]]),
+        # right-typed aggregates that contradict the rows (4, 4, 1 and "5/2")
+        ("aggregates/epsilon_max", 5),
+        ("aggregates/total_traces", 5),
+        ("aggregates/aligner_invocations", 2),
+        ("aggregates/total_estimate", "3"),
     ],
 )
 def test_reader_rejects_mangled_traces_and_integers(path, value):
@@ -187,35 +192,30 @@ def test_round_trip_preserves_provenance_and_ref_costs():
 # escapes, empty traces, and counts far past any real log.
 TRACE = st.lists(st.text(), max_size=4).map(tuple)
 COUNT = st.integers(0, 10**12)
-ROW = st.tuples(
-    st.builds(
-        BoundsResult,
-        trace=TRACE,
-        lower=COUNT,
-        upper=COUNT,
-        estimate=st.fractions(min_value=0, max_value=10**12),
-        nearest_proxy=TRACE,
-        proxy_distance=COUNT,
-        lower_source=st.one_of(
-            st.sampled_from([LOWER_STRUCTURAL, LOWER_PROXY, LOWER_BOTH]), st.text()
-        ),
-    ),
-    st.integers(1, 10**12),
-)
+LOWER_SOURCE = st.sampled_from([LOWER_STRUCTURAL, LOWER_PROXY, LOWER_BOTH])
 
 
 @st.composite
-def reports(draw):
+def reports(draw, lower_source=st.one_of(LOWER_SOURCE, st.text())):
     proxy = ProxySet(
         members=tuple(draw(st.lists(TRACE, min_size=1, max_size=4, unique=True))),
         provenance=draw(st.text()),
     )
+    row = st.tuples(
+        st.builds(
+            BoundsResult,
+            trace=TRACE,
+            lower=COUNT,
+            upper=COUNT,
+            estimate=st.fractions(min_value=0, max_value=10**12),
+            nearest_proxy=TRACE,
+            proxy_distance=COUNT,
+            lower_source=lower_source,
+        ),
+        st.integers(1, 10**12),
+    )
     return ApproxReport(
-        per_variant=draw(st.lists(ROW, max_size=6)),
-        epsilon_max=draw(COUNT),
-        total_estimate=draw(st.fractions(min_value=0, max_value=10**12)),
-        total_traces=draw(COUNT),
-        aligner_invocations=draw(COUNT),
+        per_variant=draw(st.lists(row, max_size=6)),
         timings_us={key: draw(COUNT) for key in TIMING_KEYS},
         proxy=proxy,
         ref_costs=tuple(draw(COUNT) for _ in proxy.members),
@@ -227,6 +227,12 @@ def reports(draw):
 @example(small_report())
 def test_json_report_is_json_dumps_indent_2(report):
     assert write_report(report, fmt="json") == write_report_json_reference(report)
+
+
+@settings(max_examples=100, deadline=None)
+@given(reports(lower_source=LOWER_SOURCE))
+def test_json_round_trip_over_drawn_reports(report):
+    assert read_report_json(write_report(report, fmt="json")) == report
 
 
 def test_json_report_with_an_empty_proxy_is_json_dumps_indent_2():
