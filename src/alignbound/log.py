@@ -6,16 +6,17 @@ with its multiplicity, in canonical order (shorter first, then by labels)
 whatever order it was built in, so no parser keeps an order and no reader
 sorts; :func:`canonical_traces` orders every other trace set alike.
 
-Both parsers stream their input straight into variant counts, without an
-element tree or a list of every row.  XES has two paths.  A document in
-the layout :func:`write_log_xes` emits, once inspecting its bytes proves
-it well-formed, is read by anchored byte patterns, one match per trace, so
-no Python code runs per element.  Every other document, and one whose
-bytes prove nothing, goes through an expat handler that counts each trace
-as it closes.  CSV goes through one ``csv.reader`` pass that keeps only each
-case's (order, activity) pairs.  The two writers work per variant: a
-variant's text is built once and repeated for each of its cases, with only
-the case name changed.
+Neither parser builds an element tree or a list of every row.  XES has
+two paths.  A document in the layout :func:`write_log_xes` emits, once
+inspecting its bytes proves it well-formed, is read by anchored byte
+patterns, one match per trace, so no Python code runs per element.  Every
+other document, and one whose bytes prove nothing, goes through an expat
+handler that counts each trace as it closes.  CSV is read in chunks of a
+fixed number of rows, each split into columns with no Python code per row;
+what is kept is the interned activity column, the order column and each
+case's row numbers, and each case then becomes one trace.  The two writers
+work per variant: a variant's text is built once and repeated for each of
+its cases, with only the case name changed.
 """
 
 import codecs
@@ -24,8 +25,9 @@ import io
 import json
 import re
 import sys
-from collections import Counter
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
+from itertools import count, islice
 from operator import itemgetter
 from types import SimpleNamespace
 from xml.parsers import expat
@@ -338,14 +340,15 @@ def _parse_xes_with_handlers(data: bytes) -> EventLog:
     return EventLog(counts)
 
 
-def _csv_rows(text: str):
-    """The rows of ``csv.reader`` over ``text``; a row the reader rejects
-    raises ``LogParseError`` naming its line."""
-    reader = csv.reader(io.StringIO(text))
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise LogParseError(f"malformed CSV at line {reader.line_num}: {exc}") from None
+# rows of a CSV log read per chunk; only its columns outlive the chunk
+_CSV_CHUNK = 256
+# int() reads every decimal string of at most this many digits, whatever
+# sys.set_int_max_str_digits allows; a longer one may exceed that limit
+_INT_DIGITS = 640
+
+
+def _malformed_csv(reader, exc: csv.Error) -> LogParseError:
+    return LogParseError(f"malformed CSV at line {reader.line_num}: {exc}")
 
 
 def parse_csv(
@@ -354,7 +357,7 @@ def parse_csv(
     activity_column: str = "activity",
     order_column: str = "order",
 ) -> EventLog:
-    """Parse a headered CSV into an event log in one pass over the rows.
+    """Parse a headered CSV into an event log, column-wise.
 
     Rows are grouped by ``case_column`` and sorted within each case by
     ``order_column``; the sort is numeric when every order value in the file
@@ -363,6 +366,15 @@ def parse_csv(
     skipped; a column named twice in the header is read from its last
     position.
 
+    Rows are read ``_CSV_CHUNK`` at a time from a text reader over ``data``
+    that ends a line only at a line feed, so that no decoded copy of the
+    whole file is made.  Each chunk is checked and split into columns by
+    C-level ``map`` calls, with no Python statement per row; all that
+    outlives it is its interned activities, its order cells and each row's
+    number in its case's list of rows.  A case whose rows are one run with
+    the order cells ``1`` to ``n``, as :func:`write_log_csv` writes them, is
+    a slice of the activity column; every other case sorts its rows.
+
     :raises LogParseError: input that is not UTF-8 (a leading byte-order
         mark is dropped), missing header or column (named in the message),
         a row with missing cells (reported with its line number, counting
@@ -370,8 +382,15 @@ def parse_csv(
         field over its size limit (reported with its line number in the
         file).
     """
-    reader = _csv_rows(decode_text(data, LogParseError, "CSV log"))
-    header = next(reader, None)
+    if not data.isascii():
+        # only to reject bytes that are not UTF-8 before any row is read;
+        # the line reader decodes again, 8 KiB at a time
+        decode_text(data, LogParseError, "CSV log")
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), "utf-8-sig", newline="\n"))
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:
+        raise _malformed_csv(reader, exc) from None
     if not header:
         raise LogParseError("CSV input has no header row")
     last = {col: i for i, col in enumerate(header)}
@@ -380,26 +399,66 @@ def parse_csv(
             raise LogParseError(f"missing column {col!r}; header has {header}")
     ci, ai, oi = last[case_column], last[activity_column], last[order_column]
     width = max(ci, ai, oi) + 1
-    intern = sys.intern
-    cases: dict[str, list] = {}
+    rows = filter(None, reader)
+    activities: list[Activity] = []
+    orders: list[str] = []
+    case_rows: defaultdict[str, list[int]] = defaultdict(list)
     numeric = True
-    for line_no, row in enumerate(filter(None, reader), start=2):
-        if len(row) < width or not row[ai]:
-            raise LogParseError(f"unparseable row at line {line_no}")
-        order = row[oi]
-        if numeric:
-            try:
-                int(order)
-            except ValueError:
-                numeric = False
-        cases.setdefault(row[ci], []).append((order, intern(row[ai])))
+    failure = None
+    while True:
+        chunk: list[list[str]] = []
+        try:
+            chunk.extend(islice(rows, _CSV_CHUNK))
+        except csv.Error as exc:
+            # the rows read before the bad one stay in chunk and are checked
+            # first, as one row at a time would be
+            failure = exc
+        if chunk:
+            short = min(map(len, chunk)) < width
+            labels = [] if short else list(map(sys.intern, map(itemgetter(ai), chunk)))
+            if short or not all(labels):
+                bad = next(
+                    i for i, row in enumerate(chunk) if len(row) < width or not row[ai]
+                )
+                raise LogParseError(f"unparseable row at line {len(orders) + bad + 2}")
+            cells = list(map(itemgetter(oi), chunk))
+            if numeric:
+                # int() reads non-empty cells of decimal digits no longer
+                # than _INT_DIGITS; only a chunk with another cell is parsed
+                digits = "".join(cells)
+                if not (
+                    all(cells)
+                    and digits.isdecimal()
+                    and (len(digits) <= _INT_DIGITS or max(map(len, cells)) <= _INT_DIGITS)
+                ):
+                    try:
+                        deque(map(int, cells), 0)
+                    except ValueError:
+                        numeric = False
+            rows_of = map(case_rows.__getitem__, map(itemgetter(ci), chunk))
+            deque(map(list.append, rows_of, count(len(orders))), 0)
+            orders += cells
+            activities += labels
+        if failure is not None:
+            raise _malformed_csv(reader, failure) from None
+        if len(chunk) < _CSV_CHUNK:
+            break
 
-    key = (lambda e: int(e[0])) if numeric else itemgetter(0)
-    counts: Counter = Counter()
-    for events in cases.values():
-        events.sort(key=key)
-        counts[tuple(a for _, a in events)] += 1
-    return EventLog(counts)
+    longest = max(map(len, case_rows.values()), default=0)
+    written = list(map(str, range(1, longest + 1)))  # write_log_csv's cells
+    keys = None
+    traces = []
+    for indices in case_rows.values():
+        first, end = indices[0], indices[-1] + 1
+        one_run = end - first == len(indices)
+        if numeric and one_run and orders[first:end] == written[: end - first]:
+            traces.append(tuple(activities[first:end]))  # already in order
+            continue
+        if keys is None:
+            keys = list(map(int, orders)) if numeric else orders
+        indices = sorted(indices, key=keys.__getitem__)
+        traces.append(tuple(map(activities.__getitem__, indices)))
+    return EventLog(Counter(traces))
 
 
 def write_log_csv(log: EventLog) -> bytes:
