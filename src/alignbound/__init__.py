@@ -22,7 +22,7 @@ from .bounds import (
     approximate_cost,
     approximate_log,
 )
-from .distance import DistanceMatrix, distance_matrix, edit_distance
+from .distance import distance_matrix, edit_distance
 from .errors import (
     AlignboundError,
     BoundsError,
@@ -72,7 +72,6 @@ __all__ = [
     "ApproxReport",
     "BoundsError",
     "BoundsResult",
-    "DistanceMatrix",
     "DistanceTable",
     "EventLog",
     "ExperimentError",

@@ -29,6 +29,9 @@ from .proxy import DistanceTable, ProxySet, StrategyParams, generate_proxy
 LOWER_STRUCTURAL = "structural"
 LOWER_PROXY = "proxy"
 LOWER_BOTH = "both"
+# every lower-bound source a bracket reports; the harness's percentages
+# and its pct_<source> columns follow this order
+LOWER_SOURCES = (LOWER_STRUCTURAL, LOWER_PROXY, LOWER_BOTH)
 
 ESTIMATOR_MIDPOINT = "midpoint"
 ESTIMATOR_HALF_DISTANCE = "half-distance"
@@ -54,6 +57,16 @@ class BoundsResult:
     nearest_proxy: Trace
     proxy_distance: int
     lower_source: str
+
+
+def weighted_total(pairs) -> Fraction:
+    """Sum of value x weight over ``pairs`` of a rational value (a Fraction
+    or an int) and an integer weight, exact: integer numerators over the
+    values' least common denominator, one Fraction built at the end."""
+    pairs = list(pairs)
+    scale = math.lcm(*{value.denominator for value, _ in pairs})
+    numerator = sum(w * v.numerator * (scale // v.denominator) for v, w in pairs)
+    return Fraction(numerator, scale)
 
 
 def check_estimate(estimator: str, upper_weight) -> Fraction:
@@ -182,11 +195,7 @@ class ApproxReport:
 
     @property
     def total_estimate(self) -> Fraction:
-        # integer numerators over the estimates' least common denominator
-        rows = [(result.estimate, mult) for result, mult in self.per_variant]
-        scale = math.lcm(*{e.denominator for e, _ in rows})
-        numerator = sum(m * e.numerator * (scale // e.denominator) for e, m in rows)
-        return Fraction(numerator, scale)
+        return weighted_total((r.estimate, mult) for r, mult in self.per_variant)
 
     @property
     def total_traces(self) -> int:

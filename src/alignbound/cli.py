@@ -328,7 +328,7 @@ def _cmd_proxy_gen(args) -> int:
     log = _load_log(args)
     table = DistanceTable(log.variant_traces)
     if args.dump_distance_matrix:
-        _write(args.dump_distance_matrix, table.matrix().to_csv(), "distance matrix")
+        _write(args.dump_distance_matrix, table.matrix_csv(), "distance matrix")
     proxy = generate_proxy(log, params, table)
     eps = epsilon_max_error(log, proxy, table)
     _write_traces(args.out, proxy.members, "proxy file")

@@ -46,16 +46,7 @@ numpy.  numpy is imported inside :func:`distance_matrix`, its only user
 here, so a command that builds no matrix never loads it.
 """
 
-import csv
-import io
-from dataclasses import dataclass
 from operator import add
-from typing import TYPE_CHECKING
-
-from .log import Trace
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # bytes of row states in one block of the matrix (rows x columns x lane
 # bytes); each temporary of a block stays near this size unless a single
@@ -153,39 +144,17 @@ def edit_distance(a, b, cutoff: int | None = None) -> int:
     return d if cutoff is None or d < cutoff else cutoff
 
 
-@dataclass(frozen=True)
-class DistanceMatrix:
-    """Symmetric pairwise distance matrix over a fixed variant order.
-
-    ``cells`` is int32, half the memory of int64 (1.7 MB at 650 variants);
-    a distance is at most the sum of two trace lengths.
-    """
-
-    labels: tuple[Trace, ...]
-    cells: "np.ndarray"
-
-    def to_csv(self) -> str:
-        """Debug dump: header row of traces, then one row per trace."""
-        def fmt(t):
-            return " ".join(t) if t else "-"
-
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["trace", *map(fmt, self.labels)])
-        for t, row in zip(self.labels, self.cells.tolist()):
-            writer.writerow([fmt(t), *row])
-        return out.getvalue()
-
-
-def distance_matrix(variants) -> DistanceMatrix:
-    """Pairwise distances over ``variants``, one packed scan per variant
-    (see the module docstring)."""
+def distance_matrix(variants):
+    """Pairwise distances over ``variants`` in their order as a symmetric
+    int32 array, one packed scan per variant (see the module docstring).
+    int32 takes half the memory of int64 (1.7 MB at 650 variants); a
+    distance is at most the sum of two trace lengths."""
     import numpy as np
 
     pack = MatchMasks(*variants)
-    labels = pack.traces
-    n, width = len(labels), pack.lane_bytes
-    lengths = np.array([len(t) for t in labels], dtype=np.int64)
+    traces = pack.traces
+    n, width = len(traces), pack.lane_bytes
+    lengths = np.array([len(t) for t in traces], dtype=np.int64)
     cells = np.zeros((n, n), dtype=np.int32)
     r0 = 0
     while r0 < n:
@@ -194,7 +163,7 @@ def distance_matrix(variants) -> DistanceMatrix:
         row_bytes = width * (n - r0)
         r1 = min(n, r0 + max(1, MATRIX_BLOCK_BYTES // row_bytes))
         states = b"".join(
-            lanes.scan(t).to_bytes(row_bytes, "little") for t in labels[r0:r1]
+            lanes.scan(t).to_bytes(row_bytes, "little") for t in traces[r0:r1]
         )
         counts = np.frombuffer(states.translate(_BYTE_BITS), dtype=np.uint8)
         unmatched = counts.reshape(r1 - r0, n - r0, width).sum(axis=2, dtype=np.int64)
@@ -203,4 +172,4 @@ def distance_matrix(variants) -> DistanceMatrix:
         r0 = r1
     cells = np.triu(cells, 1)
     cells += cells.T
-    return DistanceMatrix(labels=labels, cells=cells)
+    return cells

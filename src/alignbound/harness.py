@@ -19,12 +19,11 @@ from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
 
 from .bounds import (
-    LOWER_BOTH,
-    LOWER_PROXY,
-    LOWER_STRUCTURAL,
+    LOWER_SOURCES,
     TIMING_KEYS,
     TIMING_PROXY_GENERATION,
     approximate_log,
+    weighted_total,
 )
 from .aligner import optimal_cost
 from .errors import ExperimentError, ProxyError
@@ -208,15 +207,13 @@ def exact_costs(log: EventLog, model):
 
 def realized_error(report, costs) -> Fraction:
     """Multiplicity-weighted absolute estimate error against exact costs."""
-    total = Fraction(0)
-    for result, mult in report.per_variant:
-        total += mult * abs(result.estimate - costs[result.trace])
-    return total
+    rows = report.per_variant
+    return weighted_total((abs(r.estimate - costs[r.trace]), m) for r, m in rows)
 
 
 def lower_source_percentages(report):
     """Share of variants per lower bound source, exact and summing to 100."""
-    counts = {LOWER_STRUCTURAL: 0, LOWER_PROXY: 0, LOWER_BOTH: 0}
+    counts = dict.fromkeys(LOWER_SOURCES, 0)
     for result, _ in report.per_variant:
         counts[result.lower_source] += 1
     n = len(report.per_variant)
@@ -296,9 +293,7 @@ def _experiment_row(report, params, costs, t_exact) -> ExperimentRow:
         realized_error=realized_error(report, costs),
         pi_with=pi_with,
         pi_without=pi_without,
-        pct_structural=pcts[LOWER_STRUCTURAL],
-        pct_proxy=pcts[LOWER_PROXY],
-        pct_both=pcts[LOWER_BOTH],
+        **{f"pct_{source}": pct for source, pct in pcts.items()},
     )
 
 

@@ -367,13 +367,16 @@ def parse_csv(
     position.
 
     Rows are read ``_CSV_CHUNK`` at a time from a text reader over ``data``
-    that ends a line only at a line feed, so that no decoded copy of the
-    whole file is made.  Each chunk is checked and split into columns by
-    C-level ``map`` calls, with no Python statement per row; all that
-    outlives it is its interned activities, its order cells and each row's
-    number in its case's list of rows.  A case whose rows are one run with
-    the order cells ``1`` to ``n``, as :func:`write_log_csv` writes them, is
-    a slice of the activity column; every other case sorts its rows.
+    that ends a line only at a line feed, so that the rows are read without
+    a decoded copy of the whole file.  Only ``data`` holding non-ASCII
+    bytes is decoded whole once up front, to reject bytes that are not
+    UTF-8 before any row, and that copy is dropped at once.  Each chunk is
+    checked and split into columns by C-level ``map`` calls, with no Python
+    statement per row; all that outlives it is its interned activities, its
+    order cells and each row's number in its case's list of rows.  A case
+    whose rows are one run with the order cells ``1`` to ``n``, as
+    :func:`write_log_csv` writes them, is a slice of the activity column;
+    every other case sorts its rows.
 
     :raises LogParseError: input that is not UTF-8 (a leading byte-order
         mark is dropped), missing header or column (named in the message),

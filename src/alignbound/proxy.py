@@ -9,13 +9,15 @@ K-Medoids, and a greedy K-Center.  Only K-Medoids uses numpy, which its
 functions import themselves, so the other strategies never load it.
 """
 
+import csv
+import io
 import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 # edit_distance stays importable: perfbench/tracer.py wraps it here to count LCS calls
-from .distance import DistanceMatrix, MatchMasks, distance_matrix, edit_distance  # noqa: F401
+from .distance import MatchMasks, distance_matrix, edit_distance  # noqa: F401
 from .errors import ProxyError
 from .log import EventLog, Trace, canonical_traces
 
@@ -114,11 +116,24 @@ class DistanceTable:
         self._matrix = self._pack = None
         self._columns = {}
 
-    def matrix(self) -> DistanceMatrix:
-        """The all-pairs matrix over the variants, built on the first call."""
+    def matrix(self):
+        """The all-pairs distances over the variants in their order, an
+        int32 array built on the first call."""
         if self._matrix is None:
             self._matrix = distance_matrix(self.variants)
         return self._matrix
+
+    def matrix_csv(self) -> str:
+        """Debug dump of :meth:`matrix`: a header row of the variants, then
+        one row per variant; a trace is its activities joined by spaces,
+        ``-`` when empty."""
+        labels = [" ".join(t) if t else "-" for t in self.variants]
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["trace", *labels])
+        rows = zip(labels, self.matrix().tolist())
+        writer.writerows([label, *row] for label, row in rows)
+        return out.getvalue()
 
     def columns(self, members) -> list[list[int]]:
         """Each member's distances to the variants, computed once per table:
@@ -129,7 +144,7 @@ class DistanceTable:
         for member in members:
             if member not in self._columns:
                 if self._matrix is not None and member in self._index:
-                    column = self._matrix.cells[:, self._index[member]].tolist()
+                    column = self._matrix[:, self._index[member]].tolist()
                 else:
                     self._pack = self._pack or MatchMasks(*self.variants)
                     column = self._pack.distances(member)
@@ -244,7 +259,7 @@ def cluster_kmedoids(
         return ProxySet(members=variants, provenance=f"kmedoids(k={k})")
     import numpy as np
 
-    cells = table.matrix().cells
+    cells = table.matrix()
     weights = np.fromiter(log.variants.values(), dtype=np.int64, count=len(variants))
     medoids = _pam_swap(cells, weights, _pam_build(cells, weights, k))
     members = tuple(variants[i] for i in medoids)

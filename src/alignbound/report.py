@@ -17,9 +17,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .bounds import (
-    LOWER_BOTH,
-    LOWER_PROXY,
-    LOWER_STRUCTURAL,
+    LOWER_SOURCES,
     TIMING_KEYS,
     ApproxReport,
     BoundsResult,
@@ -176,21 +174,18 @@ def _fraction(value) -> Fraction:
     return result
 
 
-def _lower_source(value) -> str:
-    if value not in (LOWER_STRUCTURAL, LOWER_PROXY, LOWER_BOTH):
-        raise ValueError(f"unknown lower_source {value!r}")
-    return value
-
-
 def read_report_json(data) -> ApproxReport:
     """Inverse of the JSON writer; used by tests and downstream tooling.
     Traces must be lists of strings, integer fields JSON integers, rationals
     strings in the writer's form (``"7/2"``, ``"-3"``), the provenance a
     string, the members distinct and at least one, the reference costs one
     per member in member order and each lower-bound source one the bracket
-    reports.  The report is built from the rows, proxy, costs and timings;
-    every other aggregate of the document must equal, in JSON type and
-    value, what the writers derive from those."""
+    reports.  Each row must agree with its bracket: a multiplicity of at
+    least 1, ``0 <= lower <= estimate <= upper``, a member as the nearest
+    proxy at a distance of at least 0, and no variant given twice.  The
+    report is built from the rows, proxy, costs and timings; every other
+    aggregate of the document must equal, in JSON type and value, what the
+    writers derive from those."""
     doc = read_json(data, ReportError, "report JSON")
     try:
         members = tuple(_trace(t) for t in doc["proxy"]["members"])
@@ -202,22 +197,31 @@ def read_report_json(data) -> ApproxReport:
         entries = doc["proxy"]["ref_costs"]
         if tuple(_trace(entry["trace"]) for entry in entries) != proxy.members:
             raise ValueError("ref_costs do not name the proxy members in order")
-        rows = []
-        for item in doc["variants"]:
-            rows.append(
-                (
-                    BoundsResult(
-                        trace=_trace(item["trace"]),
-                        lower=_int(item["lower"]),
-                        upper=_int(item["upper"]),
-                        estimate=_fraction(item["estimate"]),
-                        nearest_proxy=_trace(item["nearest_proxy"]),
-                        proxy_distance=_int(item["proxy_distance"]),
-                        lower_source=_lower_source(item["lower_source"]),
-                    ),
-                    _int(item["multiplicity"]),
-                )
+        rows, traces = [], set()
+        for i, item in enumerate(doc["variants"]):
+            result = BoundsResult(
+                trace=_trace(item["trace"]),
+                lower=_int(item["lower"]),
+                upper=_int(item["upper"]),
+                estimate=_fraction(item["estimate"]),
+                nearest_proxy=_trace(item["nearest_proxy"]),
+                proxy_distance=_int(item["proxy_distance"]),
+                lower_source=_str(item["lower_source"]),
             )
+            mult, lower, upper = _int(item["multiplicity"]), result.lower, result.upper
+            for name, holds, why in (
+                ("trace", result.trace not in traces, "given twice"),
+                ("lower_source", result.lower_source in LOWER_SOURCES, "unknown"),
+                ("multiplicity", mult >= 1, "below 1"),
+                ("lower", 0 <= lower <= upper, "outside [0, upper]"),
+                ("estimate", lower <= result.estimate <= upper, "outside the bracket"),
+                ("nearest_proxy", result.nearest_proxy in proxy, "not a member"),
+                ("proxy_distance", result.proxy_distance >= 0, "below 0"),
+            ):
+                if not holds:
+                    raise ValueError(f"variants/{i}/{name} {item[name]!r} is {why}")
+            rows.append((result, mult))
+            traces.add(result.trace)
         agg = doc["aggregates"]
         report = ApproxReport(
             per_variant=rows,

@@ -1,9 +1,10 @@
 """The benchmark's tracer wraps program names by their dotted paths; a
 renamed or moved name would silently drop its layer metrics.  These checks
-read ``perfbench/tracer.py`` and ``perfbench/layers.py`` and install
-nothing."""
+read ``perfbench/tracer.py``, ``perfbench/layers.py`` and
+``BENCHMARK.json`` and install nothing."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -50,3 +51,18 @@ def test_every_name_the_bench_reads_resolves(tracer, monkeypatch):
     names = [("alignbound.harness", f) for f in layers.HARNESS_FUNCTIONS]
     for module, path in names + list(BENCH_READS):
         assert tracer._resolve(module, path) is not None, f"{module}.{path}"
+
+
+def test_every_declared_lower_source_metric_names_a_source():
+    # the bench names these metrics after the keys of
+    # harness.lower_source_percentages; a renamed source leaves one absent
+    from alignbound.bounds import LOWER_SOURCES
+
+    benchmark = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())
+    declared = {
+        metric["name"]
+        for metric in benchmark["per_layer"]
+        if metric["name"].startswith("bounds.lower_")
+    }
+    assert declared
+    assert declared <= {f"bounds.lower_{source}_pct" for source in LOWER_SOURCES}

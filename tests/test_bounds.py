@@ -16,6 +16,7 @@ from alignbound.bounds import (
     approximate_cost,
     approximate_log,
     compute_ref_costs,
+    weighted_total,
 )
 from alignbound.errors import BoundsError
 from alignbound.harness import SyntheticSpec, generate_synthetic, realized_error
@@ -360,6 +361,22 @@ def test_estimates_and_total_are_exact(model_traces, variants, members, weight):
     assert report.total_estimate == sum(
         mult * r.estimate for r, mult in report.per_variant
     )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(st.integers(-50, 50), st.fractions(max_denominator=60)),
+            st.integers(0, 10**6),
+        ),
+        max_size=8,
+    )
+)
+def test_weighted_total_is_the_exact_weighted_sum(pairs):
+    total = weighted_total(iter(pairs))
+    assert isinstance(total, Fraction)
+    assert total == sum((Fraction(value) * w for value, w in pairs), Fraction(0))
 
 
 def test_bigger_proxy_never_loosens_the_bracket():

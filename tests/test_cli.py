@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -244,6 +245,102 @@ def test_approximate_csv_report(workspace, capsys):
     )
     assert rc == 0
     assert out.splitlines()[0].startswith("trace,multiplicity,lower,upper")
+
+
+# the log of LOG_CSV under the header id,event,ts, and the flags naming it
+COLUMN_FLAGS = [
+    "--case-column", "id", "--activity-column", "event", "--order-column", "ts"
+]
+
+
+def renamed_log(workspace) -> str:
+    path = workspace["dir"] / "renamed.csv"
+    text = LOG_CSV.replace("case,activity,order", "id,event,ts")
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def test_csv_column_flags_read_a_renamed_header(workspace, capsys):
+    exact = ["exact", "--model", workspace["lang"], "--log"]
+    rc, plain, _ = run(exact + [workspace["log"]], capsys)
+    assert rc == 0
+    rc, out, err = run(exact + [renamed_log(workspace), *COLUMN_FLAGS], capsys)
+    assert rc == 0
+    assert out == plain
+    assert " case_column=id " in err
+
+
+@pytest.mark.parametrize(
+    "flag", ["--case-column", "--activity-column", "--order-column"]
+)
+def test_csv_column_flag_naming_an_absent_column_fails(workspace, capsys, flag):
+    flags = COLUMN_FLAGS[:]
+    flags[flags.index(flag) + 1] = "stage"
+    argv = ["exact", "--model", workspace["lang"], "--log", renamed_log(workspace)]
+    rc, out, err = run(argv + flags, capsys)
+    assert rc == 1
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        "error[parse]: missing column 'stage'; header has ['id', 'event', 'ts']"
+    )
+
+
+def test_half_distance_estimator_on_fitting_members(workspace, capsys):
+    # the language file doubles as a proxy file of model traces, which all
+    # cost 0, as the half-distance estimator requires
+    argv = [
+        "approximate",
+        "--log",
+        workspace["log"],
+        "--model",
+        workspace["lang"],
+        "--proxy-in",
+        workspace["lang"],
+        "--estimator",
+        "half-distance",
+        "--no-timings",
+    ]
+    rc, out, err = run(argv, capsys)
+    assert rc == 0
+    assert " estimator=half-distance " in err
+    report = read_report_json(out)
+    assert report.ref_costs and not any(report.ref_costs)
+    halves = 0
+    for result, _ in report.per_variant:
+        half = Fraction(result.proxy_distance, 2)
+        assert result.estimate == max(result.lower, half)
+        assert result.lower <= result.estimate <= result.upper
+        halves += result.estimate == half > result.lower
+    assert halves > 0
+    # the estimate reads no upper weight
+    rc, weighted, _ = run(argv + ["--upper-weight", "1"], capsys)
+    assert rc == 0
+    assert weighted == out
+
+
+def test_half_distance_estimator_names_a_member_that_does_not_fit(workspace, capsys):
+    proxy_path = workspace["dir"] / "proxy.lang"
+    proxy_path.write_text("a,b,e\nb,d,e\n", encoding="utf-8")
+    rc, out, err = run(
+        [
+            "approximate",
+            "--log",
+            workspace["log"],
+            "--model",
+            workspace["lang"],
+            "--proxy-in",
+            str(proxy_path),
+            "--estimator",
+            "half-distance",
+        ],
+        capsys,
+    )
+    assert rc == 1
+    assert out == ""
+    last = err.splitlines()[-1]
+    assert last.startswith("error[bounds]: half-distance estimator needs")
+    assert "<b,d,e> has cost" in last
+    assert "<a,b,e>" not in last
 
 
 def test_approximate_proxy_round_trip(workspace, capsys):

@@ -7,12 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alignbound import distance
-from alignbound.distance import (
-    DistanceMatrix,
-    MatchMasks,
-    distance_matrix,
-    edit_distance,
-)
+from alignbound.distance import MatchMasks, distance_matrix, edit_distance
+from alignbound.proxy import DistanceTable
 
 from conftest import distance_matrix_rows, naive_edit_distance, random_trace
 
@@ -77,8 +73,7 @@ def test_distance_matrix_triangle_on_all_ordered_triples():
         t = random_trace(rng, alphabet, 1, 6)
         if t not in variants:
             variants.append(t)
-    matrix = distance_matrix(variants)
-    cells = matrix.cells
+    cells = distance_matrix(variants)
     assert (cells == cells.T).all()
     assert all(cells[i, i] == 0 for i in range(5))
     triples = [
@@ -94,8 +89,8 @@ def test_distance_matrix_triangle_on_all_ordered_triples():
 
 
 def test_distance_matrix_csv_dump():
-    matrix = distance_matrix([("a",), ("a", "b")])
-    dump = matrix.to_csv()
+    dump = DistanceTable([("a",), ("a", "b")]).matrix_csv()
+    assert dump == "trace,a,a b\na,0,1\na b,1,0\n"
     lines = dump.strip().splitlines()
     assert lines[0] == "trace,a,a b"
     assert lines[1] == "a,0,1"
@@ -103,7 +98,7 @@ def test_distance_matrix_csv_dump():
     # a label holding the delimiter or the quote character is quoted, so
     # every row keeps one cell per variant
     labels = [("a,b",), ('say "hi"', "c"), ()]
-    dump = distance_matrix(labels).to_csv()
+    dump = DistanceTable(labels).matrix_csv()
     rows = list(csv.reader(dump.splitlines()))
     assert rows[0] == ["trace", "a,b", 'say "hi" c', "-"]
     assert [row[0] for row in rows[1:]] == ["a,b", 'say "hi" c', "-"]
@@ -152,7 +147,7 @@ def test_distance_matrix_matches_pairwise_distances():
     rng = random.Random(19)
     alphabet = ["a", "b", "c", "d"]
     variants = list({random_trace(rng, alphabet, 0, 70) for _ in range(25)})
-    cells = distance_matrix(variants).cells
+    cells = distance_matrix(variants)
     for i, a in enumerate(variants):
         for j, b in enumerate(variants):
             assert cells[i, j] == naive_edit_distance(a, b)
@@ -169,8 +164,8 @@ matrix_traces = st.one_of(
 
 
 def check_matrix(variants):
-    matrix = distance_matrix(variants)
-    cells = matrix.cells
+    table = DistanceTable(variants)
+    cells = table.matrix()
     n = len(variants)
     assert cells.dtype == np.int32
     assert cells.shape == (n, n)
@@ -178,8 +173,12 @@ def check_matrix(variants):
     assert not cells.diagonal().any()
     oracle = distance_matrix_rows(variants)
     assert (cells == oracle).all()
-    # int32 cells dump the same text as the int64 oracle's
-    assert matrix.to_csv() == DistanceMatrix(matrix.labels, oracle).to_csv()
+    # int32 cells dump the same text as the int64 oracle's rows
+    labels = [" ".join(t) if t else "-" for t in variants]
+    rows = list(csv.reader(table.matrix_csv().splitlines()))
+    assert rows == [["trace", *labels]] + [
+        [label, *map(str, row)] for label, row in zip(labels, oracle.tolist())
+    ]
     for i, a in enumerate(variants):
         for j, b in enumerate(variants):
             assert cells[i, j] == edit_distance(a, b)
@@ -200,7 +199,7 @@ def test_distance_matrix_across_word_boundaries():
 
 @pytest.mark.parametrize("variants", [[], [()], [("a", "b")]], ids=["none", "empty", "one"])
 def test_distance_matrix_of_fewer_than_two_variants(variants):
-    cells = distance_matrix(variants).cells
+    cells = distance_matrix(variants)
     assert cells.dtype == np.int32
     assert cells.shape == (len(variants), len(variants))
     assert not cells.any()
@@ -288,3 +287,11 @@ def test_packed_distances_equal_scalar_distances(lanes, data, member):
     for r in range(len(lanes) + 1):
         assert packed.lanes_from(r).distances(member) == packed.distances(member)[r:]
 
+
+
+def test_every_package_export_resolves():
+    import alignbound
+
+    missing = [name for name in alignbound.__all__ if not hasattr(alignbound, name)]
+    assert missing == []
+    assert "distance_matrix" in alignbound.__all__

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from alignbound.bounds import approximate_log
+from alignbound.bounds import LOWER_SOURCES, approximate_log
 from alignbound.errors import ExperimentError
 from alignbound.harness import (
     ExperimentRow,
@@ -141,6 +141,24 @@ def test_lower_source_percentages_sum_to_100():
     report = approximate_log(log, model, proxy=proxy)
     pcts = lower_source_percentages(report)
     assert sum(pcts.values()) == Fraction(100)
+    assert tuple(pcts) == LOWER_SOURCES
+
+
+def test_experiment_row_has_one_percentage_per_lower_source():
+    assert [name for name in ROW_HEADER if name.startswith("pct_")] == [
+        f"pct_{source}" for source in LOWER_SOURCES
+    ]
+
+
+def test_realized_error_is_the_row_by_row_fraction_sum():
+    model, log = generate_synthetic(SyntheticSpec(seed=6, log_variant_count=20))
+    costs, _ = exact_costs(log, model)
+    report = approximate_log(log, model, proxy=ProxySet(members=log.variant_traces[:2]))
+    expected = Fraction(0)
+    for result, mult in report.per_variant:
+        expected += mult * abs(result.estimate - costs[result.trace])
+    assert expected > 0
+    assert realized_error(report, costs) == expected
 
 
 def small_grid(seed=13):

@@ -179,7 +179,7 @@ def test_kcenter_radius_within_twice_optimal():
         table = DistanceTable(variants)
 
         def dist(i, j):
-            return int(table.matrix().cells[i, j])
+            return int(table.matrix()[i, j])
 
         for k in (2, 3):
             proxy = cluster_kcenter(log, k, table)
@@ -200,7 +200,7 @@ def test_kmedoids_matches_exhaustive_on_small_instances():
         table = DistanceTable(variants)
 
         def dist(i, j):
-            return int(table.matrix().cells[i, j])
+            return int(table.matrix()[i, j])
 
         for k in (2, 3):
             optimum = kmedoids_optimal_objective(log, k, dist)
@@ -219,7 +219,7 @@ def test_pam_swap_matches_one_swap_at_a_time_loop():
         log = _random_log(rng, rng.randint(2, 24), hi=8, max_mult=rng.choice((1, 1, 4)))
         variants = log.variant_traces
         n = len(variants)
-        cells = distance_matrix(variants).cells
+        cells = distance_matrix(variants)
         weights = np.array([log.variants[t] for t in variants], dtype=np.int64)
         for k in {1, n - 1, rng.randint(1, n)} - {0}:
             starts = [_pam_build(cells, weights, k), sorted(rng.sample(range(n), k))]
@@ -278,7 +278,7 @@ def test_pam_build_matches_clip_and_sum_loop():
     for _ in range(20):
         log = _random_log(rng, rng.randint(2, 30), hi=8)
         variants = log.variant_traces
-        cells = distance_matrix(variants).cells
+        cells = distance_matrix(variants)
         weights = np.array([log.variants[t] for t in variants], dtype=np.int64)
         for k in {1, len(variants) - 1, rng.randint(1, len(variants))} - {0}:
             assert _pam_build(cells, weights, k) == pam_build_loop(cells, weights, k)

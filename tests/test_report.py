@@ -9,9 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alignbound.bounds import (
-    LOWER_BOTH,
-    LOWER_PROXY,
-    LOWER_STRUCTURAL,
+    LOWER_SOURCES,
     ApproxReport,
     BoundsResult,
     approximate_log,
@@ -131,6 +129,19 @@ def test_non_utf8_report_is_a_report_error():
         read_report_json(b'{"variants": "\xff"}')
 
 
+# well-typed rows that contradict their bracket (small_report's rows are
+# [] in [1, 3], a c in [0, 1] and a b c in [0, 0], each nearest to a b c)
+ROW_CONTRADICTIONS = [
+    ("variants/2/multiplicity", -2),
+    ("variants/1/lower", -1),
+    ("variants/1/lower", 2),
+    ("variants/0/estimate", "99"),
+    ("variants/0/nearest_proxy", ["z"]),
+    ("variants/0/proxy_distance", -7),
+    ("variants/1/trace", []),
+]
+
+
 @pytest.mark.parametrize(
     "path, value",
     [
@@ -167,7 +178,8 @@ def test_non_utf8_report_is_a_report_error():
         ("aggregates/total_traces", 5),
         ("aggregates/aligner_invocations", 2),
         ("aggregates/total_estimate", "3"),
-    ],
+    ]
+    + ROW_CONTRADICTIONS,
 )
 def test_reader_rejects_mangled_traces_and_integers(path, value):
     # a string trace would split into letters and a float count truncate
@@ -177,8 +189,23 @@ def test_reader_rejects_mangled_traces_and_integers(path, value):
     for part in parents:
         target = target[part]
     target[key] = value
-    with pytest.raises(ReportError, match="^report JSON misses or mangles a field: "):
+    contradiction = (path, value) in ROW_CONTRADICTIONS
+    if contradiction:
+        # aggregates that match the mangled rows, so only the row is wrong
+        rows = doc["variants"]
+        doc["aggregates"].update(
+            epsilon_max=sum(r["multiplicity"] * r["proxy_distance"] for r in rows),
+            total_estimate=str(
+                sum(r["multiplicity"] * Fraction(r["estimate"]) for r in rows)
+            ),
+            total_traces=sum(r["multiplicity"] for r in rows),
+        )
+    with pytest.raises(
+        ReportError, match="^report JSON misses or mangles a field: "
+    ) as raised:
         read_report_json(json.dumps(doc))
+    if contradiction:
+        assert f"{path} " in str(raised.value)
 
 
 def test_round_trip_preserves_provenance_and_ref_costs():
@@ -192,30 +219,56 @@ def test_round_trip_preserves_provenance_and_ref_costs():
 # escapes, empty traces, and counts far past any real log.
 TRACE = st.lists(st.text(), max_size=4).map(tuple)
 COUNT = st.integers(0, 10**12)
-LOWER_SOURCE = st.sampled_from([LOWER_STRUCTURAL, LOWER_PROXY, LOWER_BOTH])
+MULTIPLICITY = st.integers(1, 10**12)
+LOWER_SOURCE = st.sampled_from(LOWER_SOURCES)
 
 
 @st.composite
-def reports(draw, lower_source=st.one_of(LOWER_SOURCE, st.text())):
+def sound_rows(draw, members):
+    """A row the reader accepts: a known lower-bound source, lower <=
+    estimate <= upper and a member as the nearest proxy."""
+    lower, upper = sorted((draw(COUNT), draw(COUNT)))
+    result = BoundsResult(
+        trace=draw(TRACE),
+        lower=lower,
+        upper=upper,
+        estimate=draw(st.fractions(min_value=lower, max_value=upper)),
+        nearest_proxy=draw(st.sampled_from(members)),
+        proxy_distance=draw(COUNT),
+        lower_source=draw(LOWER_SOURCE),
+    )
+    return result, draw(MULTIPLICITY)
+
+
+@st.composite
+def reports(draw, sound=False):
+    """Any rows the writer must lay out, or with ``sound`` set only rows
+    the reader accepts, no trace twice."""
     proxy = ProxySet(
         members=tuple(draw(st.lists(TRACE, min_size=1, max_size=4, unique=True))),
         provenance=draw(st.text()),
     )
-    row = st.tuples(
-        st.builds(
-            BoundsResult,
-            trace=TRACE,
-            lower=COUNT,
-            upper=COUNT,
-            estimate=st.fractions(min_value=0, max_value=10**12),
-            nearest_proxy=TRACE,
-            proxy_distance=COUNT,
-            lower_source=lower_source,
-        ),
-        st.integers(1, 10**12),
-    )
+    if sound:
+        rows = st.lists(
+            sound_rows(proxy.members), max_size=6, unique_by=lambda row: row[0].trace
+        )
+    else:
+        row = st.tuples(
+            st.builds(
+                BoundsResult,
+                trace=TRACE,
+                lower=COUNT,
+                upper=COUNT,
+                estimate=st.fractions(min_value=0, max_value=10**12),
+                nearest_proxy=TRACE,
+                proxy_distance=COUNT,
+                lower_source=st.one_of(LOWER_SOURCE, st.text()),
+            ),
+            MULTIPLICITY,
+        )
+        rows = st.lists(row, max_size=6)
     return ApproxReport(
-        per_variant=draw(st.lists(row, max_size=6)),
+        per_variant=draw(rows),
         timings_us={key: draw(COUNT) for key in TIMING_KEYS},
         proxy=proxy,
         ref_costs=tuple(draw(COUNT) for _ in proxy.members),
@@ -230,7 +283,7 @@ def test_json_report_is_json_dumps_indent_2(report):
 
 
 @settings(max_examples=100, deadline=None)
-@given(reports(lower_source=LOWER_SOURCE))
+@given(reports(sound=True))
 def test_json_round_trip_over_drawn_reports(report):
     assert read_report_json(write_report(report, fmt="json")) == report
 
