@@ -10,8 +10,8 @@ other trace sigma between
 and the lower bracket competes against a structural floor that needs no
 alignment at all: missing length up to the shortest model run plus the
 count of activities the model cannot mirror.  Each candidate lower bound is
-floored at zero because no alignment costs less than nothing.  All
-estimates are exact rationals.
+floored at zero because no alignment costs less than nothing.  A trace's
+estimate is its bracket's midpoint, an exact rational.
 """
 
 import math
@@ -23,7 +23,7 @@ from .aligner import optimal_alignment
 # edit_distance stays importable: perfbench/tracer.py wraps it here to count LCS calls
 from .distance import edit_distance  # noqa: F401
 from .errors import BoundsError
-from .log import EventLog, Trace, format_trace
+from .log import EventLog, Trace
 from .proxy import DistanceTable, ProxySet, StrategyParams, generate_proxy
 
 LOWER_STRUCTURAL = "structural"
@@ -32,11 +32,6 @@ LOWER_BOTH = "both"
 # every lower-bound source a bracket reports; the harness's percentages
 # and its pct_<source> columns follow this order
 LOWER_SOURCES = (LOWER_STRUCTURAL, LOWER_PROXY, LOWER_BOTH)
-
-ESTIMATOR_MIDPOINT = "midpoint"
-ESTIMATOR_HALF_DISTANCE = "half-distance"
-ESTIMATORS = (ESTIMATOR_MIDPOINT, ESTIMATOR_HALF_DISTANCE)
-DEFAULT_UPPER_WEIGHT = Fraction(1, 2)
 
 TIMING_PROXY_GENERATION = "proxy_generation"
 TIMING_REFERENCE_ALIGNMENT = "reference_alignment"
@@ -53,10 +48,15 @@ class BoundsResult:
     trace: Trace
     lower: int
     upper: int
-    estimate: Fraction
     nearest_proxy: Trace
     proxy_distance: int
     lower_source: str
+
+    @property
+    def estimate(self) -> Fraction:
+        """The point estimate, the bracket's midpoint: derived, so a row
+        cannot hold an estimate its bracket contradicts."""
+        return Fraction(self.lower + self.upper, 2)
 
 
 def weighted_total(pairs) -> Fraction:
@@ -67,17 +67,6 @@ def weighted_total(pairs) -> Fraction:
     scale = math.lcm(*{value.denominator for value, _ in pairs})
     numerator = sum(w * v.numerator * (scale // v.denominator) for v, w in pairs)
     return Fraction(numerator, scale)
-
-
-def check_estimate(estimator: str, upper_weight) -> Fraction:
-    """The upper weight as a Fraction, once ``estimator`` is known and the
-    weight lies within [0, 1]; a ``BoundsError`` otherwise."""
-    if estimator not in ESTIMATORS:
-        raise BoundsError(f"unknown estimator {estimator!r}; expected {ESTIMATORS}")
-    weight = Fraction(upper_weight)
-    if not 0 <= weight.numerator <= weight.denominator:
-        raise BoundsError(f"upper weight must be within [0, 1], got {weight}")
-    return weight
 
 
 def check_log(log: EventLog) -> None:
@@ -91,11 +80,9 @@ def approximate_cost(
     proxy: ProxySet,
     costs,
     model,
-    estimator: str = ESTIMATOR_MIDPOINT,
-    upper_weight: Fraction = DEFAULT_UPPER_WEIGHT,
     distances=None,
 ) -> BoundsResult:
-    """Certified bracket plus a point estimate for one trace.
+    """Certified bracket, and with it the midpoint estimate, for one trace.
 
     This is the one routine that brackets a trace.  ``costs`` holds each
     member's exact cost on ``model`` in member order, as
@@ -105,24 +92,15 @@ def approximate_cost(
     every visible label, dead transitions included, so an activity outside
     it can never be a synchronous move and always costs one log move.
 
-    The default estimator interpolates between the bounds with
-    ``upper_weight`` (0.5 is the midpoint, which halves the worst-case
-    error of either bound alone).  The ``half-distance`` estimator is only
-    valid when every reference cost is zero, i.e. the proxy members fit the
-    model perfectly; it reads half the nearest-member distance as the
-    estimate, clamped into the bounds.  The bracket is at most twice the
-    nearest-member distance wide, so epsilon bounds the error of these two
-    estimates only: an upper weight w errs by up to 2 * max(w, 1 - w) times
-    that distance.
+    The bracket is at most twice the nearest-member distance wide, so its
+    midpoint, the row's estimate, errs by at most that distance, and
+    epsilon bounds the error of the whole report before any alignment runs.
 
     ``distances`` is the trace's row of the run's variant x member table
     (:class:`proxy.DistanceTable`), one distance per member of ``proxy``
     in its order.  When omitted, a table over this one trace computes it.
     """
     trace = tuple(trace)
-    weight = check_estimate(estimator, upper_weight)
-    p, q = weight.numerator, weight.denominator
-
     if distances is None:
         [distances] = zip(*DistanceTable((trace,)).columns(proxy.members))
     for what, row in (("reference costs", costs), ("distances", distances)):
@@ -148,24 +126,10 @@ def approximate_cost(
     else:
         source = LOWER_PROXY
 
-    if estimator == ESTIMATOR_MIDPOINT:
-        # (1 - p/q) * lower + p/q * upper over one denominator
-        estimate = Fraction((q - p) * lower + p * upper, q)
-    else:
-        for member, cost in zip(proxy.members, costs):
-            if cost != 0:
-                raise BoundsError(
-                    "half-distance estimator needs all reference costs to be zero; "
-                    f"{format_trace(member)} has cost {cost}"
-                )
-        estimate = Fraction(proxy_distance, 2)
-        estimate = min(max(estimate, Fraction(lower)), Fraction(upper))
-
     return BoundsResult(
         trace=trace,
         lower=lower,
         upper=upper,
-        estimate=estimate,
         nearest_proxy=nearest,
         proxy_distance=proxy_distance,
         lower_source=source,
@@ -222,8 +186,6 @@ def approximate_log(
     model,
     params: StrategyParams | None = None,
     proxy: ProxySet | None = None,
-    estimator: str = ESTIMATOR_MIDPOINT,
-    upper_weight: Fraction = DEFAULT_UPPER_WEIGHT,
 ) -> ApproxReport:
     """Approximate the alignment cost of every variant in ``log``.
 
@@ -233,11 +195,9 @@ def approximate_log(
     The member distances come from one :class:`proxy.DistanceTable`, so
     the bracket reuses what generation computed, inside its time.  Each
     variant gets one :func:`approximate_cost` row, and the report derives
-    its aggregates from those rows.  The estimate setting and the log
-    (:func:`check_log`) are checked before any proxy is generated or member
-    aligned.
+    its aggregates from those rows.  The log (:func:`check_log`) is checked
+    before any proxy is generated or member aligned.
     """
-    upper_weight = check_estimate(estimator, upper_weight)
     if (params is None) == (proxy is None):
         raise BoundsError("provide exactly one of params or proxy")
     check_log(log)
@@ -253,18 +213,7 @@ def approximate_log(
 
     columns = table.columns(proxy.members)
     rows = [
-        (
-            approximate_cost(
-                trace,
-                proxy,
-                costs,
-                model,
-                estimator=estimator,
-                upper_weight=upper_weight,
-                distances=distances,
-            ),
-            mult,
-        )
+        (approximate_cost(trace, proxy, costs, model, distances=distances), mult)
         for (trace, mult), distances in zip(log.variants.items(), zip(*columns))
     ]
     t_bounded = _now_us()

@@ -16,17 +16,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from .aligner import optimal_alignment, optimal_cost
-from .bounds import (
-    DEFAULT_UPPER_WEIGHT,
-    ESTIMATORS,
-    ESTIMATOR_MIDPOINT,
-    approximate_log,
-    check_estimate,
-    check_log,
-)
+from .bounds import approximate_log, check_log
 from .errors import (
     AlignboundError,
-    BoundsError,
     ExperimentError,
     LogParseError,
     ModelError,
@@ -121,12 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_log_flags(p_approx)
     add_model_flags(p_approx)
     add_strategy_flags(p_approx)
-    p_approx.add_argument("--estimator", choices=ESTIMATORS, default=ESTIMATOR_MIDPOINT)
-    p_approx.add_argument(
-        "--upper-weight",
-        default=str(DEFAULT_UPPER_WEIGHT),
-        help="weight of the upper bound in the midpoint estimator",
-    )
     p_approx.add_argument("--report", choices=["json", "csv"], default="json")
     p_approx.add_argument("--proxy-in", help="use this proxy file instead of a strategy")
     p_approx.add_argument("--proxy-out", help="persist the proxy set here")
@@ -298,23 +284,13 @@ def _strategy_params(args) -> StrategyParams:
 
 def _cmd_approximate(args) -> int:
     params = None if args.proxy_in else _strategy_params(args)
-    upper_weight = check_estimate(
-        args.estimator, _fraction(args.upper_weight, BoundsError, "--upper-weight")
-    )
     log = _load_log(args)
     check_log(log)
     model = _load_model(args)
     _warn_dead_transitions(model)
     proxy = _load_proxy_file(args.proxy_in) if args.proxy_in else None
 
-    report = approximate_log(
-        log,
-        model,
-        params=params,
-        proxy=proxy,
-        estimator=args.estimator,
-        upper_weight=upper_weight,
-    )
+    report = approximate_log(log, model, params=params, proxy=proxy)
     if args.proxy_out:
         _write_traces(args.proxy_out, report.proxy.members, "proxy file")
     if args.no_timings:

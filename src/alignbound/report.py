@@ -181,11 +181,12 @@ def read_report_json(data) -> ApproxReport:
     string, the members distinct and at least one, the reference costs one
     per member in member order and each lower-bound source one the bracket
     reports.  Each row must agree with its bracket: a multiplicity of at
-    least 1, ``0 <= lower <= estimate <= upper``, a member as the nearest
-    proxy at a distance of at least 0, and no variant given twice.  The
-    report is built from the rows, proxy, costs and timings; every other
-    aggregate of the document must equal, in JSON type and value, what the
-    writers derive from those."""
+    least 1, ``0 <= lower <= upper``, the estimate the bracket's midpoint, a
+    member as the nearest proxy at a distance of at least 0, and no variant
+    given twice.  The timings must be a JSON object.  The report is built
+    from the rows, proxy, costs and timings; every other aggregate of the
+    document must equal, in JSON type and value, what the writers derive
+    from those."""
     doc = read_json(data, ReportError, "report JSON")
     try:
         members = tuple(_trace(t) for t in doc["proxy"]["members"])
@@ -203,18 +204,17 @@ def read_report_json(data) -> ApproxReport:
                 trace=_trace(item["trace"]),
                 lower=_int(item["lower"]),
                 upper=_int(item["upper"]),
-                estimate=_fraction(item["estimate"]),
                 nearest_proxy=_trace(item["nearest_proxy"]),
                 proxy_distance=_int(item["proxy_distance"]),
                 lower_source=_str(item["lower_source"]),
             )
-            mult, lower, upper = _int(item["multiplicity"]), result.lower, result.upper
+            mult, estimate = _int(item["multiplicity"]), _fraction(item["estimate"])
             for name, holds, why in (
                 ("trace", result.trace not in traces, "given twice"),
                 ("lower_source", result.lower_source in LOWER_SOURCES, "unknown"),
                 ("multiplicity", mult >= 1, "below 1"),
-                ("lower", 0 <= lower <= upper, "outside [0, upper]"),
-                ("estimate", lower <= result.estimate <= upper, "outside the bracket"),
+                ("lower", 0 <= result.lower <= result.upper, "outside [0, upper]"),
+                ("estimate", estimate == result.estimate, "not the bracket's midpoint"),
                 ("nearest_proxy", result.nearest_proxy in proxy, "not a member"),
                 ("proxy_distance", result.proxy_distance >= 0, "below 0"),
             ):
@@ -223,11 +223,12 @@ def read_report_json(data) -> ApproxReport:
             rows.append((result, mult))
             traces.add(result.trace)
         agg = doc["aggregates"]
+        timings = agg["timings_us"]
+        if not isinstance(timings, dict):
+            raise TypeError(f"timings_us holds {timings!r}, not an object")
         report = ApproxReport(
             per_variant=rows,
-            timings_us={
-                key: _int(agg["timings_us"].get(key, 0)) for key in TIMING_KEYS
-            },
+            timings_us={key: _int(timings.get(key, 0)) for key in TIMING_KEYS},
             proxy=proxy,
             ref_costs=tuple(_int(entry["cost"]) for entry in entries),
         )

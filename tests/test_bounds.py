@@ -1,5 +1,4 @@
 import random
-import re
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
@@ -9,7 +8,6 @@ from hypothesis import strategies as st
 
 from alignbound.aligner import optimal_alignment
 from alignbound.bounds import (
-    ESTIMATOR_HALF_DISTANCE,
     LOWER_BOTH,
     LOWER_PROXY,
     LOWER_STRUCTURAL,
@@ -187,35 +185,28 @@ def test_off_alphabet_floor_is_sound_on_nets(loop_net):
 
 @search_nets
 def test_brackets_and_epsilon_are_sound_on_nets(make_net, alphabet):
-    # every bracket holds the exact cost; the midpoint's realized error
-    # stays within epsilon, and a weight w within 2 * max(w, 1 - w) * epsilon
-    # (each estimate lies in a bracket at most twice its nearest-member
-    # distance wide)
+    # every bracket holds the exact cost, so its midpoint errs by at most
+    # the nearest-member distance (the bracket is at most twice that wide),
+    # and each report's realized error stays within epsilon
     rng = random.Random(229)
     net = make_net()
     pool = [noisy_walk(rng, net, alphabet, 3) for _ in range(40)]
     pool += [with_x_runs(rng, t) for t in pool[:12]]
     exact = {t: optimal_alignment(t, net).cost for t in sorted(set(pool))}
-    weights = [Fraction(w) for w in ("0", "1/4", "1/2", "3/4", "1")]
     brackets = 0
-    past_epsilon = set()
     for _ in range(40):
         variants = rng.sample(sorted(exact), rng.randint(4, 14))
         log = EventLog({t: rng.randint(1, 4) for t in variants})
         members = rng.sample(variants, rng.randint(0, 3))
         members += [random_trace(rng, alphabet, 0, 8) for _ in range(rng.randint(1, 3))]
-        for w in weights:
-            report = approximate_log(log, net, proxy=ProxySet(members), upper_weight=w)
-            for result, _ in report.per_variant:
-                assert result.lower <= exact[result.trace] <= result.upper
-                brackets += 1
-            error = realized_error(report, exact)
-            assert error <= 2 * max(w, 1 - w) * report.epsilon_max
-            if error > report.epsilon_max:
-                past_epsilon.add(w)
-    assert brackets > 1500
-    # epsilon bounds the midpoint only: other weights do pass it
-    assert past_epsilon
+        report = approximate_log(log, net, proxy=ProxySet(members))
+        for result, _ in report.per_variant:
+            cost = exact[result.trace]
+            assert result.lower <= cost <= result.upper
+            assert abs(result.estimate - cost) <= result.proxy_distance
+            brackets += 1
+        assert realized_error(report, exact) <= report.epsilon_max
+    assert brackets > 300
 
 
 def test_structural_lower_bound_short_trace():
@@ -241,88 +232,7 @@ def test_lower_source_both_on_perfect_members():
     assert result.lower_source == LOWER_BOTH
 
 
-def test_half_distance_estimator():
-    model = ExplicitLanguageModel([("a", "b", "c", "d"), ("x", "y")])
-    proxy = ProxySet(members=(("a", "b", "c", "d"),))
-    costs = compute_ref_costs(proxy, model)
-    # in-alphabet deviations: bracket [0, 2], estimate half the distance
-    trace = ("a", "b", "x", "y", "c", "d")
-    result = approximate_cost(
-        trace, proxy, costs, model, estimator=ESTIMATOR_HALF_DISTANCE
-    )
-    assert result.proxy_distance == 2
-    assert result.estimate == Fraction(1)
-    assert result.lower <= result.estimate <= result.upper
-    # off-alphabet deviations raise the floor; the estimate clamps into it
-    clamped = approximate_cost(
-        ("a", "b", "q", "r", "c", "d"),
-        proxy,
-        costs,
-        model,
-        estimator=ESTIMATOR_HALF_DISTANCE,
-    )
-    assert clamped.lower == clamped.upper == 2
-    assert clamped.estimate == Fraction(2)
-
-
-def test_half_distance_requires_zero_costs():
-    model = ExplicitLanguageModel([("a", "b")])
-    proxy = ProxySet(members=(("a", "b", "c"),))
-    costs = compute_ref_costs(proxy, model)
-    assert costs == (1,)
-    with pytest.raises(BoundsError, match="zero"):
-        approximate_cost(
-            ("a",), proxy, costs, model, estimator=ESTIMATOR_HALF_DISTANCE
-        )
-
-
-def test_weighted_estimator_moves_inside_bracket():
-    model = ExplicitLanguageModel([("a", "b", "c")])
-    proxy = ProxySet(members=(("a", "b", "c", "d", "e"),))
-    costs = compute_ref_costs(proxy, model)
-    trace = ("a", "q", "c")
-    low = approximate_cost(trace, proxy, costs, model, upper_weight=Fraction(0))
-    mid = approximate_cost(trace, proxy, costs, model)
-    high = approximate_cost(trace, proxy, costs, model, upper_weight=Fraction(1))
-    assert low.estimate == low.lower
-    assert high.estimate == high.upper
-    assert mid.estimate == Fraction(low.lower + high.upper, 2)
-    with pytest.raises(BoundsError):
-        approximate_cost(trace, proxy, costs, model, upper_weight=Fraction(3, 2))
-
-
-@pytest.mark.parametrize(
-    "estimator, weight, message",
-    [
-        ("psychic", Fraction(1, 2), "unknown estimator 'psychic'"),
-        ("midpoint", Fraction(3, 2), "upper weight must be within [0, 1], got 3/2"),
-        ("midpoint", Fraction(-1, 3), "upper weight must be within [0, 1], got -1/3"),
-    ],
-)
-def test_approximate_log_checks_the_estimate_before_any_work(
-    monkeypatch, estimator, weight, message
-):
-    import alignbound.bounds as bounds
-
-    def no_work(*args, **kwargs):
-        raise AssertionError("a proxy was generated or a member aligned")
-
-    monkeypatch.setattr(bounds, "generate_proxy", no_work)
-    monkeypatch.setattr(bounds, "optimal_alignment", no_work)
-    model = ExplicitLanguageModel([("a", "b")])
-    log = EventLog.from_traces([("a", "b"), ("a",)])
-    with pytest.raises(BoundsError, match=re.escape(message)):
-        approximate_log(
-            log,
-            model,
-            params=StrategyParams("frequency", 50),
-            estimator=estimator,
-            upper_weight=weight,
-        )
-
-
 short_traces = st.lists(st.sampled_from("abcd"), max_size=6).map(tuple)
-UPPER_WEIGHTS = tuple(map(Fraction, ("0", "1/3", "1/2", "2/7", "1")))
 
 
 @settings(max_examples=60, deadline=None)
@@ -330,34 +240,14 @@ UPPER_WEIGHTS = tuple(map(Fraction, ("0", "1/3", "1/2", "2/7", "1")))
     model_traces=st.lists(short_traces.filter(bool), min_size=1, max_size=4),
     variants=st.dictionaries(short_traces, st.integers(1, 5), min_size=1, max_size=8),
     members=st.lists(short_traces, min_size=1, max_size=3),
-    weight=st.sampled_from(UPPER_WEIGHTS),
 )
-def test_estimates_and_total_are_exact(model_traces, variants, members, weight):
+def test_estimates_and_total_are_exact(model_traces, variants, members):
     model = ExplicitLanguageModel(model_traces)
     log = EventLog(variants)
-    report = approximate_log(
-        log, model, proxy=ProxySet(members=tuple(members)), upper_weight=weight
-    )
+    report = approximate_log(log, model, proxy=ProxySet(members=tuple(members)))
     for result, _ in report.per_variant:
         assert isinstance(result.estimate, Fraction)
-        assert result.estimate == (1 - weight) * result.lower + weight * result.upper
-    assert report.total_estimate == sum(
-        mult * r.estimate for r, mult in report.per_variant
-    )
-    # half-distance estimates are halves whatever the weight; members taken
-    # from the model cost zero, as that estimator requires
-    fitting = ProxySet(members=tuple(model_traces))
-    report = approximate_log(
-        log,
-        model,
-        proxy=fitting,
-        estimator=ESTIMATOR_HALF_DISTANCE,
-        upper_weight=weight,
-    )
-    for result, _ in report.per_variant:
-        assert result.estimate == min(
-            max(Fraction(result.proxy_distance, 2), result.lower), result.upper
-        )
+        assert result.estimate == Fraction(result.lower + result.upper, 2)
     assert report.total_estimate == sum(
         mult * r.estimate for r, mult in report.per_variant
     )

@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -285,64 +284,6 @@ def test_csv_column_flag_naming_an_absent_column_fails(workspace, capsys, flag):
     )
 
 
-def test_half_distance_estimator_on_fitting_members(workspace, capsys):
-    # the language file doubles as a proxy file of model traces, which all
-    # cost 0, as the half-distance estimator requires
-    argv = [
-        "approximate",
-        "--log",
-        workspace["log"],
-        "--model",
-        workspace["lang"],
-        "--proxy-in",
-        workspace["lang"],
-        "--estimator",
-        "half-distance",
-        "--no-timings",
-    ]
-    rc, out, err = run(argv, capsys)
-    assert rc == 0
-    assert " estimator=half-distance " in err
-    report = read_report_json(out)
-    assert report.ref_costs and not any(report.ref_costs)
-    halves = 0
-    for result, _ in report.per_variant:
-        half = Fraction(result.proxy_distance, 2)
-        assert result.estimate == max(result.lower, half)
-        assert result.lower <= result.estimate <= result.upper
-        halves += result.estimate == half > result.lower
-    assert halves > 0
-    # the estimate reads no upper weight
-    rc, weighted, _ = run(argv + ["--upper-weight", "1"], capsys)
-    assert rc == 0
-    assert weighted == out
-
-
-def test_half_distance_estimator_names_a_member_that_does_not_fit(workspace, capsys):
-    proxy_path = workspace["dir"] / "proxy.lang"
-    proxy_path.write_text("a,b,e\nb,d,e\n", encoding="utf-8")
-    rc, out, err = run(
-        [
-            "approximate",
-            "--log",
-            workspace["log"],
-            "--model",
-            workspace["lang"],
-            "--proxy-in",
-            str(proxy_path),
-            "--estimator",
-            "half-distance",
-        ],
-        capsys,
-    )
-    assert rc == 1
-    assert out == ""
-    last = err.splitlines()[-1]
-    assert last.startswith("error[bounds]: half-distance estimator needs")
-    assert "<b,d,e> has cost" in last
-    assert "<a,b,e>" not in last
-
-
 def test_approximate_proxy_round_trip(workspace, capsys):
     proxy_path = workspace["dir"] / "proxy.lang"
     rc, out_gen, _ = run(
@@ -412,6 +353,8 @@ def test_unknown_flag_is_a_usage_error(workspace, capsys):
         ("exact", ["--jobs", "2"]),
         ("approximate", ["--jobs", "2"]),
         ("approximate", ["--strict-structural"]),
+        ("approximate", ["--estimator", "midpoint"]),
+        ("approximate", ["--upper-weight", "1"]),
         ("exact", ["--heuristic"]),
     ],
 )
@@ -1006,7 +949,6 @@ def test_bad_spec_is_an_experiment_error(tmp_path, capsys, command, data, messag
 @pytest.mark.parametrize(
     "command, flag, value, code",
     [
-        ("approximate", "--upper-weight", "1/0", "bounds"),
         ("approximate", "--size-percent", "1/0", "proxy"),
         ("proxy-gen", "--size-percent", "1/0", "proxy"),
         ("evaluate", "--sizes", "5,1/0", "experiment"),
@@ -1052,28 +994,6 @@ def test_empty_log_is_checked_before_the_model_is_built(workspace, capsys, monke
     assert (rc, out) == (1, "")
     assert "error[bounds]: cannot approximate an empty log" in err
     assert calls == []
-
-
-def test_upper_weight_is_checked_before_any_work(workspace, capsys, monkeypatch):
-    calls = []
-    for name in ("generate_proxy", "optimal_alignment"):
-        real = getattr(alignbound.bounds, name)
-
-        def counted(*args, _real=real, _name=name, **kwargs):
-            calls.append(_name)
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(alignbound.bounds, name, counted)
-    net = ["--model", workspace["pnml"], "--final-marking", workspace["marking"]]
-    argv = ["approximate", "--log", workspace["log"], *net, "--upper-weight"]
-    rc, out, err = run([*argv, "3/2"], capsys)
-    assert rc == 1
-    assert out == ""
-    assert "error[bounds]: upper weight must be within [0, 1], got 3/2" in err
-    assert calls == []
-    # the same command with a valid weight does both
-    assert run([*argv, "1/3"], capsys)[0] == 0
-    assert "generate_proxy" in calls and "optimal_alignment" in calls
 
 
 @pytest.mark.parametrize("command", ["approximate", "proxy-gen"])

@@ -136,6 +136,8 @@ ROW_CONTRADICTIONS = [
     ("variants/1/lower", -1),
     ("variants/1/lower", 2),
     ("variants/0/estimate", "99"),
+    # inside the bracket [1, 3] but not its midpoint, 2
+    ("variants/0/estimate", "3"),
     ("variants/0/nearest_proxy", ["z"]),
     ("variants/0/proxy_distance", -7),
     ("variants/1/trace", []),
@@ -159,6 +161,12 @@ ROW_CONTRADICTIONS = [
         ("aggregates/total_traces", "4"),
         ("aggregates/aligner_invocations", True),
         ("aggregates/timings_us/bound_computation", 0.5),
+        ("aggregates/timings_us", []),
+        ("aggregates/timings_us", "x"),
+        ("aggregates/timings_us", 3),
+        ("aggregates/timings_us", None),
+        ("aggregates/timings_us", True),
+        ("aggregates/timings_us", 1.5),
         ("variants/0/estimate", 2.9),
         ("aggregates/total_estimate", True),
         ("variants/0/lower_source", 7),
@@ -226,13 +234,12 @@ LOWER_SOURCE = st.sampled_from(LOWER_SOURCES)
 @st.composite
 def sound_rows(draw, members):
     """A row the reader accepts: a known lower-bound source, lower <=
-    estimate <= upper and a member as the nearest proxy."""
+    upper and a member as the nearest proxy."""
     lower, upper = sorted((draw(COUNT), draw(COUNT)))
     result = BoundsResult(
         trace=draw(TRACE),
         lower=lower,
         upper=upper,
-        estimate=draw(st.fractions(min_value=lower, max_value=upper)),
         nearest_proxy=draw(st.sampled_from(members)),
         proxy_distance=draw(COUNT),
         lower_source=draw(LOWER_SOURCE),
@@ -259,7 +266,6 @@ def reports(draw, sound=False):
                 trace=TRACE,
                 lower=COUNT,
                 upper=COUNT,
-                estimate=st.fractions(min_value=0, max_value=10**12),
                 nearest_proxy=TRACE,
                 proxy_distance=COUNT,
                 lower_source=st.one_of(LOWER_SOURCE, st.text()),
