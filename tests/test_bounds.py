@@ -232,6 +232,34 @@ def test_lower_source_both_on_perfect_members():
     assert result.lower_source == LOWER_BOTH
 
 
+def test_midpoint_estimate_on_a_fitting_member():
+    model = ExplicitLanguageModel([("a", "b", "c", "d"), ("x", "y")])
+    proxy = ProxySet(members=(("a", "b", "c", "d"),))
+    costs = compute_ref_costs(proxy, model)
+    assert costs == (0,)
+    # in-alphabet deviations: bracket [0, 2], estimate its midpoint
+    trace = ("a", "b", "x", "y", "c", "d")
+    result = approximate_cost(trace, proxy, costs, model)
+    assert result.proxy_distance == 2
+    assert (result.lower, result.upper) == (0, 2)
+    assert result.estimate == Fraction(1)
+    # off-alphabet deviations raise the floor to the ceiling
+    closed = approximate_cost(("a", "b", "q", "r", "c", "d"), proxy, costs, model)
+    assert closed.lower == closed.upper == 2
+    assert closed.estimate == Fraction(2)
+
+
+def test_midpoint_estimate_of_a_wide_bracket_is_a_half():
+    model = ExplicitLanguageModel([("a", "b", "c")])
+    proxy = ProxySet(members=(("a", "b", "c", "d", "e"),))
+    costs = compute_ref_costs(proxy, model)
+    trace = ("a", "q", "c")
+    result = approximate_cost(trace, proxy, costs, model)
+    assert (result.lower, result.upper) == (1, 6)
+    assert result.estimate == Fraction(7, 2)
+    assert result.lower <= optimal_alignment(trace, model).cost <= result.upper
+
+
 short_traces = st.lists(st.sampled_from("abcd"), max_size=6).map(tuple)
 
 

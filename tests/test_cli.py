@@ -353,9 +353,9 @@ def test_unknown_flag_is_a_usage_error(workspace, capsys):
         ("exact", ["--jobs", "2"]),
         ("approximate", ["--jobs", "2"]),
         ("approximate", ["--strict-structural"]),
+        ("exact", ["--heuristic"]),
         ("approximate", ["--estimator", "midpoint"]),
         ("approximate", ["--upper-weight", "1"]),
-        ("exact", ["--heuristic"]),
     ],
 )
 def test_removed_options_are_usage_errors(workspace, capsys, command, extra):

@@ -136,11 +136,11 @@ ROW_CONTRADICTIONS = [
     ("variants/1/lower", -1),
     ("variants/1/lower", 2),
     ("variants/0/estimate", "99"),
-    # inside the bracket [1, 3] but not its midpoint, 2
-    ("variants/0/estimate", "3"),
     ("variants/0/nearest_proxy", ["z"]),
     ("variants/0/proxy_distance", -7),
     ("variants/1/trace", []),
+    # inside the bracket [1, 3] but not its midpoint, 2
+    ("variants/0/estimate", "3"),
 ]
 
 
@@ -161,12 +161,6 @@ ROW_CONTRADICTIONS = [
         ("aggregates/total_traces", "4"),
         ("aggregates/aligner_invocations", True),
         ("aggregates/timings_us/bound_computation", 0.5),
-        ("aggregates/timings_us", []),
-        ("aggregates/timings_us", "x"),
-        ("aggregates/timings_us", 3),
-        ("aggregates/timings_us", None),
-        ("aggregates/timings_us", True),
-        ("aggregates/timings_us", 1.5),
         ("variants/0/estimate", 2.9),
         ("aggregates/total_estimate", True),
         ("variants/0/lower_source", 7),
@@ -187,7 +181,16 @@ ROW_CONTRADICTIONS = [
         ("aggregates/aligner_invocations", 2),
         ("aggregates/total_estimate", "3"),
     ]
-    + ROW_CONTRADICTIONS,
+    + ROW_CONTRADICTIONS
+    + [
+        # a timings block that is not an object
+        ("aggregates/timings_us", []),
+        ("aggregates/timings_us", "x"),
+        ("aggregates/timings_us", 3),
+        ("aggregates/timings_us", None),
+        ("aggregates/timings_us", True),
+        ("aggregates/timings_us", 1.5),
+    ],
 )
 def test_reader_rejects_mangled_traces_and_integers(path, value):
     # a string trace would split into letters and a float count truncate
