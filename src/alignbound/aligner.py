@@ -8,11 +8,10 @@ model projection of the alignment, so for an explicit language the search
 reduces to a minimum over the model traces while a Petri net needs a
 least-cost search over the synchronous product.  That search carries each
 state as one int built from the marking's id (see ``PetriNetModel``) and the
-trace position, and since every move costs 0 or 1 it keeps its frontier in
-two FIFO buckets, for the current cost g and for g + 1 (Dial, CACM 1969), in
-place of a heap.  Expanding a state runs four plain push loops in preference
-order: sync moves and silent moves into the current bucket, then visible
-model moves and the log move into the next.
+trace position, and since every move costs 0 or 1 it expands one cost
+level at a time (Dial, CACM 1969) in place of a heap, deepest-first: free
+moves go onto the level's stack, and unit-cost moves wait for the next level
+in one list per trace position, to be popped from the deepest one down.
 
 A traced net search keeps each pushed state's predecessor and fired
 transition index (None for a log move) and builds the moves from them on
@@ -85,9 +84,10 @@ class AlignmentResult:
 def optimal_alignment(trace, model) -> AlignmentResult:
     """Compute one optimal alignment of ``trace`` against ``model``.
 
-    The result is deterministic: at equal cost the search prefers
-    synchronous moves, then silent moves, then visible model moves, then log
-    moves, with stable transition order as the final tie-break.
+    The result is deterministic: on a net, the first optimal alignment the
+    search reaches.  A cost level expands its latest free arrival first (sync
+    moves are pushed after silent ones, each in transition order), then its
+    unit-cost arrivals by trace position, deepest first, latest first at a tie.
     """
     alignment, cost, states = _search(trace, model, traceback=True)
     return AlignmentResult(alignment=alignment, cost=cost, states_expanded=states)
@@ -95,8 +95,8 @@ def optimal_alignment(trace, model) -> AlignmentResult:
 
 def optimal_cost(trace, model) -> tuple[int, int]:
     """``(cost, states_expanded)`` of ``optimal_alignment(trace, model)``,
-    from the same search with the same tie-breaks and state bound, without
-    building the alignment."""
+    from the same search in the same expansion order and under the same
+    state bound, without building the alignment."""
     _, cost, states = _search(trace, model, traceback=False)
     return cost, states
 
@@ -185,21 +185,21 @@ def _align_petri(trace, model, traceback):
     successors = model.successors
     state_bound = model.state_bound
 
-    # Every move costs 0 or 1: sync and silent moves add 0 to g, visible
-    # model moves and log moves add 1.  So two FIFO buckets, ``bucket`` for
-    # the current g (scanned while it grows) and ``later`` for g + 1, pop
-    # states in exactly the order of a heap keyed by (g, push order).  A
-    # popped state's g is therefore optimal, and a state is only ever pushed
-    # again with a smaller g: an entry dearer than best is stale.
+    # Sync and silent moves add 0 to g, visible model and log moves add 1.
+    # Level g is one stack; level g + 1 waits in ``later``, one list per
+    # trace position, joined in ascending position so that the deepest pops
+    # first.  Any order within a level keeps a popped g optimal; this one
+    # reaches the goal before it drains the last level.  A state is only
+    # ever pushed again with a smaller g: an entry dearer than best is stale.
     g = 0
-    bucket = [start]
-    later: list[int] = []
-    while bucket:
+    stack = [start]
+    while stack:
+        later = [[] for _ in range(stride)]
         g1 = g + 1
-        for state in bucket:
+        while stack:
+            state = stack.pop()
             if g > best[state]:
                 continue
-            mid, pos = divmod(state, stride)
             if state == goal:
                 if traceback:
                     return _rebuild(came_from, start, goal, trace, model), g, expanded
@@ -210,10 +210,19 @@ def _align_petri(trace, model, traceback):
                     f"state bound {state_bound} exceeded after expanding "
                     f"{expanded} states while aligning {format_trace(trace)}"
                 )
+            mid, pos = divmod(state, stride)
             silent, visible, by_label = memo[mid] or successors(mid)
-            # four push loops, one per move kind, in the preference among
-            # equally cheap moves: sync, silent, visible model, log; each
-            # walks its (transition index, marking id) pairs in index order
+            # four push loops over (transition index, marking id) pairs in
+            # index order: silent then sync moves onto the stack, the log
+            # move and visible model moves into their positions' lists
+            for i, reached in silent:
+                after = reached * stride + pos
+                known = best.get(after)
+                if known is None or g < known:
+                    best[after] = g
+                    if traceback:
+                        came_from[after] = (state, i)
+                    stack.append(after)
             if pos < n:
                 at = pos + 1
                 for i, reached in by_label.get(trace[pos], ()):
@@ -223,24 +232,7 @@ def _align_petri(trace, model, traceback):
                         best[after] = g
                         if traceback:
                             came_from[after] = (state, i)
-                        bucket.append(after)
-            for i, reached in silent:
-                after = reached * stride + pos
-                known = best.get(after)
-                if known is None or g < known:
-                    best[after] = g
-                    if traceback:
-                        came_from[after] = (state, i)
-                    bucket.append(after)
-            for i, reached in visible:
-                after = reached * stride + pos
-                known = best.get(after)
-                if known is None or g1 < known:
-                    best[after] = g1
-                    if traceback:
-                        came_from[after] = (state, i)
-                    later.append(after)
-            if pos < n:
+                        stack.append(after)
                 # the log move keeps the marking: its state is the next int
                 after = state + 1
                 known = best.get(after)
@@ -248,9 +240,17 @@ def _align_petri(trace, model, traceback):
                     best[after] = g1
                     if traceback:
                         came_from[after] = (state, None)
-                    later.append(after)
-        bucket, later = later, []
-        g += 1
+                    later[at].append(after)
+            here = later[pos]
+            for i, reached in visible:
+                after = reached * stride + pos
+                known = best.get(after)
+                if known is None or g1 < known:
+                    best[after] = g1
+                    if traceback:
+                        came_from[after] = (state, i)
+                    here.append(after)
+        g, stack = g1, [state for level in later for state in level]
     # a net whose empty trace aligns reaches the goal from every trace, so
     # only the empty-trace search of ``PetriNetModel.__init__`` gets here
     raise ModelError("final marking is unreachable from the initial marking")

@@ -222,28 +222,34 @@ def align_petri_reference(trace, model):
     """Dijkstra over (trace position, marking) that finds the enabled transitions
     of each expanded state by scanning the net three times, and keeps a
     settled set beside the cost map.  Returns ``(alignment, cost,
-    states_expanded)`` with the tie-breaking ``optimal_alignment`` promises:
-    sync, silent, visible model, log, each in transition order."""
+    states_expanded)`` with the expansion order ``optimal_alignment``
+    promises, from one heap: a free push (sync or silent move) is keyed
+    ``(g, 0, 0, -stamp)`` and a unit-cost push (visible model or log move)
+    ``(g, 1, -position, -stamp)``, where the stamp counts pushes and one
+    expansion pushes visible, log, silent and sync moves in that order, each
+    in transition order.  So a level pops its free arrivals latest first,
+    then its unit-cost arrivals by descending trace position, latest first."""
     trace = tuple(trace)
     n = len(trace)
     start = (0, model.initial_marking)
     best = {start: 0}
     came_from = {}
-    heap = [(0, 0, start)]
-    seq = 0
+    heap = [(0, 0, 0, 0, start)]
+    stamp = 0
     settled = set()
     expanded = 0
 
-    def push(state, g, parent, move):
-        nonlocal seq
+    def push(state, g, unit, parent, move):
+        nonlocal stamp
         if state not in best or g < best[state]:
             best[state] = g
             came_from[state] = (parent, move)
-            seq += 1
-            heapq.heappush(heap, (g, seq, state))
+            stamp += 1
+            depth = -state[0] if unit else 0
+            heapq.heappush(heap, (g, unit, depth, -stamp, state))
 
     while heap:
-        g, _, state = heapq.heappop(heap)
+        g, _, _, _, state = heapq.heappop(heap)
         if state in settled or g > best[state]:
             continue
         pos, marking = state
@@ -257,21 +263,23 @@ def align_petri_reference(trace, model):
         expanded += 1
         if expanded > model.state_bound:
             raise StateBoundError(f"state bound {model.state_bound} exceeded")
+        for ti, trans in enumerate(model.transitions):
+            if not trans.silent and model.enabled(marking, ti):
+                after = (pos, model.fire(marking, ti))
+                move = Move(MoveKind.MODEL, trans.label, trans.tid)
+                push(after, g + 1, 1, state, move)
+        if pos < n:
+            push((pos + 1, marking), g + 1, 1, state, Move(MoveKind.LOG, trace[pos]))
+        for ti, trans in enumerate(model.transitions):
+            if trans.silent and model.enabled(marking, ti):
+                after = (pos, model.fire(marking, ti))
+                push(after, g, 0, state, Move(MoveKind.SILENT, None, trans.tid))
         if pos < n:
             for ti, trans in enumerate(model.transitions):
                 if trans.label == trace[pos] and model.enabled(marking, ti):
                     after = (pos + 1, model.fire(marking, ti))
-                    push(after, g, state, Move(MoveKind.SYNC, trans.label, trans.tid))
-        for ti, trans in enumerate(model.transitions):
-            if trans.silent and model.enabled(marking, ti):
-                after = (pos, model.fire(marking, ti))
-                push(after, g, state, Move(MoveKind.SILENT, None, trans.tid))
-        for ti, trans in enumerate(model.transitions):
-            if not trans.silent and model.enabled(marking, ti):
-                after = (pos, model.fire(marking, ti))
-                push(after, g + 1, state, Move(MoveKind.MODEL, trans.label, trans.tid))
-        if pos < n:
-            push((pos + 1, marking), g + 1, state, Move(MoveKind.LOG, trace[pos]))
+                    move = Move(MoveKind.SYNC, trans.label, trans.tid)
+                    push(after, g, 0, state, move)
     raise StateBoundError("search exhausted without reaching the final marking")
 
 
