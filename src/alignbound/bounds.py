@@ -18,6 +18,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 
 from .aligner import optimal_alignment
 # edit_distance stays importable: perfbench/tracer.py wraps it here to count LCS calls
@@ -114,10 +115,10 @@ def approximate_cost(
     # nearest member
     nearest = proxy.members[distances.index(proxy_distance)]
 
-    upper = min(cost + d for cost, d in zip(costs, distances))
-    outside = sum(1 for a in trace if a not in model.alphabet)
+    upper = min(map(add, costs, distances))
+    outside = len(trace) - sum(map(model.alphabet.__contains__, trace))
     structural = max(0, model.min_visible_length - len(trace)) + outside
-    proxy_term = max(0, max(cost - d for cost, d in zip(costs, distances)))
+    proxy_term = max(0, max(map(sub, costs, distances)))
     lower = max(structural, proxy_term)
     if structural == proxy_term:
         source = LOWER_BOTH

@@ -8,15 +8,16 @@ sorts; :func:`canonical_traces` orders every other trace set alike.
 
 Neither parser builds an element tree or a list of every row.  XES has
 two paths.  A document in the layout :func:`write_log_xes` emits, once
-inspecting its bytes proves it well-formed, is read by anchored byte
-patterns, one match per trace, so no Python code runs per element.  Every
-other document, and one whose bytes prove nothing, goes through an expat
-handler that counts each trace as it closes.  CSV is read in chunks of a
-fixed number of rows, each split into columns with no Python code per row;
-what is kept is the interned activity column, the order column and each
-case's row numbers, and each case then becomes one trace.  The two writers
-work per variant: a variant's text is built once and repeated for each of
-its cases, with only the case name changed.
+inspecting its bytes proves it well-formed, is split at its trace
+boundaries by one byte pattern and its traces counted by their runs of
+events, each distinct run matched once, so no Python code runs per element
+or per trace.  Every other document, and one whose bytes prove nothing,
+goes through an expat handler that counts each trace as it closes.  CSV is
+read in chunks of a fixed number of rows, each split into columns with no
+Python code per row; what is kept is the interned activity column, the
+order column and each case's row numbers, and each case then becomes one
+trace.  The two writers work per variant: a variant's text is built once
+and repeated for each of its cases, with only the case name changed.
 """
 
 import codecs
@@ -127,13 +128,15 @@ def parse_xes(data: bytes) -> EventLog:
     Python call per element: its XML declaration and ``<log
     xes.version="1.0">``, then traces each holding a concept:name string
     and events of one non-empty concept:name string each, any whitespace
-    between elements, and values quoted as ``quoteattr`` quotes them.  Byte
-    patterns read it one trace at a time and count traces by their run of
-    events, once inspecting the bytes proves it well-formed.  Any other
-    document, and one the inspection cannot prove, goes to expat handlers
-    that count each trace as it closes; if it leaves the layout only late,
-    the byte patterns' work up to there is spent for nothing.  Both paths
-    give the same log, and every error comes from the handler parser.
+    between elements, and values quoted as ``quoteattr`` quotes them.  One
+    byte pattern splits it at its trace boundaries, a window of about 64 KiB
+    at a time; its traces are counted by their runs of events, and each
+    distinct run is matched once, once inspecting the bytes proves the
+    document well-formed.  Any other document, and one the inspection cannot
+    prove, goes to expat handlers that count each trace as it closes; if it
+    leaves the layout only late, the split's work up to there is spent for
+    nothing.  Both paths give the same log, and every error comes from the
+    handler parser.
 
     :raises LogParseError: on malformed XML (message includes the position),
         an XML declaration naming an encoding expat cannot read, or an event
@@ -143,13 +146,16 @@ def parse_xes(data: bytes) -> EventLog:
     return _parse_xes_with_handlers(data) if log is None else log
 
 
-# The layout write_log_xes emits, as byte patterns: _FLAT_TRACE matches one
-# whole trace (a case name, then events of one concept:name each) and
-# captures its run of events, and _FLAT_NAMES captures each event's name with
-# its quotes.  A quoted value holds at least one character and no raw tab or
-# line break, which XML would read as a space; which references it may hold
-# is left to _well_formed_by_inspection.  Names are found once per distinct
-# run of events and decoded once per distinct spelling.
+# The layout write_log_xes emits, as byte patterns: _FLAT_OPEN matches a
+# trace's opening up to its case name, _FLAT_BOUNDARY one trace's close and
+# the next one's opening, _FLAT_RUN the run of events between an opening and
+# a close (events of one concept:name each, and the whitespace after them),
+# and _FLAT_NAMES captures each event's name with its quotes.  A quoted value
+# holds at least one character and no "<", raw tab or line break, which XML
+# would read as a space, so "</trace>" occurs only where a trace closes;
+# which references a value may hold is left to _well_formed_by_inspection.
+# Runs are matched and their names found once per distinct run, and names
+# decoded once per distinct spelling.
 _REFERENCES = {
     "&amp;": "&", "&lt;": "<", "&gt;": ">", "&quot;": '"',
     "&#10;": "\n", "&#13;": "\r", "&#9;": "\t",
@@ -160,10 +166,9 @@ _NAME = rb"""<string key="concept:name" value=(%b"[^"<\t\n\r]+"|'[^'<\t\n\r]+')/
 _FLAT_HEAD = re.compile(
     rb'<\?xml version="1\.0" encoding="UTF-8"\?>' + _S + rb'<log xes\.version="1\.0">'
 )
-_FLAT_TRACE = re.compile(
-    _S + rb"<trace>" + _S + _NAME % b"?:"
-    + rb"((?:" + _S + rb"<event>" + _NAME % b"?:" + rb"</event>)*)" + _S + rb"</trace>"
-)
+_FLAT_OPEN = re.compile(_S + rb"<trace>" + _S + _NAME % b"?:")
+_FLAT_BOUNDARY = re.compile(rb"</trace>" + _FLAT_OPEN.pattern)
+_FLAT_RUN = re.compile(rb"(?:" + _S + rb"<event>" + _NAME % b"?:" + rb"</event>)*" + _S)
 _FLAT_NAMES = re.compile(rb"<event>" + _NAME % b"")
 _FLAT_TAIL = re.compile(_S + rb"</log>" + _S)
 # The bytes _well_formed_by_inspection looks at: "&", the C0 controls XML
@@ -179,23 +184,44 @@ _CHUNK = 1 << 16
 def _parse_flat_xes(data: bytes) -> EventLog | None:
     """The log of a document in the writer's layout that
     :func:`_well_formed_by_inspection` proves well-formed, or ``None`` for
-    any other document.  Each trace is one anchored match, counted by the
-    bytes of its run of events; only after the whole document matched is it
-    inspected.  Each distinct run then gives its quoted names in one
-    ``findall``, and each distinct name is decoded once; two runs that
-    differ only in whitespace or quoting give one variant.
+    any other document.
+
+    The head and the first trace's opening are anchored matches, and the
+    bytes after the last ``</trace>`` must be the tail.  The bytes between
+    are walked in windows that each end at the first ``</trace>`` at or
+    after ``_CHUNK`` bytes, so a window holds whole traces; one split at
+    the trace boundaries cuts it into runs of events, which a ``Counter``
+    counts, and only the runs not seen before are matched.  The bytes
+    between two windows must be one boundary, so every byte is pinned by a
+    pattern.  Only after the whole document matched is it inspected.  Each
+    distinct run then gives its quoted names in one ``findall``, and each
+    distinct name is decoded once; two runs that differ only in whitespace
+    or quoting give one variant.
     """
     head = _FLAT_HEAD.match(data)
     if head is None:
         return None
-    pos = head.end()
-    counts: dict[bytes, int] = {}  # run of events -> its number of traces
-    match = _FLAT_TRACE.match
-    while (found := match(data, pos)) is not None:
-        body = found[1]
-        counts[body] = counts.get(body, 0) + 1
-        pos = found.end()
-    if _FLAT_TAIL.fullmatch(data, pos) is None or not _well_formed_by_inspection(data):
+    counts: Counter = Counter()  # run of events -> its number of traces
+    tail = head.end()
+    if (first := _FLAT_OPEN.match(data, tail)) is not None:
+        pos, last = first.end(), data.rfind(b"</trace>")
+        if last < pos:
+            return None
+        split, run = _FLAT_BOUNDARY.split, _FLAT_RUN.fullmatch
+        while True:
+            end = data.find(b"</trace>", pos + _CHUNK, last)
+            end = last if end < 0 else end
+            known = len(counts)
+            counts.update(split(data[pos:end]))
+            if not all(map(run, islice(counts, known, None))):
+                return None
+            if end == last:
+                break
+            if (boundary := _FLAT_BOUNDARY.match(data, end)) is None:
+                return None
+            pos = boundary.end()
+        tail = last + len(b"</trace>")
+    if _FLAT_TAIL.fullmatch(data, tail) is None or not _well_formed_by_inspection(data):
         return None
     names = _FLAT_NAMES.findall
     runs = [(names(body), mult) for body, mult in counts.items()]

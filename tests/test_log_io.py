@@ -6,6 +6,7 @@ import tracemalloc
 import unicodedata
 from collections import Counter
 from contextlib import contextmanager
+from types import SimpleNamespace
 from unittest.mock import patch
 from xml.sax.saxutils import escape, quoteattr
 
@@ -623,12 +624,18 @@ def flat_xes_documents(draw, off_layout: bool):
             traces = traces or [[]]
             events = traces[draw(POSITION) % len(traces)]
             _insert(draw, events, [draw(st.sampled_from(OFF_LAYOUT_EVENTS))])
+    return _flat_document(draw, head, [draw(FLAT_SPACE) for _ in traces], traces)
+
+
+def _flat_document(draw, head: str, gaps, traces) -> bytes:
+    """``head``, then each trace's events after its gap, with a drawn case
+    name and drawn whitespace between elements, then the tail."""
     body = "".join(
-        f'{draw(FLAT_SPACE)}<trace>{draw(FLAT_SPACE)}'
+        f'{gap}<trace>{draw(FLAT_SPACE)}'
         f'<string key="concept:name" value={draw(FLAT_QUOTED)}/>'
         + "".join(draw(FLAT_SPACE) + event for event in events)
         + f"{draw(FLAT_SPACE)}</trace>"
-        for events in traces
+        for gap, events in zip(gaps, traces)
     )
     return f"{head}{body}{draw(FLAT_SPACE)}</log>{draw(FLAT_SPACE)}".encode()
 
@@ -715,6 +722,129 @@ def test_parse_xes_outside_the_flat_layout_takes_the_handler_path(data, expected
     assert _parse_flat_xes(data) is None
     assert outcome(parse_xes, data) == expected
     assert outcome(parse_xes_reference, data) == expected
+
+
+# The flat path splits a document in windows of about _CHUNK bytes, each
+# ending where a trace closes.  Windows of a few bytes put window edges
+# between most traces and inside the longer ones.
+XES_WINDOW = st.sampled_from([1, 40, 200])
+# bytes between two traces that leave the layout
+OFF_LAYOUT_GAPS = ["<!-- a comment -->", "<x/>", "</trace>"]
+
+
+def xes_window(size: int):
+    """Make the flat path split ``size``-byte windows."""
+    return patch.object(log_module, "_CHUNK", size)
+
+
+@st.composite
+def windowed_xes_documents(draw, off_layout: bool):
+    """Documents in the writer's layout with up to a dozen traces, drawn from
+    a few runs of events, so that runs repeat; one run is longer than a
+    200-byte window, and runs may be empty.  Off the layout, one event or
+    the bytes before one trace leave it."""
+    runs = draw(st.lists(st.lists(FLAT_QUOTED, max_size=3), min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(runs) - 1), max_size=11))
+    runs.append(draw(st.lists(FLAT_QUOTED, min_size=5, max_size=6)))
+    picks = _insert(draw, picks, [len(runs) - 1])
+    traces = [[FLAT_EVENT % q for q in runs[i]] for i in picks]
+    gaps = [draw(FLAT_SPACE) for _ in traces]
+    if off_layout:
+        at = draw(POSITION) % len(traces)
+        if draw(st.booleans()):
+            _insert(draw, traces[at], [draw(st.sampled_from(OFF_LAYOUT_EVENTS))])
+        else:
+            gaps[at] += draw(st.sampled_from(OFF_LAYOUT_GAPS))
+    return _flat_document(draw, FLAT_HEAD, gaps, traces)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.booleans().flatmap(
+        lambda off: st.tuples(st.just(off), windowed_xes_documents(off))
+    ),
+    XES_WINDOW,
+)
+# a comment between two windows of one trace each
+@example(
+    (True, _flat_log(b'"a"', b'"b"').replace(b"</trace><", b"</trace><!-- c --><", 1)), 1
+)
+def test_parse_xes_flat_path_across_window_edges(case, window):
+    off_layout, data = case
+    expected = outcome(parse_xes_reference, data)
+    assert outcome(_parse_xes_with_handlers, data) == expected
+    with xes_window(window):
+        log = _parse_flat_xes(data)
+        assert (log is None) == off_layout
+        assert outcome(parse_xes, data) == expected
+    if log is not None:
+        assert list(log.variants.items()) == expected
+
+
+def _writer_log(draws: int) -> EventLog:
+    """A log of up to ``draws`` variants of 0 to 4 events over three labels,
+    most of them holding several traces."""
+    labels = ("a", "b", "c d")
+    return EventLog(
+        {
+            tuple(labels[v // 3**i % 3] for i in range(v % 5)): 1 + v % 4
+            for v in range(draws)
+        }
+    )
+
+
+NESTED_LIST = b'<list key="l"><string key="x" value="y"/></list>'
+
+
+@pytest.mark.parametrize("window", [1, 40, 200])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_parse_xes_leaving_the_layout_in_any_window(window, where):
+    # a list after the case name of the first, a middle or the last trace
+    # leaves the layout in the first, a middle or the last window
+    data = write_log_xes(_writer_log(40))
+    names = [m.end() for m in re.finditer(rb'value="case-[0-9]+"/>', data)]
+    at = {"first": names[0], "middle": names[len(names) // 2], "last": names[-1]}[where]
+    data = data[:at] + NESTED_LIST + data[at:]
+    expected = outcome(parse_xes_reference, data)
+    assert outcome(_parse_xes_with_handlers, data) == expected
+    with xes_window(window):
+        assert _parse_flat_xes(data) is None
+        assert outcome(parse_xes, data) == expected
+
+
+@contextmanager
+def _counting_run_matches():
+    """The runs of events the flat path fullmatches, one entry per call."""
+    runs = []
+    real = log_module._FLAT_RUN.fullmatch
+
+    def fullmatch(run):
+        runs.append(run)
+        return real(run)
+
+    with patch.object(log_module, "_FLAT_RUN", SimpleNamespace(fullmatch=fullmatch)):
+        yield runs
+
+
+@pytest.mark.parametrize("window", [40, log_module._CHUNK])
+def test_parse_xes_flat_path_matches_each_distinct_run_once(window):
+    log = _writer_log(40)
+    data = write_log_xes(log)
+    with xes_window(window), _counting_run_matches() as runs:
+        assert _parse_flat_xes(data).variants == log.variants
+    # one match per distinct run of events, not one per trace
+    assert len(runs) == len(set(runs)) == len(log.variants) < log.total_traces
+    # a list in the last event only: the flat path matches each distinct
+    # run once, the last trace's changed run too, and declines there;
+    # parse_xes gives the handler parser's log
+    at = data.rfind(b"</event>")
+    late = data[:at] + NESTED_LIST + data[at:]
+    with xes_window(window), _counting_run_matches() as runs:
+        assert _parse_flat_xes(late) is None
+    last_seen_before = list(log.variants.values())[-1] > 1
+    assert len(runs) == len(set(runs)) == len(log.variants) + last_seen_before
+    assert NESTED_LIST in runs[-1]
+    assert parse_xes(late).variants == _parse_xes_with_handlers(late).variants == log.variants
 
 
 # Bytes XML may reject in a quoted value, and bytes it accepts that the
