@@ -303,10 +303,13 @@ def _cmd_proxy_gen(args) -> int:
     params = _strategy_params(args)
     log = _load_log(args)
     table = DistanceTable(log.variant_traces)
-    if args.dump_distance_matrix:
-        _write(args.dump_distance_matrix, table.matrix_csv(), "distance matrix")
+    # built before the proxy set, so every strategy slices its columns from
+    # the matrix; written only once the log has yielded a proxy set
+    matrix = table.matrix_csv() if args.dump_distance_matrix else None
     proxy = generate_proxy(log, params, table)
     eps = epsilon_max_error(log, proxy, table)
+    if matrix is not None:
+        _write(args.dump_distance_matrix, matrix, "distance matrix")
     _write_traces(args.out, proxy.members, "proxy file")
     print(
         f"proxy: {len(proxy)} members, a-priori max error {eps.value}",

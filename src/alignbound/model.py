@@ -271,8 +271,10 @@ def parse_pnml(
     transitions, unit arcs.
 
     A transition with no name element, an empty name, or a name equal to
-    ``silent_label`` is silent.  The final marking is not part of the file
-    and must be supplied as a place-id -> token-count mapping.
+    ``silent_label`` is silent.  An arc without an inscription has weight
+    one; an arc whose inscription text is anything but ``1`` is rejected,
+    as the net would fire it as a unit arc.  The final marking is not part
+    of the file and must be supplied as a place-id -> token-count mapping.
     """
     if isinstance(data, str):
         data = data.encode("utf-8")
@@ -284,6 +286,11 @@ def parse_pnml(
 
     def local(tag):
         return tag.rsplit("}", 1)[-1]
+
+    def text(elem):
+        """The stripped text of every ``text`` element within ``elem``."""
+        texts = (t.text or "" for t in elem.iter() if local(t.tag) == "text")
+        return "".join(texts).strip()
 
     place_ids = []
     initial = {}
@@ -301,11 +308,8 @@ def parse_pnml(
             tokens = 0
             for child in elem.iter():
                 if local(child.tag) == "initialMarking":
-                    text = "".join(
-                        t.text or "" for t in child.iter() if local(t.tag) == "text"
-                    )
                     try:
-                        tokens = int(text.strip())
+                        tokens = int(text(child))
                     except ValueError:
                         raise ModelError(
                             f"place {pid!r} has a non-integer initial marking"
@@ -325,7 +329,14 @@ def parse_pnml(
                 label = None
             transitions.append(Transition(tid=tid, label=label))
         elif tag == "arc":
-            arcs.append((elem.get("id") or "?", elem.get("source"), elem.get("target")))
+            aid = elem.get("id") or "?"
+            for child in elem:
+                if local(child.tag) == "inscription" and text(child) != "1":
+                    raise ModelError(
+                        f"arc {aid!r} has inscription {text(child)!r}; "
+                        "only unit arcs are supported"
+                    )
+            arcs.append((aid, elem.get("source"), elem.get("target")))
 
     if not place_ids:
         raise ModelError("net has no places")

@@ -4,9 +4,9 @@ JSON is the lossless interchange format (exact rationals travel as
 strings like ``"7/2"`` and round-trip bit for bit); CSV is a flat view
 with one row per variant and an aggregate footer block.  Field order is
 fixed so identical runs produce identical bytes once timings are zeroed.
-The JSON bytes are those of ``json.dumps(doc, indent=2)``; the variant rows
-are filled into a template of that layout rather than encoded one value
-at a time.
+The JSON bytes are those of ``json.dumps(doc)`` plus a newline: one line
+with the default separators and every non-ASCII character escaped, which
+``python -m json.tool`` pretty-prints.
 """
 
 import csv
@@ -14,7 +14,6 @@ import io
 import json
 from dataclasses import replace
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 
 from .bounds import (
     LOWER_SOURCES,
@@ -63,88 +62,36 @@ def write_report(report: ApproxReport, fmt: str = "json") -> bytes:
     raise ReportError(f"unknown report format {fmt!r}; expected json or csv")
 
 
-# one variant object of the JSON report in json.dumps(indent=2)'s layout
-# at its depth inside the "variants" list; the keys are CSV_HEADER's
-_JSON_VARIANT = (
-    "\n    {\n"
-    + ",\n".join(f"      {encode_basestring_ascii(key)}: %s" for key in CSV_HEADER)
-    + "\n    }"
-)
-
-
-# how json.dumps(indent=2) opens a document whose first key is "proxy"
-_PROXY_HEAD = '{\n  "proxy": {\n'
-
-
-def _json_trace(trace, texts: dict) -> str:
-    """A trace as json.dumps(indent=2) lays out a list of strings whose
-    items sit eight spaces deep; ``texts`` memoises each trace's text."""
-    text = texts.get(trace)
-    if text is None:
-        items = ",\n        ".join(map(encode_basestring_ascii, trace))
-        text = texts[trace] = "[\n        " + items + "\n      ]" if trace else "[]"
-    return text
-
-
 def _write_json(report: ApproxReport) -> bytes:
-    """The JSON report, byte for byte ``json.dumps(doc, indent=2) + "\\n"``.
-
-    Each variant row fills one fixed template, with strings escaped by the
-    C escaper ``json.dumps`` itself uses, and the proxy members are laid
-    out with the same trace texts, so the stdlib's pure-Python indenting
-    encoder only lays out the reference costs and the aggregate block.  The
-    template holds only while the stdlib keeps its ``indent=2`` layout,
-    which the tests compare against on every supported Python.
-    """
-    texts: dict = {}
-    rows = [
-        _JSON_VARIANT
-        % (
-            _json_trace(result.trace, texts),
-            mult,
-            result.lower,
-            result.upper,
-            # a Fraction's str holds only digits, "-" and "/"
-            f'"{result.estimate}"',
-            _json_trace(result.nearest_proxy, texts),
-            result.proxy_distance,
-            encode_basestring_ascii(result.lower_source),
-        )
-        for result, mult in report.per_variant
-    ]
-    variants = "[" + ",".join(rows) + "\n  ]" if rows else "[]"
-    # member traces sit at the depth of variant traces
-    members = (
-        "[\n      "
-        + ",\n      ".join(_json_trace(t, texts) for t in report.proxy.members)
-        + "\n    ]"
-        if report.proxy.members
-        else "[]"
-    )
-    rest = json.dumps(
-        {
-            "proxy": {
-                "ref_costs": [
-                    {"trace": list(t), "cost": cost}
-                    for t, cost in zip(report.proxy.members, report.ref_costs)
-                ],
-                "provenance": report.proxy.provenance,
-            },
-            "aggregates": _aggregates(report),
+    """The JSON report: ``json.dumps`` of the document with its default
+    separators, which lets the stdlib's C encoder write it whole.  Traces
+    go in as the tuples they are; ``json.dumps`` writes a tuple as an
+    array."""
+    doc = {
+        "variants": [
+            {
+                "trace": result.trace,
+                "multiplicity": mult,
+                "lower": result.lower,
+                "upper": result.upper,
+                "estimate": str(result.estimate),
+                "nearest_proxy": result.nearest_proxy,
+                "proxy_distance": result.proxy_distance,
+                "lower_source": result.lower_source,
+            }
+            for result, mult in report.per_variant
+        ],
+        "proxy": {
+            "members": report.proxy.members,
+            "ref_costs": [
+                {"trace": t, "cost": cost}
+                for t, cost in zip(report.proxy.members, report.ref_costs)
+            ],
+            "provenance": report.proxy.provenance,
         },
-        indent=2,
-    )
-    # rest opens with _PROXY_HEAD; the variants block goes in as the first
-    # key and the members as the proxy's first key
-    return (
-        '{\n  "variants": '
-        + variants
-        + ',\n  "proxy": {\n    "members": '
-        + members
-        + ",\n"
-        + rest[len(_PROXY_HEAD) :]
-        + "\n"
-    ).encode("utf-8")
+        "aggregates": _aggregates(report),
+    }
+    return (json.dumps(doc) + "\n").encode("utf-8")
 
 
 def _trace(value) -> tuple:

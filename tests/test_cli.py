@@ -534,6 +534,17 @@ def test_empty_log(workspace, capsys, command):
         assert EMPTY_LOG_ERRORS[command] in err
 
 
+def test_proxy_gen_dumps_no_matrix_of_an_empty_log(workspace, capsys):
+    log = workspace["dir"] / "empty.xes"
+    log.write_text('<log xes.version="1.0"></log>', encoding="utf-8")
+    matrix = workspace["dir"] / "m.csv"
+    argv = ["proxy-gen", "--log", str(log), "--dump-distance-matrix", str(matrix)]
+    rc, out, err = run([*argv, "--out", str(workspace["dir"] / "proxy.lang")], capsys)
+    assert (rc, out) == (1, "")
+    assert EMPTY_LOG_ERRORS["proxy-gen"] in err
+    assert not matrix.exists()
+
+
 # Runs each argv through cli.main in this fresh process and prints, per
 # command, its exit code and whether numpy and urllib.request are loaded.
 LOADED_MODULES_CHILD = """

@@ -3,6 +3,7 @@ import re
 import pytest
 
 from alignbound import fixtures
+from alignbound.aligner import optimal_cost
 from alignbound.errors import ModelError, StateBoundError
 from alignbound.model import (
     ExplicitLanguageModel,
@@ -153,6 +154,42 @@ def test_parse_pnml_rejects_a_malformed_element(old, new, message):
     assert old in PNML_SEQUENCE
     with pytest.raises(ModelError, match=message):
         parse_pnml(PNML_SEQUENCE.replace(old, new, 1), final_marking={"p3": 1})
+
+
+# p0 -> t(a) -> p1 and p0 -> u(b) -> p1; INSCRIPTION goes into arc w1
+PNML_WEIGHTED = """<pnml><net id="n"><page id="p">
+  <place id="p0"><initialMarking><text>1</text></initialMarking></place>
+  <place id="p1"/>
+  <transition id="t"><name><text>a</text></name></transition>
+  <transition id="u"><name><text>b</text></name></transition>
+  <arc id="w1" source="p0" target="t">INSCRIPTION</arc>
+  <arc id="w2" source="t" target="p1"/>
+  <arc id="w3" source="p0" target="u"/>
+  <arc id="w4" source="u" target="p1"/>
+</page></net></pnml>
+"""
+
+
+def test_parse_pnml_rejects_a_weighted_arc():
+    # a weight-2 arc from a one-token place leaves t dead, so <a> costs 2;
+    # read as a unit arc it would cost 0
+    data = PNML_WEIGHTED.replace("INSCRIPTION", "<inscription><text>2</text></inscription>")
+    with pytest.raises(ModelError, match="^arc 'w1' has inscription '2'") as info:
+        parse_pnml(data, final_marking={"p1": 1})
+    assert info.value.code == "model"
+
+
+def test_parse_pnml_unit_inscription_is_a_plain_arc():
+    plain = parse_pnml(PNML_WEIGHTED.replace("INSCRIPTION", ""), final_marking={"p1": 1})
+    unit = parse_pnml(
+        PNML_WEIGHTED.replace("INSCRIPTION", "<inscription><text> 1 </text></inscription>"),
+        final_marking={"p1": 1},
+    )
+    for net in (plain, unit):
+        assert (net.places, net.transitions) == (plain.places, plain.transitions)
+        assert (net.inputs, net.outputs) == (plain.inputs, plain.outputs)
+        costs = [optimal_cost(trace, net)[0] for trace in ((), ("a",), ("b",), ("a", "b"))]
+        assert costs == [1, 0, 0, 1]
 
 
 @pytest.mark.parametrize(
