@@ -7,17 +7,18 @@ whatever order it was built in, so no parser keeps an order and no reader
 sorts; :func:`canonical_traces` orders every other trace set alike.
 
 Neither parser builds an element tree or a list of every row.  XES has
-two paths.  A document in the layout :func:`write_log_xes` emits, once
-inspecting its bytes proves it well-formed, is split at its trace
-boundaries by one byte pattern and its traces counted by their runs of
-events, each distinct run matched once, so no Python code runs per element
-or per trace.  Every other document, and one whose bytes prove nothing,
-goes through an expat handler that counts each trace as it closes.  CSV is
-read in chunks of a fixed number of rows, each split into columns with no
-Python code per row; what is kept is the interned activity column, the
-order column and each case's row numbers, and each case then becomes one
-trace.  The two writers work per variant: a variant's text is built once
-and repeated for each of its cases, with only the case name changed.
+two paths.  A document in the layout :func:`write_log_xes` emits is split
+at its trace boundaries by one byte pattern and its traces counted by their
+runs of events, each distinct run matched once, so no Python code runs per
+element or per trace; the patterns hold XML's character rules, so only a
+document holding non-ASCII bytes is checked further, for UTF-8.  Every
+other document goes through an expat handler that counts each trace as it
+closes.  CSV is read in chunks of a fixed number of rows, each split into
+columns with no Python code per row; what is kept is the interned activity
+column, the order column and each case's row numbers, and each case then
+becomes one trace.  The two writers work per variant: a variant's text is
+built once and repeated for each of its cases, with only the case name
+changed.
 """
 
 import codecs
@@ -128,12 +129,13 @@ def parse_xes(data: bytes) -> EventLog:
     Python call per element: its XML declaration and ``<log
     xes.version="1.0">``, then traces each holding a concept:name string
     and events of one non-empty concept:name string each, any whitespace
-    between elements, and values quoted as ``quoteattr`` quotes them.  One
-    byte pattern splits it at its trace boundaries, a window of about 64 KiB
-    at a time; its traces are counted by their runs of events, and each
-    distinct run is matched once, once inspecting the bytes proves the
-    document well-formed.  Any other document, and one the inspection cannot
-    prove, goes to expat handlers that count each trace as it closes; if it
+    between elements, and values quoted as ``quoteattr`` quotes them: no
+    ``<``, no control character but through a reference, and ``&`` only in
+    the references ``quoteattr`` writes.  One byte pattern splits it at its
+    trace boundaries, a window of about 64 KiB at a time; its traces are
+    counted by their runs of events, and each distinct run is matched once.
+    Non-ASCII bytes must be UTF-8 without U+FFFE or U+FFFF.  Any other
+    document goes to expat handlers that count each trace as it closes; if it
     leaves the layout only late, the split's work up to there is spent for
     nothing.  Both paths give the same log, and every error comes from the
     handler parser.
@@ -151,18 +153,26 @@ def parse_xes(data: bytes) -> EventLog:
 # the next one's opening, _FLAT_RUN the run of events between an opening and
 # a close (events of one concept:name each, and the whitespace after them),
 # and _FLAT_NAMES captures each event's name with its quotes.  A quoted value
-# holds at least one character and no "<", raw tab or line break, which XML
-# would read as a space, so "</trace>" occurs only where a trace closes;
-# which references a value may hold is left to _well_formed_by_inspection.
-# Runs are matched and their names found once per distinct run, and names
-# decoded once per distinct spelling.
+# holds at least one character and only what XML admits in it: no "<", no C0
+# control (XML would read a raw tab or line break as a space, and forbids the
+# others), and "&" only as one of _REFERENCES, the references _label decodes.
+# So "</trace>" occurs only where a trace closes, and what is left to
+# _well_formed_by_inspection is above ASCII.  Each value is written in the
+# unrolled-loop form, which matches in linear time.  Runs are matched and
+# their names found once per distinct run, and names decoded once per
+# distinct spelling.
 _REFERENCES = {
     "&amp;": "&", "&lt;": "<", "&gt;": ">", "&quot;": '"',
     "&#10;": "\n", "&#13;": "\r", "&#9;": "\t",
 }
 _REFERENCE = re.compile("|".join(_REFERENCES))
 _S = rb"[ \t\r\n]*"
-_NAME = rb"""<string key="concept:name" value=(%b"[^"<\t\n\r]+"|'[^'<\t\n\r]+')/>"""
+_VALUE = b"|".join(
+    rb"%b(?!%b)[^%b<&\x00-\x1f]*(?:(?:%b)[^%b<&\x00-\x1f]*)*%b"
+    % (q, q, q, _REFERENCE.pattern.encode(), q, q)
+    for q in (b'"', b"'")
+)
+_NAME = rb'<string key="concept:name" value=(%b' + _VALUE + rb")/>"
 _FLAT_HEAD = re.compile(
     rb'<\?xml version="1\.0" encoding="UTF-8"\?>' + _S + rb'<log xes\.version="1\.0">'
 )
@@ -171,13 +181,6 @@ _FLAT_BOUNDARY = re.compile(rb"</trace>" + _FLAT_OPEN.pattern)
 _FLAT_RUN = re.compile(rb"(?:" + _S + rb"<event>" + _NAME % b"?:" + rb"</event>)*" + _S)
 _FLAT_NAMES = re.compile(rb"<event>" + _NAME % b"")
 _FLAT_TAIL = re.compile(_S + rb"</log>" + _S)
-# The bytes _well_formed_by_inspection looks at: "&", the C0 controls XML
-# forbids, and 0xEF, the first byte of U+FFFE and U+FFFF.
-_BARE_AMPERSAND = re.compile(
-    b"&(?!" + b"|".join(re.escape(r[1:].encode()) for r in _REFERENCES) + b")"
-)
-_CONTROLS = bytes(b for b in range(32) if b not in b"\t\n\r")
-_PLAIN = bytes(b for b in range(256) if b not in b"&\xef" + _CONTROLS)
 _CHUNK = 1 << 16
 
 
@@ -239,38 +242,28 @@ def _well_formed_by_inspection(data: bytes) -> bool:
     decided without an XML parser; ``False`` means not proven, not
     malformed.
 
-    The patterns pin the XML declaration, every element and attribute, and
-    the whitespace between elements, which is XML's own ``S``.  Only the
-    quoted values are free, and they hold no ``<`` and no quote of their
-    own kind.  What XML can still reject in them is character-level: bytes
-    that are not UTF-8 (this includes encoded surrogates and code points
-    above U+10FFFF), a C0 control other than tab, LF and CR, U+FFFE and
-    U+FFFF, and an ``&`` that does not start a reference XML defines
-    without a DTD.  The check accepts an ``&`` only before one of
-    ``_REFERENCES``, the ones :func:`_label` decodes, so a stricter rule
-    sends a name such as ``case&#38;-1`` or ``a&#38;`` to the handler
-    parser.
-
-    ASCII settles UTF-8 at once; otherwise an incremental decoder reads the
-    document.  Each 64 KiB chunk loses its plain bytes in one ``translate``,
-    so that only ``&``, ``0xEF`` and the forbidden controls are left; the
-    document is read in chunks so that no copy of it is ever whole.
+    The patterns pin the XML declaration, every element and attribute, the
+    whitespace between elements, which is XML's own ``S``, and what a quoted
+    value may hold: no ``<``, no C0 control, and ``&`` only as one of
+    ``_REFERENCES``, the ones :func:`_label` decodes.  That rule is stricter
+    than XML's: it sends a name such as ``case&#38;-1`` to the handler
+    parser.  What XML can still reject is above ASCII: bytes that are not
+    UTF-8 (this includes encoded surrogates and code points above
+    U+10FFFF), and U+FFFE and U+FFFF.  An ASCII document is proven at once;
+    any other is decoded 64 KiB at a time, so that no decoded copy of it is
+    ever whole.
     """
-    decode = None if data.isascii() else codecs.getincrementaldecoder("utf-8")().decode
-    suspects = set()
+    if data.isascii():
+        return True
+    decode = codecs.getincrementaldecoder("utf-8")().decode
     for start in range(0, len(data), _CHUNK):
-        chunk = data[start:start + _CHUNK]
-        if decode is not None:
-            try:
-                decode(chunk, start + _CHUNK >= len(data))
-            except UnicodeDecodeError:
-                return False
-        suspects.update(chunk.translate(None, _PLAIN))
-    if not suspects.isdisjoint(_CONTROLS):
-        return False
-    if 0xEF in suspects and (b"\xef\xbf\xbe" in data or b"\xef\xbf\xbf" in data):
-        return False
-    return ord("&") not in suspects or _BARE_AMPERSAND.search(data) is None
+        try:
+            text = decode(data[start:start + _CHUNK], start + _CHUNK >= len(data))
+        except UnicodeDecodeError:
+            return False
+        if "\ufffe" in text or "\uffff" in text:
+            return False
+    return True
 
 
 def _label(quoted: bytes) -> Activity:

@@ -114,11 +114,11 @@ class PetriNetModel:
     """Bounded labeled Petri net with one initial and one final marking.
 
     Markings are tuples of token counts indexed like ``places``.  All arcs
-    have multiplicity one.  ``min_visible_length`` is the optimal alignment
-    cost of the empty trace, computed eagerly by ``aligner.optimal_cost``
-    (no alignment is built) so that a net whose final marking is
-    unreachable, or whose search passes ``state_bound``, fails at
-    construction time.
+    are normal arcs (no inhibitor or reset arcs) of multiplicity one.
+    ``min_visible_length`` is the optimal alignment cost of the empty trace,
+    computed eagerly by ``aligner.optimal_cost`` (no alignment is built) so
+    that a net whose final marking is unreachable, or whose search passes
+    ``state_bound``, fails at construction time.
 
     The searches carry markings as dense integer ids: a marking gets the
     next id the first time the model meets it (``initial_id`` is 0), and
@@ -273,8 +273,12 @@ def parse_pnml(
     A transition with no name element, an empty name, or a name equal to
     ``silent_label`` is silent.  An arc without an inscription has weight
     one; an arc whose inscription text is anything but ``1`` is rejected,
-    as the net would fire it as a unit arc.  The final marking is not part
-    of the file and must be supplied as a place-id -> token-count mapping.
+    as the net would fire it as a unit arc, and so is an arc whose ``type``
+    (such as ``inhibitor`` or ``reset``) is anything but ``normal``, as the
+    net would fire it as a normal arc.  An id naming both a place and a
+    transition is rejected, as an arc to or from it would have no one
+    reading.  The final marking is not part of the file and must be
+    supplied as a place-id -> token-count mapping.
     """
     if isinstance(data, str):
         data = data.encode("utf-8")
@@ -331,10 +335,15 @@ def parse_pnml(
         elif tag == "arc":
             aid = elem.get("id") or "?"
             for child in elem:
-                if local(child.tag) == "inscription" and text(child) != "1":
+                part = local(child.tag)
+                if part == "inscription" and text(child) != "1":
                     raise ModelError(
                         f"arc {aid!r} has inscription {text(child)!r}; "
                         "only unit arcs are supported"
+                    )
+                if part == "type" and (kind := child.get("value", text(child))) != "normal":
+                    raise ModelError(
+                        f"arc {aid!r} has type {kind!r}; only normal arcs are supported"
                     )
             arcs.append((aid, elem.get("source"), elem.get("target")))
 
@@ -347,6 +356,9 @@ def parse_pnml(
         raise ModelError("duplicate transition ids")
     place_index = {pid: i for i, pid in enumerate(place_ids)}
     trans_index = {tid: i for i, tid in enumerate(tids)}
+    for pid in place_ids:
+        if pid in trans_index:
+            raise ModelError(f"id {pid!r} names both a place and a transition")
 
     inputs: list[list[int]] = [[] for _ in transitions]
     outputs: list[list[int]] = [[] for _ in transitions]

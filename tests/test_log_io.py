@@ -892,6 +892,28 @@ def test_parse_xes_suspect_bytes_match_handler_parser_and_tree_oracle(data):
     assert outcome(parse_xes, data) == expected
 
 
+@pytest.mark.parametrize("quote", [b'"', b"'"])
+@pytest.mark.parametrize(
+    "inner, admitted",
+    [
+        *[
+            (bad, False)
+            for bad in (b"\x00", b"\x01", b"\x0b", b"\x1f", b"&", b"&amp", b"&#38;", b"&apos;", b"&e;")
+        ],
+        *[(ref.encode(), True) for ref in log_module._REFERENCES],
+    ],
+)
+def test_flat_patterns_admit_no_control_and_only_the_references(inner, admitted, quote):
+    # a case name or label holding a C0 control, or an "&" that starts none
+    # of _REFERENCES, leaves the layout at the pattern; a reference does not
+    for value in (inner, b"a" + inner + b"b"):
+        value = quote + value + quote
+        case = b'<trace><string key="concept:name" value=%b/>' % value
+        event = FLAT_EVENT.encode() % value
+        assert (log_module._FLAT_OPEN.fullmatch(case) is not None) == admitted
+        assert (log_module._FLAT_RUN.fullmatch(event) is not None) == admitted
+
+
 def _xml_text(label: str) -> str:
     """``label`` without the characters XML cannot carry."""
     return "".join(

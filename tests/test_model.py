@@ -192,6 +192,48 @@ def test_parse_pnml_unit_inscription_is_a_plain_arc():
         assert costs == [1, 0, 0, 1]
 
 
+PNML_TYPED = """<pnml><net id="n"><page id="p">
+  <place id="p0"><initialMarking><text>1</text></initialMarking></place>
+  <place id="p1"/>
+  <place id="q"><initialMarking><text>1</text></initialMarking></place>
+  <transition id="t"><name><text>a</text></name></transition>
+  <arc id="a1" source="p0" target="t"/>
+  <arc id="a2" source="t" target="p1"/>
+  <arc id="a3" source="q" target="t">TYPE</arc>
+</page></net></pnml>
+"""
+
+
+def test_parse_pnml_rejects_an_inhibitor_arc():
+    # an inhibitor arc from the marked place q leaves t dead; read as an
+    # input arc, t would take q's token and align <a> at cost 0
+    data = PNML_TYPED.replace("TYPE", '<type value="inhibitor"/>')
+    with pytest.raises(ModelError, match="^arc 'a3' has type 'inhibitor'") as info:
+        parse_pnml(data, final_marking={"p1": 1})
+    assert info.value.code == "model"
+
+
+def test_parse_pnml_normal_type_is_a_plain_arc():
+    plain = parse_pnml(PNML_TYPED.replace("TYPE", ""), final_marking={"p1": 1})
+    normal = parse_pnml(
+        PNML_TYPED.replace("TYPE", '<type value="normal"/>'), final_marking={"p1": 1}
+    )
+    for net in (plain, normal):
+        assert (net.places, net.transitions) == (plain.places, plain.transitions)
+        assert (net.inputs, net.outputs) == (plain.inputs, plain.outputs)
+        costs = [optimal_cost(trace, net)[0] for trace in ((), ("a",), ("b",), ("a", "a"))]
+        assert costs == [1, 0, 2, 1]
+
+
+def test_parse_pnml_rejects_an_id_naming_a_place_and_a_transition():
+    # the arc p0 -> t would read as place -> transition only because of the
+    # order of the checks
+    data = PNML_TYPED.replace("TYPE", "").replace('<place id="q">', '<place id="t">')
+    with pytest.raises(ModelError, match="^id 't' names both a place and a transition$") as info:
+        parse_pnml(data, final_marking={"p1": 1})
+    assert info.value.code == "model"
+
+
 @pytest.mark.parametrize(
     "body, message",
     [
