@@ -1,19 +1,20 @@
 """Report serialization.
 
 JSON is the lossless interchange format (exact rationals travel as
-strings like ``"7/2"`` and round-trip bit for bit); CSV is a flat view
-with one row per variant and an aggregate footer block.  Field order is
-fixed so identical runs produce identical bytes once timings are zeroed.
+strings like ``"7/2"`` and round-trip bit for bit); CSV is a flat view:
+the JSON report's rows, in the same column order with trace cells joined,
+then an aggregate footer block.  Field order is fixed so identical runs
+produce identical bytes once timings are zeroed.
 The JSON bytes are those of ``json.dumps(doc)`` plus a newline: one line
 with the default separators and every non-ASCII character escaped, which
 ``python -m json.tool`` pretty-prints.
 """
 
 import csv
-import io
 import json
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .bounds import (
     LOWER_SOURCES,
@@ -54,6 +55,24 @@ def _aggregates(report: ApproxReport) -> dict:
     }
 
 
+def _rows(report: ApproxReport) -> list[dict]:
+    """The variant rows, keys in ``CSV_HEADER`` order: traces as the tuples
+    they are, the estimate as its string."""
+    return [
+        {
+            "trace": result.trace,
+            "multiplicity": mult,
+            "lower": result.lower,
+            "upper": result.upper,
+            "estimate": str(result.estimate),
+            "nearest_proxy": result.nearest_proxy,
+            "proxy_distance": result.proxy_distance,
+            "lower_source": result.lower_source,
+        }
+        for result, mult in report.per_variant
+    ]
+
+
 def write_report(report: ApproxReport, fmt: str = "json") -> bytes:
     if fmt == "json":
         return _write_json(report)
@@ -64,23 +83,10 @@ def write_report(report: ApproxReport, fmt: str = "json") -> bytes:
 
 def _write_json(report: ApproxReport) -> bytes:
     """The JSON report: ``json.dumps`` of the document with its default
-    separators, which lets the stdlib's C encoder write it whole.  Traces
-    go in as the tuples they are; ``json.dumps`` writes a tuple as an
-    array."""
+    separators, which lets the stdlib's C encoder write it whole; it
+    writes a trace tuple as an array."""
     doc = {
-        "variants": [
-            {
-                "trace": result.trace,
-                "multiplicity": mult,
-                "lower": result.lower,
-                "upper": result.upper,
-                "estimate": str(result.estimate),
-                "nearest_proxy": result.nearest_proxy,
-                "proxy_distance": result.proxy_distance,
-                "lower_source": result.lower_source,
-            }
-            for result, mult in report.per_variant
-        ],
+        "variants": _rows(report),
         "proxy": {
             "members": report.proxy.members,
             "ref_costs": [
@@ -196,21 +202,14 @@ def join_trace(trace) -> str:
 
 
 def _write_csv(report: ApproxReport) -> bytes:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    # with "\r\n" as the terminator csv quotes a lone "\r", which a reader
+    # takes for a line break; each write call is one row, cut to end in "\n"
+    lines: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
     writer.writerow(CSV_HEADER)
     writer.writerows(
-        (
-            join_trace(result.trace),
-            mult,
-            result.lower,
-            result.upper,
-            str(result.estimate),
-            join_trace(result.nearest_proxy),
-            result.proxy_distance,
-            result.lower_source,
-        )
-        for result, mult in report.per_variant
+        [join_trace(v) if isinstance(v, tuple) else v for v in row.values()]
+        for row in _rows(report)
     )
     writer.writerow([])
     writer.writerow(["aggregate", "value"])
@@ -218,4 +217,4 @@ def _write_csv(report: ApproxReport) -> bytes:
     timings = aggregates.pop("timings_us")
     writer.writerows(aggregates.items())
     writer.writerows((f"timing_{key}_us", us) for key, us in timings.items())
-    return buf.getvalue().encode("utf-8")
+    return "".join([line[:-2] + "\n" for line in lines]).encode("utf-8")

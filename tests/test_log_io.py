@@ -692,8 +692,9 @@ def test_parse_xes_flat_path_gives_the_reference_result(data, expected):
     reference = outcome(parse_xes_reference, data)
     assert expected in (None, reference)
     if expected is None:
-        # the byte patterns match but the inspection proves nothing, so the
-        # handler parser gives the tree's error
+        # the flat path declines (a C0 control fails the value pattern, a
+        # byte that is not UTF-8 the inspection), so the handler parser
+        # gives the tree's error
         assert reference[0] == "error"
         assert _parse_flat_xes(data) is None
     else:
@@ -847,8 +848,9 @@ def test_parse_xes_flat_path_matches_each_distinct_run_once(window):
     assert parse_xes(late).variants == _parse_xes_with_handlers(late).variants == log.variants
 
 
-# Bytes XML may reject in a quoted value, and bytes it accepts that the
-# inspection must read past; each goes into one case name or label of a
+# Bytes XML may reject in a quoted value, and bytes it accepts; a C0 control
+# or a bare "&" fails the value pattern itself, and what is above ASCII
+# meets the UTF-8 inspection.  Each goes into one case name or label of a
 # document in the writer's layout, sometimes at the end of a run of padding
 # that makes it straddle the first 64 KiB chunk boundary.
 SUSPECT = st.sampled_from(

@@ -1,13 +1,17 @@
 """Round-trip and shape tests for report serialization."""
 
+import csv
+import io
 import json
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from alignbound import fixtures
 from alignbound.bounds import (
     LOWER_SOURCES,
     ApproxReport,
@@ -17,7 +21,7 @@ from alignbound.bounds import (
 from alignbound.errors import ReportError
 from alignbound.log import EventLog
 from alignbound.model import ExplicitLanguageModel
-from alignbound.proxy import ProxySet
+from alignbound.proxy import ProxySet, StrategyParams
 from alignbound.report import (
     CSV_HEADER,
     TIMING_KEYS,
@@ -315,3 +319,72 @@ def test_json_report_with_an_empty_member_trace_is_json_dumps():
     assert data == write_report_json_reference(report)
     assert b'"members": [[], ["a", "b", "c"]]' in data
     assert read_report_json(data).proxy.members == proxy.members
+
+
+def csv_lines_from_json(report):
+    """The CSV report's lines as its JSON report gives them: each variant
+    row's values under ``CSV_HEADER``, a trace joined by ``|`` or ``-`` when
+    empty, then a blank line, ``aggregate,value``, the four aggregates and
+    one ``timing_<key>_us`` line per timing."""
+    doc = json.loads(write_report(report, fmt="json"))
+    assert all(list(row) == list(CSV_HEADER) for row in doc["variants"])
+
+    def cell(value):
+        if isinstance(value, list):
+            return "|".join(value) if value else "-"
+        return str(value)
+
+    aggregates = doc["aggregates"]
+    names = ("epsilon_max", "total_estimate", "total_traces", "aligner_invocations")
+    return [
+        list(CSV_HEADER),
+        *([cell(row[key]) for key in CSV_HEADER] for row in doc["variants"]),
+        [],
+        ["aggregate", "value"],
+        *([name, str(aggregates[name])] for name in names),
+        *([f"timing_{key}_us", str(us)] for key, us in aggregates["timings_us"].items()),
+    ]
+
+
+def read_csv_report(report):
+    text = write_report(report, fmt="csv").decode("utf-8")
+    return list(csv.reader(io.StringIO(text, newline="")))
+
+
+def carriage_return_report():
+    """``small_report`` with a label holding a lone carriage return, which
+    the CSV writer must quote for a reader to keep the row whole."""
+    report = small_report()
+    (row, mult), *rest = report.per_variant
+    return replace(report, per_variant=[(replace(row, trace=("a\rb",)), mult), *rest])
+
+
+@settings(max_examples=150, deadline=None)
+@given(reports())
+@example(small_report())
+@example(carriage_return_report())
+def test_csv_report_is_the_json_rows_and_aggregates(report):
+    expected = csv_lines_from_json(report)
+    # csv.writer rejects a NUL in a cell before Python 3.11
+    assume(sys.version_info >= (3, 11) or all("\x00" not in c for r in expected for c in r))
+    assert read_csv_report(report) == expected
+
+
+@pytest.mark.parametrize(
+    "make_model",
+    [fixtures.parallel_loop_language, fixtures.parallel_loop_petri],
+    ids=["language", "petri"],
+)
+def test_csv_report_of_each_backend_is_the_json_rows_and_aggregates(make_model):
+    log = EventLog(
+        {
+            (): 1,
+            ("a", "b", "e"): 3,
+            ("a", "c", "b", "d", "e"): 2,
+            ("a", "x", "b", "e"): 1,
+        }
+    )
+    params = StrategyParams(strategy="kcenter", size_percent=Fraction(50), seed=0)
+    report = approximate_log(log, make_model(), params=params)
+    assert len(report.per_variant) == 4
+    assert read_csv_report(report) == csv_lines_from_json(report)
