@@ -6,7 +6,12 @@ are never produced.  Under that cost function the optimal alignment cost
 equals the insertion/deletion distance between the trace and the visible
 model projection of the alignment, so for an explicit language the search
 reduces to a minimum over the model traces while a Petri net needs a
-least-cost search over the synchronous product.  That search carries each
+least-cost search over the synchronous product.  The explicit scan goes in
+canonical order: a trace of the language returns at once, and any other
+stops at the first model trace at its certificate, max(1, structural
+floor), the floor of the bracket's lower bound (``model.structural_floor``).
+No model trace is nearer, so that one is the first closest, the
+representative a full scan would pick.  The net search carries each
 state as one int built from the marking's id (see ``PetriNetModel``) and the
 trace position, and since every move costs 0 or 1 it expands one cost
 level at a time (Dial, CACM 1969) in place of a heap, deepest-first: free
@@ -26,7 +31,7 @@ from enum import Enum
 from .distance import MatchMasks, edit_distance
 from .errors import ModelError, StateBoundError
 from .log import Trace, format_trace
-from .model import ExplicitLanguageModel, PetriNetModel
+from .model import ExplicitLanguageModel, PetriNetModel, structural_floor
 
 
 class MoveKind(Enum):
@@ -120,14 +125,21 @@ def _nearest_model_trace(trace, model):
     """``(masks, nearest, distance)``: the trace's ``MatchMasks`` and the
     closest model trace with its distance.  ``model.traces`` is canonically
     sorted, so a strict-less scan picks the canonical representative among
-    the closest model traces."""
+    the closest model traces.  A trace of the language is its own nearest.
+    Any other is at least its certificate, max(1, structural floor), from
+    every model trace, so the scan stops at the first model trace at it."""
     masks = MatchMasks(trace)
+    if trace in model:
+        return masks, trace, 0
+    certificate = max(1, structural_floor(trace, model))
     best_d = None
     best_t = None
     for cand in model.traces:
         d = edit_distance(masks, cand, cutoff=best_d)
         if best_d is None or d < best_d:
             best_d, best_t = d, cand
+            if d == certificate:
+                break
     return masks, best_t, best_d
 
 

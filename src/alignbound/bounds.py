@@ -25,6 +25,7 @@ from .aligner import optimal_alignment
 from .distance import edit_distance  # noqa: F401
 from .errors import BoundsError
 from .log import EventLog, Trace
+from .model import structural_floor
 from .proxy import DistanceTable, ProxySet, StrategyParams, generate_proxy
 
 LOWER_STRUCTURAL = "structural"
@@ -88,7 +89,8 @@ def approximate_cost(
     This is the one routine that brackets a trace.  ``costs`` holds each
     member's exact cost on ``model`` in member order, as
     :func:`compute_ref_costs` returns them.  ``model`` supplies the two
-    facts of the structural floor, ``alphabet`` and
+    facts of the structural floor (:func:`model.structural_floor`, which
+    the explicit search also stops on), ``alphabet`` and
     ``min_visible_length``, which both backends expose.  The alphabet holds
     every visible label, dead transitions included, so an activity outside
     it can never be a synchronous move and always costs one log move.
@@ -116,8 +118,7 @@ def approximate_cost(
     nearest = proxy.members[distances.index(proxy_distance)]
 
     upper = min(map(add, costs, distances))
-    outside = len(trace) - sum(map(model.alphabet.__contains__, trace))
-    structural = max(0, model.min_visible_length - len(trace)) + outside
+    structural = structural_floor(trace, model)
     proxy_term = max(0, max(map(sub, costs, distances)))
     lower = max(structural, proxy_term)
     if structural == proxy_term:

@@ -8,8 +8,6 @@ which are printed as ``error[<code>]: message``.
 """
 
 import argparse
-import csv
-import io
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -34,7 +32,7 @@ from .harness import (
     rows_to_long_csv,
     run_experiment,
 )
-from .log import EventLog, parse_csv, parse_xes, read_json, write_log_xes
+from .log import EventLog, csv_text, parse_csv, parse_xes, read_json, write_log_xes
 from .model import (
     DEFAULT_PROBE_BOUND,
     DEFAULT_STATE_BOUND,
@@ -247,12 +245,10 @@ def _cmd_exact(args) -> int:
     log = _load_log(args)
     model = _load_model(args)
     _warn_dead_transitions(model)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
     header = ["trace", "multiplicity", "cost"]
     if args.dump_moves:
         header.append("moves")
-    writer.writerow(header)
+    rows = [header]
     for trace, mult in log.variants.items():
         row = [join_trace(trace), mult]
         if args.dump_moves:
@@ -261,8 +257,8 @@ def _cmd_exact(args) -> int:
         else:
             # only the cost is printed, so no alignment is built
             row.append(optimal_cost(trace, model)[0])
-        writer.writerow(row)
-    _emit(buf.getvalue().encode("utf-8"), args.out, "cost table")
+        rows.append(row)
+    _emit(csv_text(rows).encode("utf-8"), args.out, "cost table")
     return 0
 
 

@@ -8,8 +8,6 @@ without the proxy generation time.  All error aggregates are exact
 rationals; timings are integer microseconds on the monotonic clock.
 """
 
-import csv
-import io
 import itertools
 import math
 import random
@@ -27,7 +25,7 @@ from .bounds import (
 )
 from .aligner import optimal_cost
 from .errors import ExperimentError, ProxyError
-from .log import EventLog, is_int
+from .log import EventLog, csv_text, is_int
 from .model import ExplicitLanguageModel
 from .proxy import SEEDED_STRATEGIES, STRATEGIES, StrategyParams
 
@@ -318,23 +316,17 @@ ROW_HEADER = tuple(f.name for f in fields(ExperimentRow))
 
 
 def rows_to_csv(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(ROW_HEADER)
-    for row in rows:
-        writer.writerow([str(getattr(row, name)) for name in ROW_HEADER])
-    return buf.getvalue()
+    cells = ([str(getattr(row, name)) for name in ROW_HEADER] for row in rows)
+    return csv_text([ROW_HEADER, *cells])
 
 
 def rows_to_long_csv(rows) -> str:
     """Long format for plotting: one (strategy, size, seed, metric) per row,
     with per-strategy correlation summary lines at the end."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["strategy", "size_percent", "seed", "metric", "value"])
+    lines = [["strategy", "size_percent", "seed", "metric", "value"]]
     for row in rows:
         for metric in ROW_HEADER[3:]:
-            writer.writerow(
+            lines.append(
                 [
                     row.strategy,
                     str(row.size_percent),
@@ -344,7 +336,5 @@ def rows_to_long_csv(rows) -> str:
                 ]
             )
     for strategy, r in sorted(pearson_by_strategy(rows).items()):
-        writer.writerow(
-            [strategy, "", "", "pearson", "" if r is None else repr(r)]
-        )
-    return buf.getvalue()
+        lines.append([strategy, "", "", "pearson", "" if r is None else repr(r)])
+    return csv_text(lines)

@@ -483,6 +483,18 @@ def parse_csv(
     return EventLog(Counter(traces))
 
 
+def csv_text(rows) -> str:
+    """``rows`` as CSV text, each row ending in a line feed, as the report,
+    ``exact`` and the distance-matrix dump write it.  A carriage return
+    terminator makes ``csv`` quote a lone carriage return in a cell, which a
+    reader would take for a line break, so rows are written ending in CR LF
+    and each write call, one row, is cut to end in LF."""
+    lines: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
+    writer.writerows(rows)
+    return "".join([line[:-2] + "\n" for line in lines])
+
+
 def write_log_csv(log: EventLog) -> bytes:
     """Serialize a log to the CSV interchange format (columns ``case``,
     ``activity`` and ``order``, the defaults of :func:`parse_csv`), one case

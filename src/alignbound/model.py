@@ -6,6 +6,7 @@ bounded labeled Petri net parsed from a PNML subset.  The minimal visible
 length of a model is the smallest number of visible activities on any
 complete model run, which is exactly the optimal alignment cost of the
 empty trace; a Petri net takes it from the aligner's cost-only search.
+:func:`structural_floor` reads the two on either backend.
 """
 
 import xml.etree.ElementTree as ET
@@ -39,6 +40,17 @@ class ExplicitLanguageModel:
 
     def __repr__(self):
         return f"ExplicitLanguageModel({len(self.traces)} traces)"
+
+
+def structural_floor(trace, model) -> int:
+    """The cost below which no alignment of ``trace`` on ``model`` goes,
+    from the model's ``alphabet`` and ``min_visible_length`` alone: each
+    event outside the alphabet is a log move, and a trace shorter than every
+    model run needs at least the missing length in model moves.  The
+    bracket's structural lower bound and the explicit search's stop both
+    read it here."""
+    outside = len(trace) - sum(map(model.alphabet.__contains__, trace))
+    return max(0, model.min_visible_length - len(trace)) + outside
 
 
 def parse_explicit_language(text) -> ExplicitLanguageModel:

@@ -9,8 +9,6 @@ K-Medoids, and a greedy K-Center.  Only K-Medoids uses numpy, which its
 functions import themselves, so the other strategies never load it.
 """
 
-import csv
-import io
 import itertools
 import random
 from dataclasses import dataclass
@@ -19,7 +17,7 @@ from fractions import Fraction
 # edit_distance stays importable: perfbench/tracer.py wraps it here to count LCS calls
 from .distance import MatchMasks, distance_matrix, edit_distance  # noqa: F401
 from .errors import ProxyError
-from .log import EventLog, Trace, canonical_traces
+from .log import EventLog, Trace, canonical_traces, csv_text
 
 STRATEGIES = ("random", "frequency", "kmedoids", "kcenter")
 # the strategies whose proxy set depends on ``StrategyParams.seed``
@@ -128,12 +126,8 @@ class DistanceTable:
         one row per variant; a trace is its activities joined by spaces,
         ``-`` when empty."""
         labels = [" ".join(t) if t else "-" for t in self.variants]
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["trace", *labels])
         rows = zip(labels, self.matrix().tolist())
-        writer.writerows([label, *row] for label, row in rows)
-        return out.getvalue()
+        return csv_text([["trace", *labels], *([label, *row] for label, row in rows)])
 
     def columns(self, members) -> list[list[int]]:
         """Each member's distances to the variants, computed once per table:

@@ -10,11 +10,9 @@ with the default separators and every non-ASCII character escaped, which
 ``python -m json.tool`` pretty-prints.
 """
 
-import csv
 import json
 from dataclasses import replace
 from fractions import Fraction
-from types import SimpleNamespace
 
 from .bounds import (
     LOWER_SOURCES,
@@ -23,7 +21,7 @@ from .bounds import (
     BoundsResult,
 )
 from .errors import ProxyError, ReportError
-from .log import is_int, read_json
+from .log import csv_text, is_int, read_json
 from .proxy import ProxySet
 
 # one variant row, of the JSON report and the CSV report alike
@@ -202,19 +200,17 @@ def join_trace(trace) -> str:
 
 
 def _write_csv(report: ApproxReport) -> bytes:
-    # with "\r\n" as the terminator csv quotes a lone "\r", which a reader
-    # takes for a line break; each write call is one row, cut to end in "\n"
-    lines: list[str] = []
-    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
-    writer.writerow(CSV_HEADER)
-    writer.writerows(
-        [join_trace(v) if isinstance(v, tuple) else v for v in row.values()]
-        for row in _rows(report)
-    )
-    writer.writerow([])
-    writer.writerow(["aggregate", "value"])
     aggregates = _aggregates(report)
     timings = aggregates.pop("timings_us")
-    writer.writerows(aggregates.items())
-    writer.writerows((f"timing_{key}_us", us) for key, us in timings.items())
-    return "".join([line[:-2] + "\n" for line in lines]).encode("utf-8")
+    rows = [
+        CSV_HEADER,
+        *(
+            [join_trace(v) if isinstance(v, tuple) else v for v in row.values()]
+            for row in _rows(report)
+        ),
+        [],
+        ["aggregate", "value"],
+        *aggregates.items(),
+        *((f"timing_{key}_us", us) for key, us in timings.items()),
+    ]
+    return csv_text(rows).encode("utf-8")

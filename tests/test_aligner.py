@@ -80,17 +80,71 @@ def test_cost_equals_projection_distance(loop_language, loop_net):
             assert result.cost == edit_distance(trace, projection)
 
 
-def test_explicit_backend_is_minimum_over_language():
-    rng = random.Random(29)
+def drawn_explicit_cases(seed, count):
+    """``(model, trace)`` pairs over the labels a-d, the trace drawn in turn
+    at random, from the language, with labels x or y outside the alphabet,
+    and shorter than every model trace."""
+    rng = random.Random(seed)
     alphabet = ["a", "b", "c", "d"]
-    for _ in range(60):
+    for n in range(count):
         traces = {random_trace(rng, alphabet, 1, 6) for _ in range(rng.randint(1, 6))}
         model = ExplicitLanguageModel(traces)
-        trace = random_trace(rng, alphabet, 0, 6)
+        kind = n % 4
+        if kind == 0:
+            trace = random_trace(rng, alphabet, 0, 6)
+        elif kind == 1:
+            trace = rng.choice(model.traces)
+        elif kind == 2:
+            trace = list(random_trace(rng, [*alphabet, "x", "y"], 0, 5))
+            trace.insert(rng.randint(0, len(trace)), rng.choice("xy"))
+            trace = tuple(trace)
+        else:
+            trace = random_trace(rng, alphabet, 0, model.min_visible_length - 1)
+        yield model, trace
+
+
+def test_explicit_backend_is_minimum_over_language():
+    for model, trace in drawn_explicit_cases(29, 120):
         result = optimal_alignment(trace, model)
-        expected = min(edit_distance(trace, t) for t in model.traces)
+        distances = [naive_edit_distance(trace, t) for t in model.traces]
+        expected = min(distances)
         assert result.cost == expected
-        assert result.alignment.model_projection in model
+        # the canonical representative: the first model trace at the minimum
+        first = model.traces[distances.index(expected)]
+        assert result.alignment.model_projection == first
+
+
+def test_explicit_search_stops_at_the_certificate(monkeypatch):
+    # a trace of the language is found without a distance; any other trace
+    # is at least max(1, events outside the alphabet + missing length) from
+    # every model trace, so the scan ends at the first model trace there
+    import alignbound.aligner as aligner_module
+
+    calls = []
+
+    def counting_distance(*args, **kwargs):
+        calls.append(args)
+        return edit_distance(*args, **kwargs)
+
+    monkeypatch.setattr(aligner_module, "edit_distance", counting_distance)
+    seen = set()
+    for model, trace in drawn_explicit_cases(37, 160):
+        distances = [naive_edit_distance(trace, t) for t in model.traces]
+        outside = sum(a not in model.alphabet for a in trace)
+        certificate = max(1, outside + max(0, model.min_visible_length - len(trace)))
+        if trace in model.traces:
+            expected, case = 0, "member"
+        elif min(distances) == certificate:
+            expected, case = distances.index(certificate) + 1, "at certificate"
+        else:
+            expected, case = len(model.traces), "full scan"
+        seen.add(case)
+        for search in (optimal_alignment, optimal_cost):
+            calls.clear()
+            search(trace, model)
+            assert len(calls) == expected, (case, trace, model.traces)
+        assert optimal_cost(trace, model) == (min(distances), len(model.traces))
+    assert seen == {"member", "at certificate", "full scan"}
 
 
 def test_matches_exhaustive_edit_script_enumeration():

@@ -1,5 +1,6 @@
 """End-to-end tests driving the CLI through main(argv)."""
 
+import csv
 import json
 import os
 import subprocess
@@ -18,7 +19,7 @@ from alignbound.cli import main
 from alignbound.distance import MatchMasks
 from alignbound.fixtures import copy_fixture_files
 from alignbound.harness import SyntheticSpec, exact_costs, generate_synthetic
-from alignbound.log import parse_csv, parse_xes, write_log_xes
+from alignbound.log import EventLog, parse_csv, parse_xes, write_log_csv, write_log_xes
 from alignbound.model import (
     parse_explicit_language,
     parse_final_marking_json,
@@ -543,6 +544,42 @@ def test_proxy_gen_dumps_no_matrix_of_an_empty_log(workspace, capsys):
     assert (rc, out) == (1, "")
     assert EMPTY_LOG_ERRORS["proxy-gen"] in err
     assert not matrix.exists()
+
+
+@pytest.mark.parametrize(
+    "extra, expected",
+    [
+        ([], [["c", "2", "0"], ["a\rb|c", "1", "1"]]),
+        (
+            ["--dump-moves"],
+            [["c", "2", "0", "sync:c"], ["a\rb|c", "1", "1", "log:a\rb sync:c"]],
+        ),
+    ],
+    ids=["exact", "dump-moves"],
+)
+def test_exact_quotes_a_lone_carriage_return(workspace, capsys, extra, expected):
+    log = workspace["dir"] / "cr.csv"
+    log.write_bytes(write_log_csv(EventLog({("a\rb", "c"): 1, ("c",): 2})))
+    model = workspace["dir"] / "c.lang"
+    model.write_text("c\n", encoding="utf-8")
+    out = workspace["dir"] / "costs.csv"
+    argv = ["exact", "--log", str(log), "--model", str(model), "--out", str(out)]
+    assert run([*argv, *extra], capsys)[0] == 0
+    with open(out, encoding="utf-8", newline="") as f:
+        rows = list(csv.reader(f))
+    assert rows[1:] == expected
+
+
+def test_distance_matrix_quotes_a_lone_carriage_return(workspace, capsys):
+    log = workspace["dir"] / "cr.csv"
+    log.write_bytes(write_log_csv(EventLog({("a\rb", "c"): 1, ("c",): 2})))
+    matrix = workspace["dir"] / "m.csv"
+    argv = ["proxy-gen", "--log", str(log), "--dump-distance-matrix", str(matrix)]
+    rc, _, _ = run([*argv, "--out", str(workspace["dir"] / "proxy.lang")], capsys)
+    assert rc == 0
+    with open(matrix, encoding="utf-8", newline="") as f:
+        rows = list(csv.reader(f))
+    assert rows == [["trace", "c", "a\rb c"], ["c", "0", "1"], ["a\rb c", "1", "0"]]
 
 
 # Runs each argv through cli.main in this fresh process and prints, per
