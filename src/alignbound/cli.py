@@ -32,7 +32,15 @@ from .harness import (
     rows_to_long_csv,
     run_experiment,
 )
-from .log import EventLog, csv_text, parse_csv, parse_xes, read_json, write_log_xes
+from .log import (
+    EventLog,
+    csv_text,
+    join_trace,
+    parse_csv,
+    parse_xes,
+    read_json,
+    write_log_xes,
+)
 from .model import (
     DEFAULT_PROBE_BOUND,
     DEFAULT_STATE_BOUND,
@@ -50,7 +58,7 @@ from .proxy import (
     epsilon_max_error,
     generate_proxy,
 )
-from .report import join_trace, strip_timings, write_report
+from .report import strip_timings, write_report
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(

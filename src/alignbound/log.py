@@ -483,6 +483,11 @@ def parse_csv(
     return EventLog(Counter(traces))
 
 
+def join_trace(trace) -> str:
+    """CSV cell for a trace: activities joined by ``|``, ``-`` when empty."""
+    return "|".join(trace) if trace else "-"
+
+
 def csv_text(rows) -> str:
     """``rows`` as CSV text, each row ending in a line feed, as the report,
     ``exact`` and the distance-matrix dump write it.  A carriage return

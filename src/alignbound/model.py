@@ -126,7 +126,8 @@ class PetriNetModel:
     """Bounded labeled Petri net with one initial and one final marking.
 
     Markings are tuples of token counts indexed like ``places``.  All arcs
-    are normal arcs (no inhibitor or reset arcs) of multiplicity one.
+    are normal arcs (no inhibitor or reset arcs) of multiplicity one, so
+    no transition names a place twice in one arc list.
     ``min_visible_length`` is the optimal alignment cost of the empty trace,
     computed eagerly by ``aligner.optimal_cost`` (no alignment is built) so
     that a net whose final marking is unreachable, or whose search passes
@@ -169,6 +170,12 @@ class PetriNetModel:
             self.transitions
         ):
             raise ModelError("arc lists must match the transition list")
+        for trans, *arcs in zip(self.transitions, self.inputs, self.outputs):
+            if any(len(set(places)) < len(places) for places in arcs):
+                raise ModelError(
+                    f"transition {trans.tid!r} names a place twice in one arc list; "
+                    "arcs have multiplicity one"
+                )
         for marking in (self.initial_marking, self.final_marking):
             if len(marking) != len(self.places) or any(c < 0 for c in marking):
                 raise ModelError("markings must be non-negative and cover all places")
@@ -177,7 +184,7 @@ class PetriNetModel:
         )
         # (transition index, preset bitmask, label) of every transition
         self._presets = tuple(
-            (ti, sum(1 << p for p in set(places)), trans.label)
+            (ti, sum(1 << p for p in places), trans.label)
             for ti, (trans, places) in enumerate(zip(self.transitions, self.inputs))
         )
         self._ids: dict[tuple, int] = {}

@@ -17,7 +17,7 @@ from fractions import Fraction
 # edit_distance stays importable: perfbench/tracer.py wraps it here to count LCS calls
 from .distance import MatchMasks, distance_matrix, edit_distance  # noqa: F401
 from .errors import ProxyError
-from .log import EventLog, Trace, canonical_traces, csv_text
+from .log import EventLog, Trace, canonical_traces, csv_text, join_trace
 
 STRATEGIES = ("random", "frequency", "kmedoids", "kcenter")
 # the strategies whose proxy set depends on ``StrategyParams.seed``
@@ -123,9 +123,9 @@ class DistanceTable:
 
     def matrix_csv(self) -> str:
         """Debug dump of :meth:`matrix`: a header row of the variants, then
-        one row per variant; a trace is its activities joined by spaces,
-        ``-`` when empty."""
-        labels = [" ".join(t) if t else "-" for t in self.variants]
+        one row per variant, each trace spelled by :func:`log.join_trace`
+        as in every other CSV."""
+        labels = list(map(join_trace, self.variants))
         rows = zip(labels, self.matrix().tolist())
         return csv_text([["trace", *labels], *([label, *row] for label, row in rows)])
 

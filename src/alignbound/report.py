@@ -21,7 +21,7 @@ from .bounds import (
     BoundsResult,
 )
 from .errors import ProxyError, ReportError
-from .log import csv_text, is_int, read_json
+from .log import csv_text, is_int, join_trace, read_json
 from .proxy import ProxySet
 
 # one variant row, of the JSON report and the CSV report alike
@@ -82,15 +82,13 @@ def write_report(report: ApproxReport, fmt: str = "json") -> bytes:
 def _write_json(report: ApproxReport) -> bytes:
     """The JSON report: ``json.dumps`` of the document with its default
     separators, which lets the stdlib's C encoder write it whole; it
-    writes a trace tuple as an array."""
+    writes a trace tuple as an array and the reference costs as an array
+    of integers in member order."""
     doc = {
         "variants": _rows(report),
         "proxy": {
             "members": report.proxy.members,
-            "ref_costs": [
-                {"trace": t, "cost": cost}
-                for t, cost in zip(report.proxy.members, report.ref_costs)
-            ],
+            "ref_costs": report.ref_costs,
             "provenance": report.proxy.provenance,
         },
         "aggregates": _aggregates(report),
@@ -129,8 +127,9 @@ def read_report_json(data) -> ApproxReport:
     """Inverse of the JSON writer; used by tests and downstream tooling.
     Traces must be lists of strings, integer fields JSON integers, rationals
     strings in the writer's form (``"7/2"``, ``"-3"``), the provenance a
-    string, the members distinct and at least one, the reference costs one
-    per member in member order and each lower-bound source one the bracket
+    string, the members distinct, at least one and in the canonical order
+    :class:`ProxySet` keeps, the reference costs integers of at least 0, one
+    per member in member order, and each lower-bound source one the bracket
     reports.  Each row must agree with its bracket: a multiplicity of at
     least 1, ``0 <= lower <= upper``, the estimate the bracket's midpoint, a
     member as the nearest proxy at a distance of at least 0, and no variant
@@ -141,14 +140,14 @@ def read_report_json(data) -> ApproxReport:
     doc = read_json(data, ReportError, "report JSON")
     try:
         members = tuple(_trace(t) for t in doc["proxy"]["members"])
-        if len(set(members)) < len(members):
-            raise ValueError("proxy members repeat a trace")
         proxy = ProxySet(
             members=members, provenance=_str(doc["proxy"].get("provenance", ""))
         )
-        entries = doc["proxy"]["ref_costs"]
-        if tuple(_trace(entry["trace"]) for entry in entries) != proxy.members:
-            raise ValueError("ref_costs do not name the proxy members in order")
+        if proxy.members != members:
+            raise ValueError("proxy members are not distinct and in canonical order")
+        ref_costs = tuple(_int(cost) for cost in doc["proxy"]["ref_costs"])
+        if len(ref_costs) != len(members) or min(ref_costs) < 0:
+            raise ValueError(f"ref_costs {ref_costs} are not one cost >= 0 per member")
         rows, traces = [], set()
         for i, item in enumerate(doc["variants"]):
             result = BoundsResult(
@@ -181,7 +180,7 @@ def read_report_json(data) -> ApproxReport:
             per_variant=rows,
             timings_us={key: _int(timings.get(key, 0)) for key in TIMING_KEYS},
             proxy=proxy,
-            ref_costs=tuple(_int(entry["cost"]) for entry in entries),
+            ref_costs=ref_costs,
         )
         derived = _aggregates(report)
         del derived["timings_us"]  # read from the document, not derived
@@ -192,11 +191,6 @@ def read_report_json(data) -> ApproxReport:
     # ZeroDivisionError: a rational such as "1/0"; ProxyError: no members
     except (KeyError, TypeError, ValueError, ZeroDivisionError, ProxyError) as exc:
         raise ReportError(f"report JSON misses or mangles a field: {exc}") from None
-
-
-def join_trace(trace) -> str:
-    """CSV cell for a trace: activities joined by ``|``, ``-`` when empty."""
-    return "|".join(trace) if trace else "-"
 
 
 def _write_csv(report: ApproxReport) -> bytes:

@@ -421,10 +421,7 @@ def write_report_json_reference(report) -> bytes:
         ],
         "proxy": {
             "members": [list(t) for t in report.proxy.members],
-            "ref_costs": [
-                {"trace": list(t), "cost": cost}
-                for t, cost in zip(report.proxy.members, report.ref_costs)
-            ],
+            "ref_costs": list(report.ref_costs),
             "provenance": report.proxy.provenance,
         },
         "aggregates": {

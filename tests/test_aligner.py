@@ -62,6 +62,11 @@ def test_missing_head_and_spurious_activity(loop_net):
     _assert_replays(result.alignment, ("b", "d", "e"), loop_net)
 
 
+def test_unsupported_model_type_is_a_type_error():
+    with pytest.raises(TypeError, match="^unsupported model type object$"):
+        optimal_alignment(("a",), object())
+
+
 def test_empty_trace_cost_is_min_visible_length(loop_language, loop_net):
     assert optimal_alignment((), loop_language).cost == 3
     assert optimal_alignment((), loop_net).cost == 3

@@ -579,7 +579,7 @@ def test_distance_matrix_quotes_a_lone_carriage_return(workspace, capsys):
     assert rc == 0
     with open(matrix, encoding="utf-8", newline="") as f:
         rows = list(csv.reader(f))
-    assert rows == [["trace", "c", "a\rb c"], ["c", "0", "1"], ["a\rb c", "1", "0"]]
+    assert rows == [["trace", "c", "a\rb|c"], ["c", "0", "1"], ["a\rb|c", "1", "0"]]
 
 
 # Runs each argv through cli.main in this fresh process and prints, per

@@ -60,6 +60,13 @@ def test_noise_never_empties_a_trace():
     assert all(len(trace) >= 1 for trace in log.variant_traces)
 
 
+def test_generate_synthetic_needs_room_for_distinct_model_traces():
+    # one label and length 1 hold a single trace, so a second never comes
+    spec = SyntheticSpec(alphabet_size=1, model_trace_count=2, model_trace_length=(1, 1))
+    with pytest.raises(ExperimentError, match="^cannot draw enough distinct model traces"):
+        generate_synthetic(spec)
+
+
 def test_spec_validation():
     with pytest.raises(ExperimentError):
         SyntheticSpec(alphabet_size=0)

@@ -40,6 +40,8 @@ def test_parse_explicit_language_invalid_utf8_is_a_model_error():
 def test_parse_explicit_language_rejects_empty_file():
     with pytest.raises(ModelError):
         parse_explicit_language("\n\n")
+    with pytest.raises(ModelError, match="^model language must contain at least one trace$"):
+        ExplicitLanguageModel(())
 
 
 def test_parse_explicit_language_rejects_empty_label():
@@ -316,6 +318,50 @@ def test_state_bound_below_one_is_rejected(bound):
     with pytest.raises(ModelError, match=message) as info:
         parse_pnml(UNBOUNDED_PNML, final_marking={"p1": 0}, state_bound=bound)
     assert info.value.code == "model"
+
+
+def two_step_net(**changes):
+    """p -t(a)-> q -u(b)-> r, with ``changes`` to the constructor's
+    arguments.  The defaults are a valid net."""
+    args = dict(
+        places=("p", "q", "r"),
+        transitions=(Transition("t", "a"), Transition("u", "b")),
+        inputs=[[0], [1]],
+        outputs=[[1], [2]],
+        initial_marking=[1, 0, 0],
+        final_marking=[0, 0, 1],
+    )
+    return PetriNetModel(**{**args, **changes})
+
+
+def test_petri_net_model_rejects_malformed_arguments():
+    assert optimal_cost(("a", "b"), two_step_net())[0] == 0
+    for changes, message in [
+        (dict(inputs=[[0]]), "^arc lists must match the transition list$"),
+        (dict(outputs=[[1], [2], [0]]), "^arc lists must match the transition list$"),
+        (dict(initial_marking=[1, -1, 0]), "^markings must be non-negative"),
+        (dict(final_marking=[0, 0]), "^markings must be non-negative"),
+    ]:
+        with pytest.raises(ModelError, match=message):
+            two_step_net(**changes)
+
+
+@pytest.mark.parametrize(
+    "changes, tid",
+    [
+        # t takes two tokens from p, of which the initial marking has one;
+        # read as one token per arc entry this gave optimal_cost(("a", "b"))
+        # == (0, 2) through the marking (-1, 1, 0)
+        (dict(inputs=[[0, 0], [1]], outputs=[[1], [0, 2]]), "t"),
+        (dict(outputs=[[1], [2, 2]], final_marking=[0, 0, 2]), "u"),
+    ],
+    ids=["inputs", "outputs"],
+)
+def test_petri_net_model_rejects_a_place_named_twice_in_one_arc_list(changes, tid):
+    with pytest.raises(
+        ModelError, match=f"^transition '{tid}' names a place twice in one arc list"
+    ):
+        two_step_net(**changes)
 
 
 # p0 -a-> p1 directly, or p0 -tau-> p2 -tau-> p1 for free, then p1 -b-> p3.

@@ -114,6 +114,9 @@ def test_strategy_params_k_rounding():
     assert params.k_for(15) == 2  # 1.5 rounds up
     assert params.k_for(14) == 1  # 1.4 rounds down
     assert StrategyParams("random", Fraction(100), 0).k_for(7) == 7
+    # a float is read through its decimal spelling, not its binary value
+    assert StrategyParams("random", 12.5).size_percent == Fraction(25, 2)
+    assert StrategyParams("random", 0.1).size_percent == Fraction(1, 10)
     with pytest.raises(ProxyError):
         StrategyParams(strategy="nope", size_percent=Fraction(10), seed=0)
     with pytest.raises(ProxyError):

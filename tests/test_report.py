@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -155,12 +156,11 @@ ROW_CONTRADICTIONS = [
         ("variants/0/trace", ["a", 1]),
         ("variants/0/nearest_proxy", "abc"),
         ("proxy/members/0", "abc"),
-        ("proxy/ref_costs/0/trace", "abc"),
         ("variants/0/lower", 2.9),
         ("variants/0/upper", "3"),
         ("variants/0/multiplicity", True),
         ("variants/0/proxy_distance", 1.0),
-        ("proxy/ref_costs/0/cost", False),
+        ("proxy/ref_costs/0", False),
         ("aggregates/epsilon_max", 2.5),
         ("aggregates/total_traces", "4"),
         ("aggregates/aligner_invocations", True),
@@ -173,7 +173,6 @@ ROW_CONTRADICTIONS = [
         ("aggregates/total_estimate", "1/0"),
         ("variants/0/lower_source", "exact"),
         ("proxy/provenance", 1),
-        ("proxy/ref_costs/0/trace", ["z"]),
         ("proxy/ref_costs", []),
         ("proxy/members", []),
         # canonical order would drop the repeat, so the read report would
@@ -319,6 +318,44 @@ def test_json_report_with_an_empty_member_trace_is_json_dumps():
     assert data == write_report_json_reference(report)
     assert b'"members": [[], ["a", "b", "c"]]' in data
     assert read_report_json(data).proxy.members == proxy.members
+
+
+def two_member_report():
+    """The report of the empty-member-trace case above."""
+    proxy = ProxySet(members=((), ("a", "b", "c")))
+    return replace(small_report(), proxy=proxy, ref_costs=(1, 0))
+
+
+def test_json_report_writes_the_reference_costs_in_member_order():
+    doc = json.loads(write_report(two_member_report(), fmt="json"))
+    assert doc["proxy"]["members"] == [[], ["a", "b", "c"]]
+    assert doc["proxy"]["ref_costs"] == [1, 0]
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        # the costs go by position, so a reordered list would not write the
+        # same bytes back
+        ("members", [["a", "b", "c"], []], "not distinct and in canonical order"),
+        ("members", [[], []], "not distinct and in canonical order"),
+        ("ref_costs", [1, 0, 0], "not one cost >= 0 per member"),
+        ("ref_costs", [1], "not one cost >= 0 per member"),
+        ("ref_costs", [-1, 0], "not one cost >= 0 per member"),
+        ("ref_costs", [1.0, 0], "an integer field holds 1.0"),
+        ("ref_costs", [True, 0], "an integer field holds True"),
+        ("ref_costs", ["0", 0], "an integer field holds '0'"),
+    ],
+    ids=["swapped", "repeated", "long", "short", "-1", "1.0", "true", "string"],
+)
+def test_reader_rejects_a_proxy_block_it_would_not_write(key, value, message):
+    report = two_member_report()
+    doc = json.loads(write_report(report, fmt="json"))
+    assert read_report_json(json.dumps(doc)) == report
+    doc["proxy"][key] = value
+    pattern = f"^report JSON misses or mangles a field: .*{re.escape(message)}"
+    with pytest.raises(ReportError, match=pattern):
+        read_report_json(json.dumps(doc))
 
 
 def csv_lines_from_json(report):
