@@ -28,27 +28,17 @@ def _read(name: str) -> bytes:
     return (resources.files(__package__) / "fixtures" / name).read_bytes()
 
 
-def parallel_loop_language_text() -> str:
-    return _read(LANGUAGE_FILE).decode("utf-8")
-
-
-def parallel_loop_pnml_bytes() -> bytes:
-    return _read(PNML_FILE)
-
-
 def parallel_loop_final_marking() -> dict:
     return parse_final_marking_json(_read(FINAL_MARKING_FILE))
 
 
 def parallel_loop_language() -> ExplicitLanguageModel:
-    return parse_explicit_language(parallel_loop_language_text())
+    return parse_explicit_language(_read(LANGUAGE_FILE))
 
 
 def parallel_loop_petri(**kwargs) -> PetriNetModel:
     return parse_pnml(
-        parallel_loop_pnml_bytes(),
-        final_marking=parallel_loop_final_marking(),
-        **kwargs,
+        _read(PNML_FILE), final_marking=parallel_loop_final_marking(), **kwargs
     )
 
 

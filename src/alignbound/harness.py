@@ -9,7 +9,6 @@ rationals; timings are integer microseconds on the monotonic clock.
 """
 
 import itertools
-import math
 import random
 import string
 import time
@@ -155,14 +154,17 @@ def pearson(xs, ys) -> float:
         raise ExperimentError("correlation inputs must have equal length")
     if len(xs) < 2:
         raise ExperimentError("correlation needs at least two points")
-    mx = math.fsum(xs) / len(xs)
-    my = math.fsum(ys) / len(ys)
-    sxx = math.fsum((x - mx) ** 2 for x in xs)
-    syy = math.fsum((y - my) ** 2 for y in ys)
-    if sxx == 0 or syy == 0:
-        raise ExperimentError("undefined correlation for constant input")
-    sxy = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    return sxy / math.sqrt(sxx * syy)
+    # constancy is tested on the values: n copies of a float such as 5/3
+    # need not average to it, so their deviations from the mean need not be 0
+    if len(set(xs)) > 1 and len(set(ys)) > 1:
+        # imported here: only ``evaluate`` reads a correlation
+        import statistics
+
+        try:
+            return statistics.correlation(xs, ys)
+        except statistics.StatisticsError:  # its sums of squares underflowed
+            pass
+    raise ExperimentError("undefined correlation for constant input")
 
 
 def performance_improvement(t_exact_us, t_with_us, t_without_us):
@@ -189,10 +191,6 @@ class ExperimentRow:
     pct_structural: Fraction
     pct_proxy: Fraction
     pct_both: Fraction
-
-    @property
-    def pearson_inputs(self):
-        return (self.epsilon_max, self.realized_error)
 
 
 def exact_costs(log: EventLog, model):
@@ -300,13 +298,13 @@ def pearson_by_strategy(rows):
     strategy; None where undefined (constant or too few points)."""
     grouped: dict[str, list] = {}
     for row in rows:
-        grouped.setdefault(row.strategy, []).append(row.pearson_inputs)
+        grouped.setdefault(row.strategy, []).append(
+            (row.epsilon_max, row.realized_error)
+        )
     out = {}
     for strategy, points in grouped.items():
         try:
-            out[strategy] = pearson(
-                [p[0] for p in points], [p[1] for p in points]
-            )
+            out[strategy] = pearson(*zip(*points))
         except ExperimentError:
             out[strategy] = None
     return out

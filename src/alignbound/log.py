@@ -62,16 +62,18 @@ def format_trace(trace: Trace) -> str:
 
 @dataclass(frozen=True)
 class EventLog:
-    """Finite multiset of traces, stored as variant -> multiplicity with the
-    variants in canonical order, whatever order ``variants`` has."""
+    """Finite multiset of traces, stored as variant -> multiplicity (an int
+    of at least 1) with the variants in canonical order, whatever order
+    ``variants`` has."""
 
     variants: dict[Trace, int]
 
     def __post_init__(self):
         for trace, mult in self.variants.items():
-            if mult < 1:
+            if not is_int(mult) or mult < 1:
                 raise ValueError(
-                    f"multiplicity must be >= 1, got {mult} for {format_trace(trace)}"
+                    f"multiplicity must be an int >= 1, got {mult!r} for "
+                    f"{format_trace(trace)}"
                 )
         order = sorted(self.variants, key=trace_sort_key)
         object.__setattr__(self, "variants", {t: self.variants[t] for t in order})

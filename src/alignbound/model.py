@@ -125,9 +125,10 @@ class Successors(NamedTuple):
 class PetriNetModel:
     """Bounded labeled Petri net with one initial and one final marking.
 
-    Markings are tuples of token counts indexed like ``places``.  All arcs
-    are normal arcs (no inhibitor or reset arcs) of multiplicity one, so
-    no transition names a place twice in one arc list.
+    Markings are tuples of token counts indexed like ``places``, and arc
+    lists name places by their index there.  All arcs are normal arcs (no
+    inhibitor or reset arcs) of multiplicity one, so no transition names a
+    place twice in one arc list.
     ``min_visible_length`` is the optimal alignment cost of the empty trace,
     computed eagerly by ``aligner.optimal_cost`` (no alignment is built) so
     that a net whose final marking is unreachable, or whose search passes
@@ -170,8 +171,15 @@ class PetriNetModel:
             self.transitions
         ):
             raise ModelError("arc lists must match the transition list")
-        for trans, *arcs in zip(self.transitions, self.inputs, self.outputs):
-            if any(len(set(places)) < len(places) for places in arcs):
+        indices = range(len(self.places))
+        for trans, ins, outs in zip(self.transitions, self.inputs, self.outputs):
+            for p in ins + outs:
+                if not is_int(p) or p not in indices:
+                    raise ModelError(
+                        f"transition {trans.tid!r} names a place by {p!r}, "
+                        f"not by an index in range({len(self.places)})"
+                    )
+            if any(len(set(places)) < len(places) for places in (ins, outs)):
                 raise ModelError(
                     f"transition {trans.tid!r} names a place twice in one arc list; "
                     "arcs have multiplicity one"

@@ -5,6 +5,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alignbound.bounds import LOWER_SOURCES, approximate_log
 from alignbound.errors import ExperimentError
@@ -123,6 +125,72 @@ def test_pearson_errors():
         pearson([4, 4, 4], [1, 2, 3])
 
 
+def exact_pearson(xs, ys):
+    """Pearson over the floats ``pearson`` computes on, each taken as an
+    exact rational; the only rounding is the last float conversion and
+    square root.  None where the correlation is undefined."""
+    xs = [Fraction(float(x)) for x in xs]
+    ys = [Fraction(float(y)) for y in ys]
+    n = len(xs)
+    if n != len(ys) or n < 2:
+        return None
+    mx, my = sum(xs) / n, sum(ys) / n
+    sxx = sum((x - mx) ** 2 for x in xs)
+    syy = sum((y - my) ** 2 for y in ys)
+    if sxx == 0 or syy == 0:
+        return None
+    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    return math.copysign(math.sqrt(sxy**2 / (sxx * syy)), sxy)
+
+
+CORRELATION_VALUES = st.one_of(
+    st.integers(-(10**6), 10**6),
+    st.fractions(min_value=-(10**4), max_value=10**4, max_denominator=100),
+)
+CORRELATION_LISTS = st.one_of(
+    st.lists(CORRELATION_VALUES, max_size=30),
+    # constant lists, and lists of a few values with ties
+    st.builds(lambda v, n: [v] * n, CORRELATION_VALUES, st.integers(0, 30)),
+    st.lists(st.sampled_from([0, 1, Fraction(5, 3), Fraction(-7, 2)]), max_size=30),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(CORRELATION_LISTS, CORRELATION_LISTS, st.booleans())
+def test_pearson_matches_the_exact_rational_form(xs, ys, same_length):
+    if same_length:
+        xs, ys = xs[: len(ys)], ys[: len(xs)]
+    expected = exact_pearson(xs, ys)
+    if expected is None:
+        if len(xs) != len(ys):
+            message = "equal length"
+        elif len(xs) < 2:
+            message = "two points"
+        else:
+            message = "constant input"
+        with pytest.raises(ExperimentError, match=message):
+            pearson(xs, ys)
+    else:
+        assert abs(pearson(xs, ys) - expected) <= 1e-12
+
+
+def test_pearson_of_a_constant_input_whose_float_mean_rounds_off():
+    # eleven copies of float(5/3) sum and divide back to another float, so
+    # a test on the rounded mean's deviations read them as varying and gave
+    # a correlation of 0.0
+    xs = [Fraction(5, 3)] * 11
+    with pytest.raises(ExperimentError, match="constant input"):
+        pearson(xs, range(11))
+    with pytest.raises(ExperimentError, match="constant input"):
+        pearson(range(11), xs)
+
+
+def test_pearson_of_deviations_whose_squares_underflow():
+    # the inputs vary, but every squared deviation rounds to 0.0
+    with pytest.raises(ExperimentError, match="constant input"):
+        pearson([0.0, 1e-170], [0.0, 1e-170])
+
+
 def test_performance_improvement_exact_ratios():
     pi_with, pi_without = performance_improvement(100, 50, 25)
     assert pi_with == Fraction(2)
@@ -149,6 +217,14 @@ def test_lower_source_percentages_sum_to_100():
     pcts = lower_source_percentages(report)
     assert sum(pcts.values()) == Fraction(100)
     assert tuple(pcts) == LOWER_SOURCES
+
+
+def test_lower_source_percentages_of_a_report_with_no_rows():
+    model, log = generate_synthetic(SyntheticSpec(seed=5, log_variant_count=15))
+    proxy = ProxySet(members=tuple(log.variant_traces[:3]))
+    report = approximate_log(log, model, proxy=proxy)
+    with pytest.raises(ExperimentError, match="^no variants to attribute$"):
+        lower_source_percentages(replace(report, per_variant=[]))
 
 
 def test_experiment_row_has_one_percentage_per_lower_source():

@@ -268,6 +268,15 @@ def test_event_log_rejects_zero_multiplicity():
         EventLog({("a",): 0})
 
 
+@pytest.mark.parametrize("mult", [1.5, True], ids=["float", "bool"])
+def test_event_log_rejects_a_multiplicity_that_is_not_an_int(mult):
+    # 1.5 made total_estimate raise a bare TypeError; True was written as
+    # "multiplicity": true, which the report reader rejects
+    message = f"^multiplicity must be an int >= 1, got {mult} for <a,b>$"
+    with pytest.raises(ValueError, match=message):
+        EventLog({("a", "b"): mult, ("a",): 2})
+
+
 def test_csv_round_trip_preserves_variants():
     log = EventLog({("a", "b"): 2, ("a",): 3, ("b", "a", "b"): 1})
     again = parse_csv(write_log_csv(log))

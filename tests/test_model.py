@@ -364,6 +364,32 @@ def test_petri_net_model_rejects_a_place_named_twice_in_one_arc_list(changes, ti
         two_step_net(**changes)
 
 
+@pytest.mark.parametrize(
+    "changes, tid, index",
+    [
+        # -1 named r, the last place: the net built and gave
+        # optimal_cost(("a", "b")) == (0, 2)
+        (dict(outputs=[[1], [-1]]), "u", -1),
+        # a bare ValueError (negative shift count) from the preset masks
+        (dict(inputs=[[-1], [1]]), "t", -1),
+        # an IndexError from the search
+        (dict(outputs=[[1], [7]]), "u", 7),
+        # a bare TypeError: a float is no list index
+        (dict(outputs=[[1], [2.0]]), "u", 2.0),
+    ],
+    ids=["negative-output", "negative-input", "output-past-the-end", "float"],
+)
+def test_petri_net_model_rejects_an_arc_entry_that_is_not_a_place_index(
+    changes, tid, index
+):
+    message = (
+        rf"^transition '{tid}' names a place by {index}, "
+        r"not by an index in range\(3\)$"
+    )
+    with pytest.raises(ModelError, match=message):
+        two_step_net(**changes)
+
+
 # p0 -a-> p1 directly, or p0 -tau-> p2 -tau-> p1 for free, then p1 -b-> p3.
 # The silent path lowers p1's cost after the visible step already queued p1
 # for cost 1, so that entry is stale when cost 1 comes up.
