@@ -30,7 +30,7 @@ from enum import Enum
 
 from .distance import MatchMasks, edit_distance
 from .errors import ModelError, StateBoundError
-from .log import Trace, format_trace
+from .log import Trace, escape_label, format_trace
 from .model import ExplicitLanguageModel, PetriNetModel, structural_floor
 
 
@@ -52,9 +52,11 @@ class Move:
         return 0 if self.kind in (MoveKind.SYNC, MoveKind.SILENT) else 1
 
     def token(self) -> str:
+        """``kind:label``, or ``tau`` for a silent move; the label is
+        escaped for a space-joined move sequence (:func:`log.escape_label`)."""
         if self.kind is MoveKind.SILENT:
             return "tau"
-        return f"{self.kind.value}:{self.activity}"
+        return f"{self.kind.value}:{escape_label(self.activity, ' ')}"
 
 
 @dataclass(frozen=True)
@@ -108,39 +110,44 @@ def optimal_cost(trace, model) -> tuple[int, int]:
 
 def _search(trace, model, traceback):
     """``(alignment, cost, states_expanded)`` on either backend; the
-    alignment is None unless ``traceback`` is set."""
+    alignment is None unless ``traceback`` is set.  ``states_expanded``
+    counts the states A* expanded on a net, and the model traces the trace
+    was compared with on an explicit language (0 for a trace of it)."""
     trace = tuple(trace)
     if isinstance(model, ExplicitLanguageModel):
-        masks, nearest, cost = _nearest_model_trace(trace, model)
+        masks, nearest, cost, compared = _nearest_model_trace(trace, model)
         alignment = None
         if traceback:
             alignment = Alignment(moves=tuple(_edit_moves(masks, nearest)))
-        return alignment, cost, len(model.traces)
+        return alignment, cost, compared
     if isinstance(model, PetriNetModel):
         return _align_petri(trace, model, traceback)
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
 def _nearest_model_trace(trace, model):
-    """``(masks, nearest, distance)``: the trace's ``MatchMasks`` and the
-    closest model trace with its distance.  ``model.traces`` is canonically
+    """``(masks, nearest, distance, compared)``: the trace's ``MatchMasks``,
+    the closest model trace with its distance, and the number of model
+    traces the trace was compared with.  ``model.traces`` is canonically
     sorted, so a strict-less scan picks the canonical representative among
     the closest model traces.  A trace of the language is its own nearest.
     Any other is at least its certificate, max(1, structural floor), from
     every model trace, so the scan stops at the first model trace at it."""
     masks = MatchMasks(trace)
     if trace in model:
-        return masks, trace, 0
+        return masks, trace, 0, 0
     certificate = max(1, structural_floor(trace, model))
     best_d = None
     best_t = None
+    compared = 0
     for cand in model.traces:
+        compared += 1
         d = edit_distance(masks, cand, cutoff=best_d)
         if best_d is None or d < best_d:
             best_d, best_t = d, cand
             if d == certificate:
                 break
-    return masks, best_t, best_d
+    return masks, best_t, best_d, compared
 
 
 def _edit_moves(masks, model_trace):

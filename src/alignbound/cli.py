@@ -39,6 +39,7 @@ from .log import (
     parse_csv,
     parse_xes,
     read_json,
+    write_log_csv,
     write_log_xes,
 )
 from .model import (
@@ -121,7 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_strategy_flags(p_approx)
     p_approx.add_argument("--report", choices=["json", "csv"], default="json")
     p_approx.add_argument("--proxy-in", help="use this proxy file instead of a strategy")
-    p_approx.add_argument("--proxy-out", help="persist the proxy set here")
     p_approx.add_argument(
         "--no-timings",
         action="store_true",
@@ -175,33 +175,34 @@ def _read_input(path, error: type[AlignboundError], what: str) -> bytes:
         raise error(f"cannot read {what} {path}: {exc}") from None
 
 
+def _is_csv(path) -> bool:
+    """A log is read and written as CSV if its suffix is .csv in any case."""
+    return Path(path).suffix.lower() == ".csv"
+
+
+def _is_pnml(path) -> bool:
+    """A model is read as a net if its suffix is .pnml in any case."""
+    return Path(path).suffix.lower() == ".pnml"
+
+
 def _load_log(args) -> EventLog:
-    path = Path(args.log)
-    data = _read_input(path, LogParseError, "log")
-    if path.suffix.lower() == ".csv":
-        return parse_csv(
-            data,
-            case_column=args.case_column,
-            activity_column=args.activity_column,
-            order_column=args.order_column,
-        )
+    data = _read_input(args.log, LogParseError, "log")
+    if _is_csv(args.log):
+        columns = args.case_column, args.activity_column, args.order_column
+        return parse_csv(data, *columns)
     return parse_xes(data)
 
 
 def _load_model(args):
-    path = Path(args.model)
-    data = _read_input(path, ModelError, "model")
-    if path.suffix.lower() == ".pnml":
+    data = _read_input(args.model, ModelError, "model")
+    if _is_pnml(args.model):
         if not args.final_marking:
             raise ModelError("net models need --final-marking")
         marking = parse_final_marking_json(
             _read_input(args.final_marking, ModelError, "final marking")
         )
         return parse_pnml(
-            data,
-            final_marking=marking,
-            silent_label=args.silent_label,
-            state_bound=args.state_bound,
+            data, marking, silent_label=args.silent_label, state_bound=args.state_bound
         )
     return parse_explicit_language(data)
 
@@ -222,8 +223,11 @@ def _warn_dead_transitions(model) -> None:
 
 
 def _write(path, payload: bytes | str, what: str) -> None:
-    """Write an output file; a path that cannot be written is an
-    ``OutputError``."""
+    """Write an output to ``path``, or to standard output without one; a
+    path that cannot be written is an ``OutputError``."""
+    if path is None:
+        sys.stdout.write(payload if isinstance(payload, str) else payload.decode())
+        return
     if isinstance(payload, str):
         payload = payload.encode("utf-8")
     try:
@@ -242,21 +246,12 @@ def _write_traces(path, traces, what: str) -> None:
     _write(path, text, what)
 
 
-def _emit(payload: bytes, out: str | None, what: str) -> None:
-    if out:
-        _write(out, payload, what)
-    else:
-        sys.stdout.write(payload.decode("utf-8"))
-
-
 def _cmd_exact(args) -> int:
     log = _load_log(args)
     model = _load_model(args)
     _warn_dead_transitions(model)
-    header = ["trace", "multiplicity", "cost"]
-    if args.dump_moves:
-        header.append("moves")
-    rows = [header]
+    header = ["trace", "multiplicity", "cost", "moves"]
+    rows = [header if args.dump_moves else header[:3]]
     for trace, mult in log.variants.items():
         row = [join_trace(trace), mult]
         if args.dump_moves:
@@ -266,7 +261,7 @@ def _cmd_exact(args) -> int:
             # only the cost is printed, so no alignment is built
             row.append(optimal_cost(trace, model)[0])
         rows.append(row)
-    _emit(csv_text(rows).encode("utf-8"), args.out, "cost table")
+    _write(args.out, csv_text(rows), "cost table")
     return 0
 
 
@@ -295,11 +290,9 @@ def _cmd_approximate(args) -> int:
     proxy = _load_proxy_file(args.proxy_in) if args.proxy_in else None
 
     report = approximate_log(log, model, params=params, proxy=proxy)
-    if args.proxy_out:
-        _write_traces(args.proxy_out, report.proxy.members, "proxy file")
     if args.no_timings:
         report = strip_timings(report)
-    _emit(write_report(report, fmt=args.report), args.out, "report")
+    _write(args.out, write_report(report, fmt=args.report), "report")
     return 0
 
 
@@ -331,10 +324,16 @@ def _load_spec(args) -> SyntheticSpec:
 
 
 def _cmd_generate(args) -> int:
+    if _is_pnml(args.model_out):
+        raise OutputError(
+            f"cannot write model {args.model_out}: a .pnml model is read as a net, "
+            "and generate writes the language text format"
+        )
     spec = _load_spec(args)
     model, log = generate_synthetic(spec)
     _write_traces(args.model_out, model.traces, "model")
-    _write(args.log_out, write_log_xes(log), "log")
+    write_log = write_log_csv if _is_csv(args.log_out) else write_log_xes
+    _write(args.log_out, write_log(log), "log")
     print(
         f"generated: {len(model.traces)} model traces, "
         f"{len(log.variants)} variants, {log.total_traces} traces",
@@ -357,7 +356,7 @@ def _cmd_evaluate(args) -> int:
         size_percents=sizes,
         repetitions=args.repetitions,
     )
-    _emit(rows_to_csv(rows).encode("utf-8"), args.out, "grid")
+    _write(args.out, rows_to_csv(rows), "grid")
     if args.long_out:
         _write(args.long_out, rows_to_long_csv(rows), "long-format grid")
     return 0

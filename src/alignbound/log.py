@@ -485,9 +485,28 @@ def parse_csv(
     return EventLog(Counter(traces))
 
 
+def escape_label(label: str, separator: str) -> str:
+    r"""``label`` as a CSV cell that joins labels by ``separator`` spells
+    it: ``\`` written ``\\`` and ``separator`` written ``\`` + ``separator``,
+    so the cell splits back at each unescaped ``separator``."""
+    return label.replace("\\", "\\\\").replace(separator, "\\" + separator)
+
+
 def join_trace(trace) -> str:
-    """CSV cell for a trace: activities joined by ``|``, ``-`` when empty."""
-    return "|".join(trace) if trace else "-"
+    r"""CSV cell for a trace: activities joined by ``|``, ``-`` when empty.
+
+    Each label is escaped by :func:`escape_label`, and the one-label trace
+    ``("-",)`` is written ``\-``, so every cell splits back into its labels
+    at each unescaped ``|``.  A cell whose labels hold neither ``\`` nor
+    ``|`` is the plain join: the joined cell is checked once and escaped
+    label by label only if a label needs it.
+    """
+    if not trace:
+        return "-"
+    cell = "|".join(trace)
+    if "\\" in cell or cell.count("|") >= len(trace):
+        cell = "|".join([escape_label(a, "|") for a in trace])
+    return "\\-" if cell == "-" else cell
 
 
 def csv_text(rows) -> str:

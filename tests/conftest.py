@@ -435,6 +435,29 @@ def write_report_json_reference(report) -> bytes:
     return (json.dumps(doc) + "\n").encode("utf-8")
 
 
+def split_escaped(cell: str, sep: str) -> list[str]:
+    """``cell`` split at each ``sep`` not escaped by a backslash, read one
+    character at a time, a backslash and the character after it read as
+    that character: the reader of the trace (``|``) and move (space) cells
+    the CSV writers spell."""
+    parts, part, chars = [], [], iter(cell)
+    for ch in chars:
+        if ch == "\\":
+            part.append(next(chars))
+        elif ch == sep:
+            parts.append("".join(part))
+            part = []
+        else:
+            part.append(ch)
+    return [*parts, "".join(part)]
+
+
+def read_trace_cell(cell: str) -> tuple:
+    """The trace a trace cell spells: ``-`` is the empty trace, any other
+    cell its labels split at each unescaped ``|``."""
+    return () if cell == "-" else tuple(split_escaped(cell, "|"))
+
+
 def successors_reference(model: PetriNetModel, marking):
     """The enabled transitions of ``marking`` as ``(silent, visible,
     by_label)``, each entry a ``(transition index, successor marking)``

@@ -31,6 +31,7 @@ from conftest import (
     noisy_walk,
     random_trace,
     search_nets,
+    split_escaped,
     with_x_runs,
 )
 
@@ -60,6 +61,23 @@ def test_missing_head_and_spurious_activity(loop_net):
     tokens = [m.token() for m in result.alignment.moves]
     assert tokens == ["model:a", "sync:b", "sync:d", "tau", "model:b", "sync:e"]
     _assert_replays(result.alignment, ("b", "d", "e"), loop_net)
+
+
+def test_move_tokens_split_back_at_unescaped_spaces():
+    # labels over a space, a backslash and a letter, joined as exact
+    # --dump-moves joins them
+    rng = random.Random(43)
+    for _ in range(200):
+        labels = ["".join(rng.choices(" \\a", k=rng.randint(0, 4))) for _ in range(4)]
+        moves = [Move(rng.choice(list(MoveKind)), label) for label in labels]
+        tokens = split_escaped(" ".join(m.token() for m in moves), " ")
+        expected = [
+            "tau" if m.kind is MoveKind.SILENT else f"{m.kind.value}:{m.activity}"
+            for m in moves
+        ]
+        assert tokens == expected, moves
+    assert Move(MoveKind.MODEL, "Create Order").token() == r"model:Create\ Order"
+    assert Move(MoveKind.LOG, "a\\b").token() == r"log:a\\b"
 
 
 def test_unsupported_model_type_is_a_type_error():
@@ -148,7 +166,8 @@ def test_explicit_search_stops_at_the_certificate(monkeypatch):
             calls.clear()
             search(trace, model)
             assert len(calls) == expected, (case, trace, model.traces)
-        assert optimal_cost(trace, model) == (min(distances), len(model.traces))
+        # the work count is the number of model traces compared
+        assert optimal_cost(trace, model) == (min(distances), expected)
     assert seen == {"member", "at certificate", "full scan"}
 
 

@@ -1,6 +1,7 @@
 """End-to-end tests driving the CLI through main(argv)."""
 
 import csv
+import io
 import json
 import os
 import subprocess
@@ -26,8 +27,9 @@ from alignbound.model import (
     parse_pnml,
     serialize_explicit_language,
 )
-from alignbound.proxy import ProxySet, epsilon_max_error
+from alignbound.proxy import DistanceTable, ProxySet, epsilon_max_error
 from alignbound.report import join_trace, read_report_json
+from conftest import read_trace_cell, split_escaped
 
 LOG_CSV = """case,activity,order
 c1,a,1
@@ -286,24 +288,17 @@ def test_csv_column_flag_naming_an_absent_column_fails(workspace, capsys, flag):
 
 
 def test_approximate_proxy_round_trip(workspace, capsys):
+    # proxy-gen writes the proxy set approximate generates with the same
+    # flags, and approximate reads it back
     proxy_path = workspace["dir"] / "proxy.lang"
-    rc, out_gen, _ = run(
-        [
-            "approximate",
-            "--log",
-            workspace["log"],
-            "--model",
-            workspace["lang"],
-            "--seed",
-            "2",
-            "--proxy-out",
-            str(proxy_path),
-            "--no-timings",
-        ],
-        capsys,
-    )
+    argv = ["--log", workspace["log"], "--seed", "2"]
+    rc, _, _ = run(["proxy-gen", *argv, "--out", str(proxy_path)], capsys)
     assert rc == 0
     assert proxy_path.exists()
+    rc, out_gen, _ = run(
+        ["approximate", *argv, "--model", workspace["lang"], "--no-timings"], capsys
+    )
+    assert rc == 0
     rc, out_in, _ = run(
         [
             "approximate",
@@ -365,6 +360,17 @@ def test_removed_options_are_usage_errors(workspace, capsys, command, extra):
     assert rc == 2
     assert out == ""
     assert "unrecognized arguments" in err
+
+
+def test_proxy_out_is_a_usage_error(workspace, capsys):
+    # proxy files are written by proxy-gen alone
+    proxy_path = workspace["dir"] / "proxy.lang"
+    argv = ["approximate", "--log", workspace["log"], "--model", workspace["lang"]]
+    rc, out, err = run([*argv, "--proxy-out", str(proxy_path)], capsys)
+    assert rc == 2
+    assert out == ""
+    assert "unrecognized arguments: --proxy-out" in err
+    assert not proxy_path.exists()
 
 
 def test_missing_subcommand_is_a_usage_error(capsys):
@@ -580,6 +586,76 @@ def test_distance_matrix_quotes_a_lone_carriage_return(workspace, capsys):
     with open(matrix, encoding="utf-8", newline="") as f:
         rows = list(csv.reader(f))
     assert rows == [["trace", "c", "a\rb|c"], ["c", "0", "1"], ["a\rb|c", "1", "0"]]
+
+
+def csv_rows(path) -> list[list[str]]:
+    with open(path, encoding="utf-8", newline="") as f:
+        return list(csv.reader(f))
+
+
+def test_trace_cells_split_back_into_distinct_variants(workspace, capsys):
+    # a label holding |, the two labels it would join to, and the one label
+    # -, which joined plainly reads as the empty trace
+    variants = {("a|b",), ("a", "b"), ("-",)}
+    tmp = workspace["dir"]
+    log = tmp / "bars.csv"
+    log.write_text(
+        "case,activity,order\nc1,a|b,1\nc2,a,1\nc2,b,2\nc3,-,1\n", encoding="utf-8"
+    )
+    model = tmp / "ab.lang"
+    model.write_text("a,b\n", encoding="utf-8")
+    argv = ["--log", str(log), "--model", str(model)]
+    assert run(["exact", *argv, "--out", str(tmp / "costs.csv")], capsys)[0] == 0
+    approximate = ["approximate", *argv, "--report", "csv", "--size-percent", "100"]
+    assert run([*approximate, "--out", str(tmp / "report.csv")], capsys)[0] == 0
+    # proxy-gen cannot write the member ("-",) as a proxy file, so the
+    # matrix it would dump is built here
+    matrix = DistanceTable(parse_csv(log.read_bytes()).variant_traces).matrix_csv()
+
+    costs = csv_rows(tmp / "costs.csv")[1:]
+    report = csv_rows(tmp / "report.csv")
+    report = report[1 : report.index([])]
+    matrix_rows = list(csv.reader(io.StringIO(matrix, newline="")))
+    columns = {
+        "exact": [row[0] for row in costs],
+        "report trace": [row[0] for row in report],
+        # every variant is a member, so each is its own nearest member
+        "report nearest_proxy": [row[5] for row in report],
+        "matrix header": matrix_rows[0][1:],
+        "matrix rows": [row[0] for row in matrix_rows[1:]],
+    }
+    for name, cells in columns.items():
+        assert len(set(cells)) == len(cells) == 3, (name, cells)
+        assert set(map(read_trace_cell, cells)) == variants, (name, cells)
+    assert {c: cost for c, _, cost in costs} == {"a|b": "0", "a\\|b": "3", "\\-": "3"}
+
+
+def test_move_cells_split_back_into_their_moves(workspace, capsys):
+    # labels holding a space, and the labels that space would split them into
+    tmp = workspace["dir"]
+    log = tmp / "spaces.csv"
+    log.write_bytes(
+        write_log_csv(
+            EventLog({("Create Order", "Pay"): 1, ("Create", "Order", "Pay"): 1})
+        )
+    )
+    model = tmp / "order.lang"
+    model.write_text("Create Order,Pay\n", encoding="utf-8")
+    argv = ["exact", "--log", str(log), "--model", str(model), "--dump-moves"]
+    assert run([*argv, "--out", str(tmp / "moves.csv")], capsys)[0] == 0
+    rows = csv_rows(tmp / "moves.csv")[1:]
+    assert [row[3] for row in rows] == [
+        r"sync:Create\ Order sync:Pay",
+        r"log:Create log:Order model:Create\ Order sync:Pay",
+    ]
+    for cell, _, cost, moves in rows:
+        steps = [token.split(":", 1) for token in split_escaped(moves, " ")]
+        assert all(kind in ("sync", "log", "model") for kind, _ in steps), moves
+        logged = tuple(a for kind, a in steps if kind in ("sync", "log"))
+        modelled = tuple(a for kind, a in steps if kind in ("sync", "model"))
+        assert logged == read_trace_cell(cell), moves
+        assert modelled == ("Create Order", "Pay"), moves
+        assert sum(kind != "sync" for kind, _ in steps) == int(cost), moves
 
 
 # Runs each argv through cli.main in this fresh process and prints, per
@@ -852,6 +928,42 @@ def test_generate_writes_model_and_log(tmp_path, capsys):
     assert "generated:" in err
 
 
+@pytest.mark.parametrize("name", ["log.csv", "log.CSV"])
+def test_generate_writes_a_csv_log_by_its_name(tmp_path, capsys, name):
+    # generate writes by the suffix rule exact reads by, so exact reads the
+    # same table from the CSV log as from its XES twin
+    spec = spec_file(tmp_path)
+    model = str(tmp_path / "model.lang")
+    tables = []
+    for log in (tmp_path / name, tmp_path / "log.xes"):
+        argv = ["generate", "--spec", spec, "--model-out", model, "--log-out", str(log)]
+        assert run(argv, capsys)[0] == 0
+        rc, out, _ = run(["exact", "--log", str(log), "--model", model], capsys)
+        assert rc == 0
+        tables.append(out)
+    assert (tmp_path / name).read_bytes() == write_log_csv(
+        parse_xes((tmp_path / "log.xes").read_bytes())
+    )
+    assert tables[0] == tables[1]
+    assert tables[0].count("\n") > 1
+
+
+@pytest.mark.parametrize("name", ["model.pnml", "model.PNML"])
+def test_generate_refuses_a_pnml_model(tmp_path, capsys, monkeypatch, name):
+    # the model is a language, which exact would read from a .pnml file as
+    # PNML; the name is refused before anything is generated
+    def no_generation(*args, **kwargs):
+        raise AssertionError("a model and log were generated")
+
+    monkeypatch.setattr(alignbound.cli, "generate_synthetic", no_generation)
+    model, log = tmp_path / name, tmp_path / "log.xes"
+    argv = ["generate", "--spec", spec_file(tmp_path), "--model-out", str(model)]
+    rc, out, err = run([*argv, "--log-out", str(log)], capsys)
+    assert (rc, out) == (1, "")
+    assert f"error[output]: cannot write model {model}: a .pnml model is read as" in err
+    assert not model.exists() and not log.exists()
+
+
 def test_generate_seed_override_changes_output(tmp_path, capsys):
     spec = spec_file(tmp_path)
     outs = []
@@ -1063,12 +1175,7 @@ def test_size_percent_is_checked_before_the_log_is_read(
     assert "error[proxy]: size percent must be in (0, 100], got 0" in err
 
 
-@pytest.mark.parametrize(
-    "command, flag", [("approximate", "--proxy-out"), ("proxy-gen", "--out")]
-)
-def test_label_the_language_format_cannot_carry_is_an_output_error(
-    workspace, capsys, command, flag
-):
+def test_label_the_language_format_cannot_carry_is_an_output_error(workspace, capsys):
     # a comma inside a label, a trace of the one label "-", whose line
     # would read back as the empty trace, and line boundaries inside a label
     for log_text, reason in [
@@ -1082,11 +1189,9 @@ def test_label_the_language_format_cannot_carry_is_an_output_error(
     ]:
         log_path = workspace["dir"] / "uncarryable.csv"
         log_path.write_text(log_text, encoding="utf-8")
-        argv = [command, "--log", str(log_path), "--size-percent", "100"]
-        if command == "approximate":
-            argv += ["--model", workspace["lang"]]
         out_path = workspace["dir"] / "proxy.lang"
-        rc, _, err = run([*argv, flag, str(out_path)], capsys)
+        argv = ["proxy-gen", "--log", str(log_path), "--size-percent", "100"]
+        rc, _, err = run([*argv, "--out", str(out_path)], capsys)
         assert rc == 1
         assert (
             f"error[output]: cannot write proxy file {out_path}: "
@@ -1100,7 +1205,6 @@ def test_label_the_language_format_cannot_carry_is_an_output_error(
     [
         ("exact", "--out", "cost table"),
         ("approximate", "--out", "report"),
-        ("approximate", "--proxy-out", "proxy file"),
         ("proxy-gen", "--out", "proxy file"),
         ("proxy-gen", "--dump-distance-matrix", "distance matrix"),
         ("generate", "--model-out", "model"),

@@ -22,6 +22,7 @@ from alignbound.log import (
     _parse_flat_xes,
     _parse_xes_with_handlers,
     canonical_traces,
+    join_trace,
     parse_csv,
     parse_xes,
     trace_sort_key,
@@ -31,6 +32,7 @@ from alignbound.log import (
 from conftest import (
     parse_csv_reference,
     parse_xes_reference,
+    read_trace_cell,
     write_log_csv_reference,
     write_log_xes_reference,
 )
@@ -1186,3 +1188,22 @@ def test_parse_csv_reads_multibyte_labels_and_quoted_line_breaks_like_decoded_te
     assert len(data) > 8 * 8192
     assert outcome(parse_csv, data) == outcome(parse_csv_reference, data)
     assert parse_csv(data).variants == log.variants
+
+
+# labels over the characters a trace cell escapes, the letters around them
+# and the empty label
+CELL_LABELS = st.text(alphabet="ab|\\-", max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(CELL_LABELS, max_size=4).map(tuple))
+@example(("a|b",))
+@example(("a", "b"))
+@example(("-",))
+@example(("\\-",))
+@example(("",))
+def test_trace_cell_splits_back_into_its_trace(trace):
+    cell = join_trace(trace)
+    assert read_trace_cell(cell) == trace
+    if not any("|" in a or "\\" in a for a in trace) and trace != ("-",):
+        assert cell == ("|".join(trace) if trace else "-")

@@ -360,16 +360,21 @@ def test_reader_rejects_a_proxy_block_it_would_not_write(key, value, message):
 
 def csv_lines_from_json(report):
     """The CSV report's lines as its JSON report gives them: each variant
-    row's values under ``CSV_HEADER``, a trace joined by ``|`` or ``-`` when
-    empty, then a blank line, ``aggregate,value``, the four aggregates and
-    one ``timing_<key>_us`` line per timing."""
+    row's values under ``CSV_HEADER``, a trace's labels joined by ``|``
+    with ``\\`` and ``|`` escaped by a backslash inside each, ``-`` when
+    empty and ``\\-`` for the one label ``-``, then a blank line,
+    ``aggregate,value``, the four aggregates and one ``timing_<key>_us``
+    line per timing."""
     doc = json.loads(write_report(report, fmt="json"))
     assert all(list(row) == list(CSV_HEADER) for row in doc["variants"])
 
     def cell(value):
-        if isinstance(value, list):
-            return "|".join(value) if value else "-"
-        return str(value)
+        if not isinstance(value, list):
+            return str(value)
+        if not value:
+            return "-"
+        labels = [a.replace("\\", "\\\\").replace("|", "\\|") for a in value]
+        return "\\-" if labels == ["-"] else "|".join(labels)
 
     aggregates = doc["aggregates"]
     names = ("epsilon_max", "total_estimate", "total_traces", "aligner_invocations")
