@@ -236,14 +236,13 @@ def _write(path, payload: bytes | str, what: str) -> None:
         raise OutputError(f"cannot write {what} {path}: {exc}") from None
 
 
-def _write_traces(path, traces, what: str) -> None:
-    """Write traces in the language text format; a label the format cannot
-    carry is an ``OutputError``."""
+def _language_text(path, traces, what: str) -> str:
+    """Traces in the language text format, serialized before any output is
+    written; a label the format cannot carry is an ``OutputError``."""
     try:
-        text = serialize_explicit_language(traces)
+        return serialize_explicit_language(traces)
     except ValueError as exc:
         raise OutputError(f"cannot write {what} {path}: {exc}") from None
-    _write(path, text, what)
 
 
 def _cmd_exact(args) -> int:
@@ -301,13 +300,14 @@ def _cmd_proxy_gen(args) -> int:
     log = _load_log(args)
     table = DistanceTable(log.variant_traces)
     # built before the proxy set, so every strategy slices its columns from
-    # the matrix; written only once the log has yielded a proxy set
+    # the matrix; written only once the proxy file's text is in hand
     matrix = table.matrix_csv() if args.dump_distance_matrix else None
     proxy = generate_proxy(log, params, table)
     eps = epsilon_max_error(log, proxy, table)
+    text = _language_text(args.out, proxy.members, "proxy file")
     if matrix is not None:
         _write(args.dump_distance_matrix, matrix, "distance matrix")
-    _write_traces(args.out, proxy.members, "proxy file")
+    _write(args.out, text, "proxy file")
     print(
         f"proxy: {len(proxy)} members, a-priori max error {eps.value}",
         file=sys.stderr,
@@ -331,9 +331,11 @@ def _cmd_generate(args) -> int:
         )
     spec = _load_spec(args)
     model, log = generate_synthetic(spec)
-    _write_traces(args.model_out, model.traces, "model")
+    text = _language_text(args.model_out, model.traces, "model")
     write_log = write_log_csv if _is_csv(args.log_out) else write_log_xes
-    _write(args.log_out, write_log(log), "log")
+    data = write_log(log)
+    _write(args.model_out, text, "model")
+    _write(args.log_out, data, "log")
     print(
         f"generated: {len(model.traces)} model traces, "
         f"{len(log.variants)} variants, {log.total_traces} traces",

@@ -294,18 +294,26 @@ def parse_pnml(
     silent_label: str | None = None,
     state_bound: int = DEFAULT_STATE_BOUND,
 ) -> PetriNetModel:
-    """Parse the PNML subset: places with initial markings, labeled
-    transitions, unit arcs.
+    """Parse the PNML subset: places, labeled transitions and unit arcs.
 
-    A transition with no name element, an empty name, or a name equal to
-    ``silent_label`` is silent.  An arc without an inscription has weight
-    one; an arc whose inscription text is anything but ``1`` is rejected,
-    as the net would fire it as a unit arc, and so is an arc whose ``type``
-    (such as ``inhibitor`` or ``reset``) is anything but ``normal``, as the
-    net would fire it as a normal arc.  An id naming both a place and a
-    transition is rejected, as an arc to or from it would have no one
-    reading.  The final marking is not part of the file and must be
-    supplied as a place-id -> token-count mapping.
+    Places, transitions and arcs are read only where a ``net`` or ``page``
+    holds them, in document order, a nested page's contents in its place;
+    anything else that a net or page holds, such as a ``finalmarkings``
+    block, is ignored.  Each element is looked for in the root tag's
+    namespace, so a net in another namespace than its root has no places.  A name,
+    initial marking or inscription is the stripped text of the ``text``
+    child of the element's ``name``, ``initialMarking`` or ``inscription``.
+
+    A transition with no name, an empty name, a name equal to
+    ``silent_label``, or a ``toolspecific`` child whose ``activity`` is
+    ``$invisible$`` (the marker ProM and pm4py write) is silent.  An arc
+    without an inscription has weight one; an arc whose inscription is
+    anything but ``1`` is rejected, as the net would fire it as a unit arc,
+    and so is an arc whose ``type`` (such as ``inhibitor`` or ``reset``) is
+    anything but ``normal``, as the net would fire it as a normal arc.  An
+    id naming both a place and a transition is rejected, as an arc to or
+    from it would have no one reading.  The final marking is never read
+    from the file but given as a place-id -> token-count mapping.
     """
     if isinstance(data, str):
         data = data.encode("utf-8")
@@ -314,66 +322,62 @@ def parse_pnml(
     except (ET.ParseError, LookupError, ValueError) as exc:
         # LookupError and ValueError: an encoding expat cannot read
         raise ModelError(f"malformed PNML: {exc}") from None
+    ns = root.tag[: root.tag.rfind("}") + 1]
+    containers = (ns + "net", ns + "page")
 
-    def local(tag):
-        return tag.rsplit("}", 1)[-1]
+    def held(root):
+        """What the nets and pages in ``root`` hold, in document order, at any depth."""
+        stack = [(child, root.tag in containers) for child in reversed(root)]
+        while stack:
+            elem, inside = stack.pop()
+            if elem.tag in containers:
+                stack.extend((child, True) for child in reversed(elem))
+            elif inside:
+                yield elem
 
     def text(elem):
-        """The stripped text of every ``text`` element within ``elem``."""
-        texts = (t.text or "" for t in elem.iter() if local(t.tag) == "text")
-        return "".join(texts).strip()
+        """The stripped text of ``elem``'s ``text`` child, None without ``elem``."""
+        return None if elem is None else elem.findtext(ns + "text", "").strip()
 
-    place_ids = []
-    initial = {}
+    initial = {}  # place id -> tokens, in document order
     transitions = []
     arcs = []
-    for elem in root.iter():
-        tag = local(elem.tag)
-        if tag == "place":
+    for elem in held(root):
+        if elem.tag == ns + "place":
             pid = elem.get("id")
             if not pid:
                 raise ModelError("place without an id")
             if pid in initial:
                 raise ModelError(f"duplicate place id {pid!r}")
-            place_ids.append(pid)
-            tokens = 0
-            for child in elem.iter():
-                if local(child.tag) == "initialMarking":
-                    try:
-                        tokens = int(text(child))
-                    except ValueError:
-                        raise ModelError(
-                            f"place {pid!r} has a non-integer initial marking"
-                        ) from None
-            initial[pid] = tokens
-        elif tag == "transition":
+            tokens = text(elem.find(ns + "initialMarking"))
+            try:
+                initial[pid] = 0 if tokens is None else int(tokens)
+            except ValueError:
+                message = f"place {pid!r} has a non-integer initial marking"
+                raise ModelError(message) from None
+        elif elem.tag == ns + "transition":
             tid = elem.get("id")
             if not tid:
                 raise ModelError("transition without an id")
-            label = None
-            for child in elem.iter():
-                if local(child.tag) == "name":
-                    for t in child.iter():
-                        if local(t.tag) == "text":
-                            label = (t.text or "").strip()
-            if not label or label == silent_label:
+            label = text(elem.find(ns + "name"))
+            tools = [t.get("activity") for t in elem.findall(ns + "toolspecific")]
+            if label == silent_label or "$invisible$" in tools:
                 label = None
-            transitions.append(Transition(tid=tid, label=label))
-        elif tag == "arc":
+            transitions.append(Transition(tid=tid, label=label or None))
+        elif elem.tag == ns + "arc":
             aid = elem.get("id") or "?"
-            for child in elem:
-                part = local(child.tag)
-                if part == "inscription" and text(child) != "1":
-                    raise ModelError(
-                        f"arc {aid!r} has inscription {text(child)!r}; "
-                        "only unit arcs are supported"
-                    )
-                if part == "type" and (kind := child.get("value", text(child))) != "normal":
-                    raise ModelError(
-                        f"arc {aid!r} has type {kind!r}; only normal arcs are supported"
-                    )
+            if (weight := text(elem.find(ns + "inscription"))) not in (None, "1"):
+                raise ModelError(
+                    f"arc {aid!r} has inscription {weight!r}; only unit arcs are supported"
+                )
+            typed = elem.find(ns + "type")
+            if typed is not None and (kind := typed.get("value", text(typed))) != "normal":
+                raise ModelError(
+                    f"arc {aid!r} has type {kind!r}; only normal arcs are supported"
+                )
             arcs.append((aid, elem.get("source"), elem.get("target")))
 
+    place_ids = list(initial)
     if not place_ids:
         raise ModelError("net has no places")
     if not transitions:
@@ -389,11 +393,7 @@ def parse_pnml(
 
     inputs: list[list[int]] = [[] for _ in transitions]
     outputs: list[list[int]] = [[] for _ in transitions]
-    seen_arcs = set()
     for aid, source, target in arcs:
-        if (source, target) in seen_arcs:
-            raise ModelError(f"duplicate arc {aid!r} ({source} -> {target})")
-        seen_arcs.add((source, target))
         if source in place_index and target in trans_index:
             inputs[trans_index[target]].append(place_index[source])
         elif source in trans_index and target in place_index:
@@ -416,7 +416,7 @@ def parse_pnml(
         transitions=transitions,
         inputs=inputs,
         outputs=outputs,
-        initial_marking=[initial[p] for p in place_ids],
+        initial_marking=list(initial.values()),
         final_marking=final,
         state_bound=state_bound,
     )

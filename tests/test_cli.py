@@ -1200,6 +1200,25 @@ def test_label_the_language_format_cannot_carry_is_an_output_error(workspace, ca
         assert not out_path.exists()
 
 
+def test_proxy_gen_refusing_its_proxy_file_writes_no_matrix(workspace, capsys):
+    # every variant is a member at 100%, and the member of the one label "-"
+    # cannot be carried by the language text format: the proxy file is
+    # refused before the matrix dump is written
+    log_path = workspace["dir"] / "dash.csv"
+    rows = "case,activity,order\nc1,a|b,1\nc2,a,1\nc2,b,2\nc3,-,1\n"
+    log_path.write_text(rows, encoding="utf-8")
+    out_path, matrix = workspace["dir"] / "p.lang", workspace["dir"] / "m.csv"
+    argv = ["proxy-gen", "--log", str(log_path), "--size-percent", "100"]
+    argv += ["--out", str(out_path), "--dump-distance-matrix", str(matrix)]
+    rc, out, err = run(argv, capsys)
+    assert (rc, out) == (1, "")
+    assert (
+        f"error[output]: cannot write proxy file {out_path}: "
+        "label '-' cannot be carried alone by the language text format"
+    ) in err
+    assert not out_path.exists() and not matrix.exists()
+
+
 @pytest.mark.parametrize(
     "command, flag, what",
     [

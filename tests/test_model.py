@@ -1,4 +1,5 @@
 import re
+import sys
 
 import pytest
 
@@ -148,7 +149,8 @@ def test_parse_pnml_unreadable_encoding(encoding, message):
         (
             '<arc id="a8" source="t_c" target="p3"/>',
             '<arc id="a8" source="p0" target="t_a"/>',
-            r"^duplicate arc 'a8' \(p0 -> t_a\)$",
+            "^transition 't_a' names a place twice in one arc list; "
+            "arcs have multiplicity one$",
         ),
     ],
 )
@@ -156,6 +158,135 @@ def test_parse_pnml_rejects_a_malformed_element(old, new, message):
     assert old in PNML_SEQUENCE
     with pytest.raises(ModelError, match=message):
         parse_pnml(PNML_SEQUENCE.replace(old, new, 1), final_marking={"p3": 1})
+
+
+PNML_NAMESPACE = "http://www.pnml.org/version-2009/grammar/pnml"
+NET_PARTS = (
+    "places",
+    "transitions",
+    "inputs",
+    "outputs",
+    "initial_marking",
+    "final_marking",
+)
+
+# PNML_SEQUENCE in the layout ProM and pm4py write: the PNML namespace, a
+# name and graphics on the net and its places, a toolspecific element on a
+# place, and a finalmarkings block whose <place idref> names no place
+PNML_SEQUENCE_TOOL_LAYOUT = f"""<?xml version="1.0" encoding="UTF-8"?>
+<pnml xmlns="{PNML_NAMESPACE}">
+<net id="n" type="http://www.pnml.org/version-2009/grammar/ptnet">
+<name><text>sequence</text></name>
+<graphics><dimension x="400" y="100"/></graphics>
+<page id="p">
+  <place id="p0"><name><text>source</text></name>
+    <toolspecific tool="ProM" version="6.4" localNodeID="node-p0"/>
+    <graphics><position x="10" y="50"/></graphics>
+    <initialMarking><text>1</text></initialMarking></place>
+  <place id="p1"><name><text>p1</text></name>
+    <graphics><position x="110" y="50"/></graphics></place>
+  <place id="p2"><name><text>p2</text></name>
+    <graphics><position x="210" y="50"/></graphics></place>
+  <place id="p3"><name><text>sink</text></name>
+    <graphics><position x="310" y="50"/></graphics></place>
+  <transition id="t_a"><name><text>a</text></name></transition>
+  <transition id="t_b"><name><text>b</text></name></transition>
+  <transition id="t_skip"/>
+  <transition id="t_c"><name><text>c</text></name></transition>
+  <arc id="a1" source="p0" target="t_a"/>
+  <arc id="a2" source="t_a" target="p1"/>
+  <arc id="a3" source="p1" target="t_b"/>
+  <arc id="a4" source="t_b" target="p2"/>
+  <arc id="a5" source="p1" target="t_skip"/>
+  <arc id="a6" source="t_skip" target="p2"/>
+  <arc id="a7" source="p2" target="t_c"/>
+  <arc id="a8" source="t_c" target="p3"/>
+</page>
+<finalmarkings><marking><place idref="p3"><text>1</text></place></marking></finalmarkings>
+</net></pnml>
+"""
+
+
+def test_parse_pnml_reads_the_tool_layout_as_the_plain_net():
+    plain = parse_pnml(PNML_SEQUENCE, final_marking={"p3": 1})
+    tool = parse_pnml(PNML_SEQUENCE_TOOL_LAYOUT, final_marking={"p3": 1})
+    for part in NET_PARTS:
+        assert getattr(tool, part) == getattr(plain, part), part
+    traces = [(), ("a",), ("a", "c"), ("a", "b", "c"), ("c", "b", "a"), ("a", "x", "c")]
+    costs = [optimal_cost(trace, tool)[0] for trace in traces]
+    assert costs == [optimal_cost(trace, plain)[0] for trace in traces]
+    assert costs == [2, 1, 0, 0, 3, 1]
+
+
+def test_parse_pnml_reads_nested_pages_in_document_order():
+    data = """<pnml><net id="n"><page id="outer">
+      <place id="p0"><initialMarking><text>1</text></initialMarking></place>
+      <page id="inner">
+        <place id="p1"/>
+        <transition id="t_a"><name><text>a</text></name></transition>
+        <arc id="a1" source="p0" target="t_a"/>
+      </page>
+      <place id="p2"/>
+      <transition id="t_b"><name><text>b</text></name></transition>
+      <arc id="a2" source="t_a" target="p1"/>
+      <arc id="a3" source="p1" target="t_b"/>
+      <arc id="a4" source="t_b" target="p2"/>
+    </page></net></pnml>"""
+    net = parse_pnml(data, final_marking={"p2": 1})
+    assert net.places == ("p0", "p1", "p2")
+    assert [t.tid for t in net.transitions] == ["t_a", "t_b"]
+    assert (net.inputs, net.outputs) == (((0,), (1,)), ((1,), (2,)))
+    assert optimal_cost(("a", "b"), net)[0] == 0
+
+
+def test_parse_pnml_reads_pages_nested_deeper_than_the_recursion_limit():
+    depth = sys.getrecursionlimit() + 100
+    data = PNML_SEQUENCE.replace('<page id="p">', '<page id="p">' + "<page>" * depth)
+    data = data.replace("</page>", "</page>" * (depth + 1))
+    plain = parse_pnml(PNML_SEQUENCE, final_marking={"p3": 1})
+    deep = parse_pnml(data, final_marking={"p3": 1})
+    for part in NET_PARTS:
+        assert getattr(deep, part) == getattr(plain, part), part
+
+
+def test_parse_pnml_reads_no_net_outside_the_root_namespace():
+    # the root is in the PNML namespace and the net in none: the net is
+    # not read at all, rather than read in a second namespace
+    data = PNML_SEQUENCE.replace("<pnml>", f'<x:pnml xmlns:x="{PNML_NAMESPACE}">')
+    data = data.replace("</pnml>", "</x:pnml>")
+    with pytest.raises(ModelError, match="^net has no places$") as info:
+        parse_pnml(data, final_marking={"p3": 1})
+    assert info.value.code == "model"
+
+
+# a, then b or a skip that carries a name and, in its second toolspecific
+# element, the marker ProM and pm4py write on a silent transition
+PNML_INVISIBLE = """<pnml><net id="n"><page id="p">
+  <place id="p0"><initialMarking><text>1</text></initialMarking></place>
+  <place id="p1"/>
+  <place id="p2"/>
+  <transition id="t_a"><name><text>a</text></name></transition>
+  <transition id="t_b"><name><text>b</text></name></transition>
+  <transition id="t_skip"><name><text>skip_1</text></name>
+    <toolspecific tool="ProM" version="6.4" localNodeID="node-skip"/>
+    <toolspecific tool="ProM" version="6.4" activity="$invisible$"/>
+  </transition>
+  <arc id="a1" source="p0" target="t_a"/>
+  <arc id="a2" source="t_a" target="p1"/>
+  <arc id="a3" source="p1" target="t_b"/>
+  <arc id="a4" source="t_b" target="p2"/>
+  <arc id="a5" source="p1" target="t_skip"/>
+  <arc id="a6" source="t_skip" target="p2"/>
+</page></net></pnml>
+"""
+
+
+def test_parse_pnml_reads_a_transition_marked_invisible_as_silent():
+    net = parse_pnml(PNML_INVISIBLE, final_marking={"p2": 1})
+    assert net.alphabet == {"a", "b"}
+    assert [t.label for t in net.transitions] == ["a", "b", None]
+    costs = [optimal_cost(trace, net)[0] for trace in ((), ("a",), ("a", "b"), ("b",))]
+    assert costs == [1, 0, 0, 1]
 
 
 # p0 -> t(a) -> p1 and p0 -> u(b) -> p1; INSCRIPTION goes into arc w1
