@@ -8,6 +8,8 @@ which are printed as ``error[<code>]: message``.
 """
 
 import argparse
+import contextlib
+import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -236,6 +238,46 @@ def _write(path, payload: bytes | str, what: str) -> None:
         raise OutputError(f"cannot write {what} {path}: {exc}") from None
 
 
+def _write_all(outputs) -> None:
+    """Write each ``(path, payload, what)`` output; two or more files are
+    written all or none.
+
+    Each file goes to a temporary file beside its target, and all are moved
+    into place with ``os.replace`` only once every one is written; on any
+    failure every temporary is removed.  A lone output, and a target that
+    exists and is not a regular file such as ``/dev/stdout``, are written
+    in place."""
+    if len(outputs) < 2 or any(path is None for path, _, _ in outputs):
+        for output in outputs:
+            _write(*output)
+        return
+    staged = []
+    try:
+        for i, (path, payload, what) in enumerate(outputs):
+            target = Path(path)
+            if target.exists() and not target.is_file():
+                _write(path, payload, what)
+                continue
+            temporary = target.with_name(f".{target.name}.{os.getpid()}-{i}.tmp")
+            staged.append((temporary, path, what))
+            if isinstance(payload, str):
+                payload = payload.encode("utf-8")
+            try:
+                temporary.write_bytes(payload)
+            except OSError as exc:
+                raise OutputError(f"cannot write {what} {path}: {exc}") from None
+        for temporary, path, what in staged:
+            try:
+                os.replace(temporary, path)
+            except OSError as exc:
+                raise OutputError(f"cannot write {what} {path}: {exc}") from None
+    finally:
+        # a temporary that was moved into place is gone already
+        for temporary, _, _ in staged:
+            with contextlib.suppress(OSError):
+                temporary.unlink()
+
+
 def _language_text(path, traces, what: str) -> str:
     """Traces in the language text format, serialized before any output is
     written; a label the format cannot carry is an ``OutputError``."""
@@ -305,9 +347,10 @@ def _cmd_proxy_gen(args) -> int:
     proxy = generate_proxy(log, params, table)
     eps = epsilon_max_error(log, proxy, table)
     text = _language_text(args.out, proxy.members, "proxy file")
+    outputs = [(args.out, text, "proxy file")]
     if matrix is not None:
-        _write(args.dump_distance_matrix, matrix, "distance matrix")
-    _write(args.out, text, "proxy file")
+        outputs.append((args.dump_distance_matrix, matrix, "distance matrix"))
+    _write_all(outputs)
     print(
         f"proxy: {len(proxy)} members, a-priori max error {eps.value}",
         file=sys.stderr,
@@ -334,8 +377,7 @@ def _cmd_generate(args) -> int:
     text = _language_text(args.model_out, model.traces, "model")
     write_log = write_log_csv if _is_csv(args.log_out) else write_log_xes
     data = write_log(log)
-    _write(args.model_out, text, "model")
-    _write(args.log_out, data, "log")
+    _write_all([(args.model_out, text, "model"), (args.log_out, data, "log")])
     print(
         f"generated: {len(model.traces)} model traces, "
         f"{len(log.variants)} variants, {log.total_traces} traces",
@@ -358,9 +400,10 @@ def _cmd_evaluate(args) -> int:
         size_percents=sizes,
         repetitions=args.repetitions,
     )
-    _write(args.out, rows_to_csv(rows), "grid")
+    outputs = [(args.out, rows_to_csv(rows), "grid")]
     if args.long_out:
-        _write(args.long_out, rows_to_long_csv(rows), "long-format grid")
+        outputs.append((args.long_out, rows_to_long_csv(rows), "long-format grid"))
+    _write_all(outputs)
     return 0
 
 

@@ -11,7 +11,10 @@ swap at a time, and the net alignment search scans every transition with
 a whole ElementTree or a ``DictReader`` row list.  The text writers
 escape and format every event and every report cell on its own, and
 the net's successor lists come from ``enabled``/``fire`` on every
-transition.  Tests compare the fast implementations against these.
+transition.  Random small bounded nets are checked against their visible
+language, enumerated by firing arcs with the oracle's own code, and
+distances from a plain dynamic program.  Tests compare the fast
+implementations against these.
 """
 
 import csv
@@ -21,6 +24,7 @@ import itertools
 import json
 import random
 import xml.etree.ElementTree as ET
+from collections import deque
 from functools import lru_cache
 
 import numpy as np
@@ -539,6 +543,85 @@ def with_x_runs(rng, trace):
         at = rng.randint(0, len(trace))
         trace[at:at] = ["x"] * rng.randint(2, 4)
     return tuple(trace)
+
+
+def oracle_fire(marking, preset, postset):
+    """The marking after firing an arc pair, or None when ``preset`` is not
+    marked; written apart from ``PetriNetModel.enabled``/``fire``."""
+    after = list(marking)
+    for p in preset:
+        if after[p] < 1:
+            return None
+        after[p] -= 1
+    for p in postset:
+        after[p] += 1
+    return tuple(after)
+
+
+def random_bounded_net(rng: random.Random) -> PetriNetModel:
+    """A small net as ROADMAP item 29 draws them: 2-8 places, 2-12
+    transitions labelled a, b, c or silent, presets of 1-2 places and
+    postsets of 0-2, one token in place 0.  A net is redrawn unless at most
+    200 markings of at most 3 tokens a place are reachable; the final
+    marking is drawn from the reachable ones."""
+    while True:
+        n_places, n_transitions = rng.randint(2, 8), rng.randint(2, 12)
+        places = range(n_places)
+        labels = [rng.choice(("a", "b", "c", None)) for _ in range(n_transitions)]
+        inputs = [rng.sample(places, rng.randint(1, 2)) for _ in labels]
+        outputs = [rng.sample(places, rng.randint(0, 2)) for _ in labels]
+        initial = (1,) + (0,) * (n_places - 1)
+        reached, stack = {initial}, [initial]
+        while stack and len(reached) <= 200:
+            marking = stack.pop()
+            for preset, postset in zip(inputs, outputs):
+                after = oracle_fire(marking, preset, postset)
+                if after is not None and after not in reached:
+                    reached.add(after)
+                    stack.append(after)
+        if len(reached) > 200 or max(max(m) for m in reached) > 3:
+            continue
+        transitions = [Transition(f"t{i}", label) for i, label in enumerate(labels)]
+        final = rng.choice(sorted(reached))
+        return PetriNetModel(
+            [f"p{i}" for i in places], transitions, inputs, outputs, initial, final
+        )
+
+
+def net_language(net: PetriNetModel, max_length: int) -> set:
+    """The visible traces of ``net``'s complete runs that are at most
+    ``max_length`` long, from a breadth-first enumeration of (marking,
+    visible prefix) pairs that fires the arc lists with ``oracle_fire``."""
+    labels = [t.label for t in net.transitions]
+    arcs = list(zip(net.inputs, net.outputs, labels))
+    start = (net.initial_marking, ())
+    seen, queue, language = {start}, deque([start]), set()
+    while queue:
+        marking, prefix = queue.popleft()
+        if marking == net.final_marking:
+            language.add(prefix)
+        for preset, postset, label in arcs:
+            after = oracle_fire(marking, preset, postset)
+            if after is None or (label is not None and len(prefix) == max_length):
+                continue
+            state = (after, prefix if label is None else prefix + (label,))
+            if state not in seen:
+                seen.add(state)
+                queue.append(state)
+    return language
+
+
+def plain_edit_distance(a, b) -> int:
+    """Insertions and deletions that turn ``a`` into ``b``, by the textbook
+    dynamic program over one table row."""
+    row = list(range(len(b) + 1))
+    for i, x in enumerate(a, 1):
+        diagonal, row[0] = row[0], i
+        for j, y in enumerate(b, 1):
+            above = row[j]
+            row[j] = diagonal if x == y else 1 + min(above, row[j - 1])
+            diagonal = above
+    return row[-1]
 
 
 # the nets the search is checked on, each with the alphabet its random

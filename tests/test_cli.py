@@ -672,13 +672,14 @@ print(json.dumps(seen))
 """
 
 
-def loaded_modules(argvs):
-    # a fresh interpreter: this test process has numpy loaded already
+def fresh_python(code, *args):
+    """The JSON that ``code`` prints, run in a fresh interpreter on this
+    checkout's package: this test process has every module loaded already."""
     src = str(Path(alignbound.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", LOADED_MODULES_CHILD, json.dumps(argvs)],
+        [sys.executable, "-c", code, *args],
         capture_output=True,
         text=True,
         env=env,
@@ -686,6 +687,33 @@ def loaded_modules(argvs):
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+def loaded_modules(argvs):
+    return fresh_python(LOADED_MODULES_CHILD, json.dumps(argvs))
+
+
+LAZY_IMPORT_CHILD = """
+import json, sys
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("alignbound."))
+import alignbound
+bare = loaded()
+from alignbound import parse_csv
+after_parse_csv = loaded()
+harness = alignbound.harness is sys.modules["alignbound.harness"]
+print(json.dumps([bare, after_parse_csv, harness]))
+"""
+
+
+def test_package_import_loads_a_module_only_when_a_name_is_read():
+    bare, after_parse_csv, harness = fresh_python(LAZY_IMPORT_CHILD)
+    assert bare == []
+    assert "alignbound.log" in after_parse_csv
+    assert "alignbound.harness" not in after_parse_csv
+    assert "alignbound.bounds" not in after_parse_csv
+    # a module resolves as an attribute after a bare import
+    assert harness is True
 
 
 def test_only_distance_matrix_commands_load_numpy(workspace):
@@ -1254,8 +1282,19 @@ def test_unwritable_output_is_a_stable_error(workspace, capsys, command, flag, w
     }[command]
     if command == "proxy-gen" and flag != "--out":
         argv += ["--out", str(tmp_path / "proxy.lang")]
+    # a two-file command writes both or neither: the other output is left
+    # unwritten, and no temporary is left beside either
+    other = {
+        ("proxy-gen", "--out"): "--dump-distance-matrix",
+        ("evaluate", "--out"): "--long-out",
+        ("evaluate", "--long-out"): "--out",
+    }.get((command, flag))
+    if other:
+        argv += [other, str(tmp_path / "other.csv")]
+    before = sorted(tmp_path.rglob("*"))
     bad = tmp_path / "missing" / "out.txt"
     rc, _, err = run(argv + [flag, str(bad)], capsys)
     assert rc == 1
     assert f"error[output]: cannot write {what} {bad}: " in err
     assert "Traceback" not in err
+    assert sorted(tmp_path.rglob("*")) == before

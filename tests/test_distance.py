@@ -1,4 +1,5 @@
 import csv
+import importlib
 import random
 
 import numpy as np
@@ -305,3 +306,17 @@ def test_every_package_export_resolves():
     missing = [name for name in alignbound.__all__ if not hasattr(alignbound, name)]
     assert missing == []
     assert "distance_matrix" in alignbound.__all__
+    # each name is the very object its module defines, each module resolves
+    # as an attribute, and dir() lists every export
+    submodules = "aligner bounds distance errors harness log model proxy report".split()
+    modules = {name: importlib.import_module(f"alignbound.{name}") for name in submodules}
+    for name, module in modules.items():
+        assert getattr(alignbound, name) is module
+    for name in alignbound.__all__:
+        value = getattr(alignbound, name)
+        home = getattr(value, "__module__", "")
+        if home.startswith("alignbound."):
+            assert getattr(importlib.import_module(home), name) is value, name
+        else:  # the Trace alias, a tuple type
+            assert any(vars(m).get(name) is value for m in modules.values()), name
+    assert set(alignbound.__all__) <= set(dir(alignbound))
