@@ -12,9 +12,8 @@ a whole ElementTree or a ``DictReader`` row list.  The text writers
 escape and format every event and every report cell on its own, and
 the net's successor lists come from ``enabled``/``fire`` on every
 transition.  Random small bounded nets are checked against their visible
-language, enumerated by firing arcs with the oracle's own code, and
-distances from a plain dynamic program.  Tests compare the fast
-implementations against these.
+language, enumerated by firing the arc lists with the oracle's own code.
+Tests compare the fast implementations against these.
 """
 
 import csv
@@ -609,19 +608,6 @@ def net_language(net: PetriNetModel, max_length: int) -> set:
                 seen.add(state)
                 queue.append(state)
     return language
-
-
-def plain_edit_distance(a, b) -> int:
-    """Insertions and deletions that turn ``a`` into ``b``, by the textbook
-    dynamic program over one table row."""
-    row = list(range(len(b) + 1))
-    for i, x in enumerate(a, 1):
-        diagonal, row[0] = row[0], i
-        for j, y in enumerate(b, 1):
-            above = row[j]
-            row[j] = diagonal if x == y else 1 + min(above, row[j - 1])
-            diagonal = above
-    return row[-1]
 
 
 # the nets the search is checked on, each with the alphabet its random

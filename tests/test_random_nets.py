@@ -5,7 +5,7 @@ On a bounded net the optimal alignment cost z(s) is the least distance from
 s to a visible trace of a complete run.  A visible trace longer than
 |s| + c is farther than c from s, so with c the aligner's cost the traces
 up to that length decide z(s): ``net_language`` enumerates them by firing
-the arc lists with its own code, and ``plain_edit_distance`` measures them.
+the arc lists with its own code, and ``naive_edit_distance`` measures them.
 A cost below the true optimum leaves no trace within reach, or only
 farther ones, so it cannot agree with the oracle.
 """
@@ -20,7 +20,7 @@ from alignbound.bounds import approximate_log
 from alignbound.log import EventLog
 from alignbound.proxy import STRATEGIES, StrategyParams
 
-from conftest import net_language, plain_edit_distance, random_bounded_net, random_trace
+from conftest import naive_edit_distance, net_language, random_bounded_net, random_trace
 
 NET_COUNT = 600
 
@@ -41,7 +41,7 @@ def drawn_nets():
         language = net_language(net, max([net.min_visible_length, *reach.values()]))
         z = {
             s: min(
-                (plain_edit_distance(s, t) for t in language if len(t) <= reach[s]),
+                (naive_edit_distance(s, t) for t in language if len(t) <= reach[s]),
                 default=None,
             )
             for s in log.variants
